@@ -3,7 +3,8 @@ Bellman equations on the torus, with rate-verification tooling."""
 
 from .errors import (CFLError, ConfigError, HJBError, NumericalError,
                      ProbeFailure, SchemeError)
-from .grid import GridFunction, SpaceTimeGrid, lipschitz_seminorm, sup_norm, wrap_index
+from .grid import (GridFunction, SpaceTimeGrid, lipschitz_seminorm, sup_norm, wrap_index,
+                   write_csv)
 from .problem import (A1Report, CoefficientField, ControlSet, HJBProblem,
                       ManufacturedProblem, SmoothFunction, decaying_wave,
                       evaluate_F, evaluate_L, make_problem, manufacture, verify_A1)
@@ -15,15 +16,14 @@ from .scheme import (CFLReport, ComparisonConstants, ProbeResult, SolveResult,
 from .switching import (SwitchingProblem, SwitchingSolution, k_rate_experiment,
                         switching_solve, switching_step)
 from .semigroup import (PCControlProblem, SemigroupFlow, SplitCheck, SplitProblem,
-                        calibrate_inner_steps, inner_error_estimate, pc_step,
-                        pcc_rate_experiment, pcc_solve, semigroup_monotonicity_probe,
-                        semigroup_nonexpansive_probe, semigroup_rate_experiment,
-                        sigma_from_diffusion, splitting_consistency_sweep,
-                        splitting_rate_experiment, splitting_solve, splitting_step,
-                        splitting_vs_inner_check, sub_semigroup_apply)
+                        calibrate_inner_steps, pc_step, pcc_rate_experiment, pcc_solve,
+                        semigroup_monotonicity_probe, semigroup_nonexpansive_probe,
+                        semigroup_rate_experiment, sigma_from_diffusion,
+                        splitting_consistency_sweep, splitting_rate_experiment,
+                        splitting_solve, splitting_step, splitting_vs_inner_check)
 from .harness import (FitResult, RateReport, ReferenceSolution, Verdict,
-                      compare_bounds, fit_order, run_refinement, write_plot_script,
-                      write_rate_csv)
+                      compare_bounds, fit_order, rate_report, run_refinement,
+                      signed_errors, write_plot_script, write_rate_csv)
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,7 @@ __all__ = [
     "CFLError", "ConfigError", "HJBError", "NumericalError", "ProbeFailure",
     "SchemeError",
     "GridFunction", "SpaceTimeGrid", "lipschitz_seminorm", "sup_norm", "wrap_index",
+    "write_csv",
     "A1Report", "CoefficientField", "ControlSet", "HJBProblem", "ManufacturedProblem",
     "SmoothFunction", "decaying_wave", "evaluate_F", "evaluate_L", "make_problem",
     "manufacture", "verify_A1",
@@ -41,13 +42,13 @@ __all__ = [
     "SwitchingProblem", "SwitchingSolution", "k_rate_experiment", "switching_solve",
     "switching_step",
     "PCControlProblem", "SemigroupFlow", "SplitCheck", "SplitProblem",
-    "calibrate_inner_steps", "inner_error_estimate", "pc_step", "pcc_rate_experiment",
+    "calibrate_inner_steps", "pc_step", "pcc_rate_experiment",
     "pcc_solve", "semigroup_monotonicity_probe", "semigroup_nonexpansive_probe",
     "semigroup_rate_experiment",
     "sigma_from_diffusion", "splitting_consistency_sweep", "splitting_rate_experiment",
     "splitting_solve", "splitting_step", "splitting_vs_inner_check",
-    "sub_semigroup_apply",
     "FitResult", "RateReport", "ReferenceSolution", "Verdict", "compare_bounds",
-    "fit_order", "run_refinement", "write_plot_script", "write_rate_csv",
+    "fit_order", "rate_report", "run_refinement", "signed_errors", "write_plot_script",
+    "write_rate_csv",
     "__version__",
 ]

@@ -30,7 +30,7 @@ import numpy as np
 from .config import (load_json, parse_matrix, parse_pcc, parse_problem,
                      parse_split, parse_switching)
 from .errors import ConfigError, HJBError, NumericalError, ProbeFailure
-from .grid import SpaceTimeGrid
+from .grid import SpaceTimeGrid, write_csv
 from .harness import (ReferenceSolution, compare_bounds, run_refinement,
                       write_rate_csv)
 from .scheme import ThetaScheme
@@ -79,15 +79,10 @@ def _grid_for(problem, n_x: int, dt, cfl_factor: float) -> SpaceTimeGrid:
 
 def _write_trajectory(result, path) -> None:
     g = result.grid
-    coords = g.nodes().reshape(-1, g.dim)
-    header = "t," + ",".join(f"x_{i + 1}" for i in range(g.dim)) + ",value"
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for n, t in enumerate(g.times()):
-            flat = result.values(n).reshape(-1)
-            for row, val in zip(coords, flat):
-                cells = [_fmt(t)] + [_fmt(c) for c in row] + [_fmt(val)]
-                fh.write(",".join(cells) + "\n")
+    coords = g.nodes().reshape(-1, g.dim).tolist()
+    write_csv(path, ["t"] + [f"x_{i + 1}" for i in range(g.dim)] + ["value"],
+              ((t, *row, val) for n, t in enumerate(g.times().tolist())
+               for row, val in zip(coords, result.values(n).reshape(-1).tolist())))
 
 
 def _write_solution_plot(csv_path, dim: int) -> None:
@@ -144,7 +139,7 @@ def cmd_rates(args) -> int:
     write_rate_csv(report, os.path.join(out, "rates.csv"), verdict)
     print(f"rates: slope={_fmt(report.slope)} r2={_fmt(report.r2)} "
           f"floor={_fmt(args.exponent - 0.05)} errors={[_fmt(e) for e in report.err_total]} "
-          f"verdict={'pass' if verdict.passed else 'fail'}")
+          f"verdict={'pass' if verdict.passed else 'fail'} notes={report.notes!r}")
     if not verdict.passed:
         raise NumericalError(f"rate check failed: {verdict.reason}")
     return 0
@@ -234,11 +229,9 @@ def cmd_decompose(args) -> int:
     a, max_order = parse_matrix(load_json(args.config))
     dec = bz_decompose(a, max_order=max_order)
     out = _outdir(args)
-    path = os.path.join(out, "decomposition.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("direction,weight\n")
-        for beta, w in zip(dec.directions, dec.weights):
-            fh.write(f"\"{' '.join(str(int(x)) for x in beta)}\",{_fmt(w)}\n")
+    write_csv(os.path.join(out, "decomposition.csv"), ["direction", "weight"],
+              ((f"\"{' '.join(str(int(x)) for x in beta)}\"", w)
+               for beta, w in zip(dec.directions, dec.weights)))
     scale = max(1.0, float(np.max(np.abs(a))))
     resid = dec.residual_norm
     print(f"decompose: directions={len(dec.weights)} residual={_fmt(resid)} "

@@ -5,6 +5,10 @@ indices wrap modulo n_x, so no boundary rows exist anywhere in the
 package.  Time levels are t_n = n*dt with n_t*dt = T exact; because a
 target step rarely divides the horizon, grids are normally built with
 `SpaceTimeGrid.build`, which rounds the step down via n_t = ceil(T/dt).
+
+This module also owns the package's CSV format (`write_csv`): numbers are
+written with repr, strings as given, no timestamps or environment data, so
+identical runs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ __all__ = [
     "sup_norm",
     "lipschitz_seminorm",
     "wrap_index",
+    "write_csv",
 ]
 
 
@@ -129,12 +134,23 @@ class GridFunction:
     def to_csv(self, path) -> None:
         """Write node rows as x_1,...,x_N,value (deterministic formatting)."""
         g = self.grid
-        X = g.nodes().reshape(-1, g.dim)
-        V = self.values.reshape(-1)
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join([f"x_{i + 1}" for i in range(g.dim)] + ["value"]) + "\n")
-            for row, v in zip(X, V):
-                fh.write(",".join(repr(float(c)) for c in row) + "," + repr(float(v)) + "\n")
+        X = g.nodes().reshape(-1, g.dim).tolist()
+        V = self.values.reshape(-1).tolist()
+        write_csv(path, [f"x_{i + 1}" for i in range(g.dim)] + ["value"],
+                  ((*row, v) for row, v in zip(X, V)))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write one CSV file: the header names, then one line per row.
+
+    This is the only place the package opens a CSV file.  String cells are
+    written as given; every other cell is converted to float and written
+    with repr, so a value reads back exactly.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join([c if isinstance(c, str) else repr(float(c)) for c in row])
+                      + "\n" for row in rows)
 
 
 def sup_norm(phi) -> float:

@@ -1,14 +1,18 @@
 """Refinement studies, error norms, and log-log order fitting.
 
-Error orientation follows the two-sided rate statements: the signed
-error is d = u_ref - u_h, split into err_plus = |d^+|_0 (scheme below
-the reference) and err_minus = |d^-|_0 (scheme above); err_total is the
-plain sup norm.  The refinement parameter for space-time studies is
-h = sqrt(dx^2 + dt).
+Every rate study in the package goes through one path: `signed_errors`
+computes the sup norms of each level's signed error and `rate_report`
+sorts, fits and assembles the report.  Error orientation follows the
+two-sided rate statements: the signed error is d = u_ref - u_h, split into
+err_plus = |d^+|_0 (scheme below the reference) and err_minus = |d^-|_0
+(scheme above); err_total is the plain sup norm.  The switching study
+(`switching.k_rate_experiment`) is the one exception: it passes the mode
+values first, so there err_plus means the switched value lies above the
+reference, the opposite of the piecewise-constant-control study.  The
+refinement parameter for space-time studies is h = sqrt(dx^2 + dt).
 
-Reports are written as CSV with a gnuplot companion script; identical
-configurations must produce byte-identical files, so all numbers are
-formatted with repr and no timestamps or environment data are recorded.
+Reports are written as CSV (`grid.write_csv`) with a gnuplot companion
+script; identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CFLError, ConfigError
-from .grid import GridFunction, SpaceTimeGrid
+from .errors import CFLError, ConfigError, NumericalError
+from .grid import GridFunction, SpaceTimeGrid, write_csv
 
 __all__ = [
     "FitResult",
@@ -27,6 +31,8 @@ __all__ = [
     "Verdict",
     "ReferenceSolution",
     "fit_order",
+    "signed_errors",
+    "rate_report",
     "compare_bounds",
     "run_refinement",
     "write_rate_csv",
@@ -106,6 +112,39 @@ class RateReport:
                    for a, b in zip(self.err_total, self.err_total[1:]))
 
 
+def signed_errors(ref, u):
+    """Sup norms (err_plus, err_minus, err_total) of the signed error d = ref - u.
+
+    This is the only place the package measures an error: err_plus =
+    |d^+|_0, err_minus = |d^-|_0, err_total = |d|_0.  Callers put the
+    reference first, except the switching study, which puts the mode
+    values first to measure v - u_ref.
+    """
+    d = np.asarray(ref, dtype=float) - u
+    return (float(np.max(np.maximum(d, 0.0))),
+            float(np.max(np.maximum(-d, 0.0))),
+            float(np.max(np.abs(d))))
+
+
+def rate_report(param_name: str, rows, exponent: float, notes=(),
+                fit_plus: bool = False) -> RateReport:
+    """Build the RateReport of a study from per-level rows.
+
+    Each row is (param, dx, dt, err_plus, err_minus, err_total).  Rows are
+    sorted by decreasing parameter and the log-log fit is taken on
+    err_total, or on err_plus when `fit_plus` is set; the fit's note, if
+    any, is appended to `notes`.
+    """
+    rows = sorted(rows, key=lambda r: -r[0])
+    params, dxs, dts, err_plus, err_minus, err_total = (list(c) for c in zip(*rows))
+    fit = fit_order(params, err_plus if fit_plus else err_total)
+    notes = list(notes) + ([fit.note] if fit.note else [])
+    return RateReport(param_name=param_name, params=params, err_plus=err_plus,
+                      err_minus=err_minus, err_total=err_total, slope=fit.slope,
+                      r2=fit.r2, exponent=exponent, degenerate=fit.degenerate,
+                      dxs=dxs, dts=dts, notes=notes)
+
+
 @dataclass
 class Verdict:
     passed: bool
@@ -164,66 +203,35 @@ def run_refinement(problem, scheme_options: dict, levels, reference: ReferenceSo
     """Solve `problem` at each (n_x, dt_target) level and fit error vs h.
 
     Levels are sorted by decreasing h.  Every level must satisfy the CFL
-    bound (a violation aborts the study); a level that fails for another
-    reason is recorded in the notes and skipped, and at least two
-    surviving levels are required.  Errors are measured at the final
-    time (or, with max_over_time, the worst level over all times).
+    bound (a violation aborts the study); a level whose solve fails with
+    another NumericalError is recorded in the notes and skipped, and at
+    least two surviving levels are required.  Any other exception
+    propagates.  Errors are measured at the final time T (or, with
+    max_over_time, the worst level over all times).
     """
     from .scheme import ThetaScheme  # local import to avoid a cycle
 
-    entries = []
+    rows = []
     notes = []
     for n_x, dt_target in levels:
         grid = SpaceTimeGrid.build(problem.dim, problem.period, int(n_x), problem.T,
                                    float(dt_target))
         try:
-            scheme = ThetaScheme(problem, grid, **scheme_options)
-            result = scheme.solve()
+            result = ThetaScheme(problem, grid, **scheme_options).solve()
         except CFLError:
             raise
-        except Exception as exc:  # record and continue with remaining levels
+        except NumericalError as exc:  # record and continue with remaining levels
             notes.append(f"level n_x={n_x} dt={dt_target!r} failed: {exc}")
             continue
-        if max_over_time:
-            ep = em = et = 0.0
-            for n, t in enumerate(grid.times()):
-                d = reference.values_on(grid, t) - result.values(n)
-                ep = max(ep, float(np.max(np.maximum(d, 0.0))))
-                em = max(em, float(np.max(np.maximum(-d, 0.0))))
-                et = max(et, float(np.max(np.abs(d))))
-        else:
-            d = reference.values_on(grid, grid.T) - result.final.values
-            ep = float(np.max(np.maximum(d, 0.0)))
-            em = float(np.max(np.maximum(-d, 0.0)))
-            et = float(np.max(np.abs(d)))
-        entries.append((grid.h(), grid.dx, grid.dt, ep, em, et))
+        levels_t = enumerate(grid.times()) if max_over_time else [(grid.n_t, grid.T)]
+        errs = [signed_errors(reference.values_on(grid, t), result.values(n))
+                for n, t in levels_t]
+        rows.append((grid.h(), grid.dx, grid.dt, *(max(col) for col in zip(*errs))))
 
-    if len(entries) < 2:
+    if len(rows) < 2:
         raise ConfigError(
             "refinement inconclusive: fewer than two levels solved; " + "; ".join(notes))
-    entries.sort(key=lambda e: -e[0])
-    hs = [e[0] for e in entries]
-    fit = fit_order(hs, [e[5] for e in entries])
-    if fit.note:
-        notes.append(fit.note)
-    return RateReport(
-        param_name="h",
-        params=hs,
-        err_plus=[e[3] for e in entries],
-        err_minus=[e[4] for e in entries],
-        err_total=[e[5] for e in entries],
-        slope=fit.slope,
-        r2=fit.r2,
-        exponent=exponent,
-        degenerate=fit.degenerate,
-        dxs=[e[1] for e in entries],
-        dts=[e[2] for e in entries],
-        notes=notes,
-    )
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+    return rate_report("h", rows, exponent, notes)
 
 
 def write_rate_csv(report: RateReport, path, verdict: Verdict | None = None) -> None:
@@ -235,17 +243,12 @@ def write_rate_csv(report: RateReport, path, verdict: Verdict | None = None) -> 
     n = len(report.params)
     dxs = report.dxs or [float("nan")] * n
     dts = report.dts or [float("nan")] * n
-    with open(path, "w", newline="") as fh:
-        fh.write("level,dx,dt,h,err_plus,err_minus,err_total,slope,verdict\n")
-        for i in range(n):
-            last = i == n - 1
-            slope = _fmt(report.slope) if last else ""
-            verd = "" if verdict is None or not last else ("pass" if verdict.passed else "fail")
-            fh.write(",".join([
-                str(i), _fmt(dxs[i]), _fmt(dts[i]), _fmt(report.params[i]),
-                _fmt(report.err_plus[i]), _fmt(report.err_minus[i]),
-                _fmt(report.err_total[i]), slope, verd,
-            ]) + "\n")
+    rows = [[str(i), dxs[i], dts[i], report.params[i], report.err_plus[i],
+             report.err_minus[i], report.err_total[i], "", ""] for i in range(n)]
+    rows[-1][7:] = [report.slope,
+                    "" if verdict is None else ("pass" if verdict.passed else "fail")]
+    write_csv(path, ["level", "dx", "dt", "h", "err_plus", "err_minus", "err_total",
+                     "slope", "verdict"], rows)
     write_plot_script(path, report.param_name)
 
 

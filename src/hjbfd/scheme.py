@@ -11,7 +11,7 @@ where L_h^alpha is a positive-type stencil for tr[a^alpha D^2] +
 b^alpha . D built from sigma sigma^T (see stencil module).  theta = 0 is
 explicit, theta = 1 implicit; the implicit part is solved by policy
 iteration (freeze the per-node argmax, solve the resulting linear system
-by damped Jacobi sweeps, re-select) with lowest-index tie breaking.
+by Jacobi sweeps, re-select) with lowest-index tie breaking.
 
 Probes (monotonicity, comparison bound, a-priori bound) are first-class
 operations so CI can assert structure, not just convergence.
@@ -37,6 +37,8 @@ __all__ = [
     "ProbeResult",
     "SolveResult",
 ]
+
+MAX_SWEEPS = 1_000_000  # Jacobi sweeps allowed per frozen-policy solve
 
 
 @dataclass
@@ -128,8 +130,7 @@ class ThetaScheme:
 
     def __init__(self, problem: HJBProblem, grid: SpaceTimeGrid, theta: float,
                  builder: str = "kushner", bz_order: int = 2, tol: float = 1e-10,
-                 max_policy_iters: int = 100, max_sweeps: int = 1_000_000,
-                 damping: float = 1.0, forcing=None):
+                 max_policy_iters: int = 100, forcing=None):
         if not (0.0 <= theta <= 1.0):
             raise ConfigError(f"theta must lie in [0, 1], got {theta}")
         if builder not in ("kushner", "bz"):
@@ -147,8 +148,6 @@ class ThetaScheme:
         self.bz_order = bz_order
         self.tol = float(tol)
         self.max_policy_iters = int(max_policy_iters)
-        self.max_sweeps = int(max_sweeps)
-        self.damping = float(damping)
         self.forcing = forcing
         self._nodes = grid.nodes()
         self._coeffs_static = all(problem.coeffs.fully_static(i)
@@ -259,7 +258,7 @@ class ThetaScheme:
 
     def _policy_solve(self, ops: _Ops, P: np.ndarray, rhs: np.ndarray, inner_tol: float):
         """Solve (1 + theta dt (sumC - c)) u - theta dt sum_beta C u(.+beta)
-        = rhs + theta dt f for the frozen policy, by damped Jacobi sweeps."""
+        = rhs + theta dt f for the frozen policy, by Jacobi sweeps."""
         th_dt = self.theta * self.grid.dt
         if ops.per_node:
             W_P = np.take_along_axis(ops.W, P[None, None], axis=0)[0]  # (n_o, *grid)
@@ -274,8 +273,7 @@ class ThetaScheme:
             raise SchemeError("implicit step: nonpositive diagonal (step too large for c)")
         b_rhs = rhs + th_dt * f_P
         u = rhs.copy()
-        om = self.damping
-        for sweep in range(self.max_sweeps):
+        for _ in range(MAX_SWEEPS):
             R = self._rolls(u, ops.offsets)
             if ops.per_node:
                 off = np.einsum("o...,o...->...", W_P, R)
@@ -284,21 +282,13 @@ class ThetaScheme:
             res = diag * u - th_dt * off - b_rhs
             if float(np.max(np.abs(res))) <= inner_tol:
                 return u
-            u = (1.0 - om) * u + om * (b_rhs + th_dt * off) / diag
+            u = (b_rhs + th_dt * off) / diag
         raise SchemeError(
             f"implicit step: Jacobi sweeps failed to reach {inner_tol:.1e} "
-            f"within {self.max_sweeps} sweeps"
+            f"within {MAX_SWEEPS} sweeps"
         )
 
     # ----- stepping -----------------------------------------------------------
-
-    def explicit_step(self, u_prev: np.ndarray, t_prev: float):
-        """One forward step: u_prev - dt G(t_prev, u_prev).  Returns (values, report)."""
-        ops = self._ops_at(t_prev)
-        G, P = self._hamiltonian(ops, u_prev)
-        u_new = u_prev - self.grid.dt * G
-        return u_new, StepReport(t=t_prev + self.grid.dt, policy_iterations=0,
-                                 max_residual=0.0, argmax=P)
 
     def implicit_step(self, rhs: np.ndarray, t: float, inner_tol: float | None = None):
         """Solve u + theta dt G(t, u) = rhs by policy iteration."""
@@ -306,7 +296,6 @@ class ThetaScheme:
         th_dt = self.theta * self.grid.dt
         tol = self.tol if inner_tol is None else inner_tol
         u = rhs.copy()
-        last_P = None
         for it in range(self.max_policy_iters + 1):
             G, P = self._hamiltonian(ops, u)
             res = float(np.max(np.abs(u + th_dt * G - rhs)))
@@ -315,7 +304,6 @@ class ThetaScheme:
             if it == self.max_policy_iters:
                 break
             u = self._policy_solve(ops, P, rhs, inner_tol=0.2 * tol)
-            last_P = P
         raise SchemeError(
             f"policy iteration did not converge within {self.max_policy_iters} "
             f"iterations at t={t!r} (residual {res:.3e})"

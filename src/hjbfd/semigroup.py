@@ -15,9 +15,10 @@ i.e. the diffusion matrix is sigma sigma^T without the half factor that
 the nonlinear scheme attaches.  The implementation absorbs the factor by
 scaling sigma with sqrt(2) before handing the mode to the solver.
 
-Error orientation matches the harness: d = u_ref - u_h, err_plus = |d^+|_0,
-err_minus = |d^-|_0.  For the piecewise-constant scheme err_plus is the
-one-sided violation (the scheme must dominate the reference).
+Errors go through the harness's single rate path (`harness.signed_errors`,
+`harness.rate_report`) with its orientation: d = u_ref - u_h, err_plus =
+|d^+|_0, err_minus = |d^-|_0.  For the piecewise-constant scheme err_plus is
+the one-sided violation (the scheme must dominate the reference).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grid import SpaceTimeGrid
-from .harness import RateReport, fit_order
+from .grid import SpaceTimeGrid, sup_norm
+from .harness import RateReport, fit_order, rate_report, signed_errors
 from .problem import SmoothFunction, make_problem
 from .scheme import ProbeResult, ThetaScheme
 
@@ -39,10 +40,8 @@ __all__ = [
     "PCControlProblem",
     "SplitCheck",
     "sigma_from_diffusion",
-    "sub_semigroup_apply",
     "splitting_step",
     "splitting_solve",
-    "inner_error_estimate",
     "calibrate_inner_steps",
     "semigroup_rate_experiment",
     "splitting_rate_experiment",
@@ -186,12 +185,6 @@ class SemigroupFlow:
         return u
 
 
-def sub_semigroup_apply(flow: SemigroupFlow, values: np.ndarray, dt: float,
-                        m: int) -> np.ndarray:
-    """Advance `values` by dt under one family's flow with m implicit substeps."""
-    return flow.apply(values, dt, m)
-
-
 @dataclass
 class SplitProblem:
     """Two coefficient families on a shared torus grid and horizon.
@@ -275,40 +268,36 @@ def splitting_solve(sp: SplitProblem, dt: float, m: int) -> np.ndarray:
     return u
 
 
-def inner_error_estimate(sp: SplitProblem, dt: float, m: int):
-    """First-order Richardson estimate of the inner-stepping error.
-
-    Runs the full horizon with m and 2m substeps; for an O(dt/m) inner
-    method the error of the m-run is approximately 2 |U_m - U_2m|_0.
-    Returns (estimate, U_2m).
-    """
-    u_m = splitting_solve(sp, dt, m)
-    u_2m = splitting_solve(sp, dt, 2 * m)
-    return 2.0 * float(np.max(np.abs(u_m - u_2m))), u_2m
+def _inner_estimate(u_m: np.ndarray, u_2m: np.ndarray) -> float:
+    """First-order Richardson estimate of the inner-stepping error of the
+    m-substep run: for an O(dt/m) inner method it is about 2 |U_m - U_2m|_0."""
+    return 2.0 * sup_norm(u_m - u_2m)
 
 
 def calibrate_inner_steps(sp: SplitProblem, dt: float, reference: np.ndarray,
-                          m0: int = 2, cap: int = 256, fraction: float = 0.01) -> int:
+                          m0: int = 2, cap: int = 256, fraction: float = 0.01,
+                          notes: list | None = None) -> int:
     """Double m until the inner-stepping error estimate is at most `fraction`
     of the splitting error against `reference` (or the cap is reached).
-    The finer run of each Richardson pair seeds the next iteration."""
+    The finer run of each Richardson pair seeds the next iteration.
+
+    When the cap stops the doubling before the target is met, a line
+    saying so, with the estimate and the target, is appended to `notes`.
+    """
     m = int(m0)
     u_m = splitting_solve(sp, dt, m)
     while True:
         u_2m = splitting_solve(sp, dt, 2 * m)
-        est = 2.0 * float(np.max(np.abs(u_m - u_2m)))
-        split_est = float(np.max(np.abs(u_2m - reference)))
-        if est <= fraction * split_est or m >= cap:
+        est = _inner_estimate(u_m, u_2m)
+        target = fraction * signed_errors(reference, u_2m)[2]
+        if est <= target or m >= cap:
+            if est > target and notes is not None:
+                notes.append(f"inner substeps capped at m={m}: inner error estimate "
+                             f"{est:.3e} misses the target {target:.3e} "
+                             f"({100 * fraction:g}% of the splitting error)")
             return m
         m *= 2
         u_m = u_2m
-
-
-def _signed_errors(ref: np.ndarray, u: np.ndarray):
-    d = ref - u
-    return (float(np.max(np.maximum(d, 0.0))),
-            float(np.max(np.maximum(-d, 0.0))),
-            float(np.max(np.abs(d))))
 
 
 def _combined_reference(problem, grid_template: SpaceTimeGrid, dt_ref: float,
@@ -331,21 +320,9 @@ def semigroup_rate_experiment(stepper, reference, dt_list, exponent: float,
     dts = sorted((float(d) for d in dt_list), reverse=True)
     if len(dts) < 2:
         raise ConfigError("semigroup_rate_experiment needs at least two macro steps")
-    ref = np.asarray(reference, dtype=float)
-    ep, em, et = [], [], []
-    for d in dts:
-        p, mi, tot = _signed_errors(ref, np.asarray(stepper(d), dtype=float))
-        ep.append(p)
-        em.append(mi)
-        et.append(tot)
-    fit = fit_order(dts, et)
-    notes = list(notes or [])
-    if fit.note:
-        notes.append(fit.note)
-    return RateReport(param_name=param_name, params=dts, err_plus=ep, err_minus=em,
-                      err_total=et, slope=fit.slope, r2=fit.r2, exponent=exponent,
-                      degenerate=fit.degenerate, dxs=[dx] * len(dts), dts=dts,
-                      notes=notes)
+    rows = [(d, dx, d, *signed_errors(reference, np.asarray(stepper(d), dtype=float)))
+            for d in dts]
+    return rate_report(param_name, rows, exponent, notes or ())
 
 
 def splitting_rate_experiment(sp: SplitProblem, dt_list, m: int | None = None,
@@ -366,7 +343,7 @@ def splitting_rate_experiment(sp: SplitProblem, dt_list, m: int | None = None,
                               sp.builder, sp.tol)
     notes = [f"reference dt={dts[-1] / ref_factor!r}"]
     if m is None:
-        m = calibrate_inner_steps(sp, dts[-1], ref)
+        m = calibrate_inner_steps(sp, dts[-1], ref, notes=notes)
         notes.append(f"inner substeps calibrated: m={m}")
     else:
         notes.append(f"inner substeps m={m}")
@@ -395,12 +372,11 @@ def splitting_vs_inner_check(sp: SplitProblem, dt: float, m: int,
     Richardson inner-error estimate.  For families with commuting
     generators the two are of the same size (no splitting defect)."""
     u_m = splitting_solve(sp, dt, m)
-    u_2m = splitting_solve(sp, dt, 2 * m)
-    inner_est = 2.0 * float(np.max(np.abs(u_m - u_2m)))
+    inner_est = _inner_estimate(u_m, splitting_solve(sp, dt, 2 * m))
     dt_ref = (dt / m) / ref_factor
     ref = _combined_reference(sp.combined_problem(), sp.spatial_grid(), dt_ref,
                               sp.builder, sp.tol)
-    return SplitCheck(splitting_error=float(np.max(np.abs(u_m - ref))),
+    return SplitCheck(splitting_error=signed_errors(ref, u_m)[2],
                       inner_estimate=inner_est, reference_dt=dt_ref)
 
 

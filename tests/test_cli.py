@@ -112,6 +112,27 @@ def test_rates_floor_failure_exits_two(tmp_path, capsys):
     assert "rate check failed" in out.err
 
 
+def test_rates_prints_dropped_levels(tmp_path, capsys, monkeypatch):
+    from hjbfd.errors import SchemeError
+    from hjbfd.scheme import ThetaScheme
+
+    solve = ThetaScheme.solve
+
+    def failing_at_16(self, *args, **kwargs):
+        if self.grid.n_x == 16:
+            raise SchemeError("policy iteration did not converge")
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(ThetaScheme, "solve", failing_at_16)
+    code = main(["rates", str(CONFIGS / "heat.json"), "--levels", "8,16,32",
+                 "--out", str(tmp_path / "o")])
+    assert code == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("rates: slope=")
+    assert "verdict=pass" in line
+    assert "level n_x=16" in line and "did not converge" in line
+
+
 def test_switching_quick_study(tmp_path, capsys):
     files = run_twice_identical(
         lambda out: ["switching", str(CONFIGS / "modes2.json"), "--nx", "16",

@@ -14,10 +14,13 @@ from hjbfd import (
     decaying_wave,
     fit_order,
     make_problem,
+    rate_report,
     run_refinement,
+    signed_errors,
     write_rate_csv,
 )
-from hjbfd.errors import CFLError, ConfigError
+from hjbfd.errors import CFLError, ConfigError, SchemeError
+from hjbfd.scheme import ThetaScheme
 from hjbfd.harness import write_plot_script
 
 L2PI = 2 * np.pi
@@ -188,6 +191,62 @@ def test_run_refinement_needs_two_surviving_levels():
         "exact", exact=lambda t, X: math.exp(-0.5 * t) * np.sin(X[..., 0]))
     with pytest.raises(ConfigError, match="inconclusive"):
         run_refinement(pr, {"theta": 0.0}, heat_levels([16]), ref)
+
+
+def fail_at_level(monkeypatch, n_x, exc):
+    """Make ThetaScheme.solve raise `exc` on grids with `n_x` nodes per axis."""
+    solve = ThetaScheme.solve
+
+    def patched(self, *args, **kwargs):
+        if self.grid.n_x == n_x:
+            raise exc
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(ThetaScheme, "solve", patched)
+
+
+def heat_study():
+    pr = make_problem(1, L2PI, 0.5, [{"sigma": 1.0}],
+                      u0=lambda X: np.sin(X[..., 0]))
+    ref = ReferenceSolution(
+        "exact", exact=lambda t, X: math.exp(-0.5 * t) * np.sin(X[..., 0]))
+    return pr, ref
+
+
+def test_run_refinement_drops_a_numerically_failed_level(monkeypatch):
+    pr, ref = heat_study()
+    fail_at_level(monkeypatch, 16, SchemeError("policy iteration did not converge"))
+    rep = run_refinement(pr, {"theta": 0.0}, heat_levels([8, 16, 32]), ref)
+    assert len(rep.params) == 2
+    assert any("n_x=16" in n and "did not converge" in n for n in rep.notes)
+
+
+def test_run_refinement_propagates_non_numerical_errors(monkeypatch):
+    pr, ref = heat_study()
+    fail_at_level(monkeypatch, 16, TypeError("bad operand"))
+    with pytest.raises(TypeError, match="bad operand"):
+        run_refinement(pr, {"theta": 0.0}, heat_levels([8, 16, 32]), ref)
+
+
+def test_signed_errors_orientation():
+    ref = np.array([1.0, 2.0, 3.0])
+    u = np.array([0.5, 2.5, 3.0])
+    assert signed_errors(ref, u) == (0.5, 0.5, 0.5)
+    assert signed_errors(ref, u - 1.0) == (1.5, 0.0, 1.5)
+    assert signed_errors(u - 1.0, ref) == (0.0, 1.5, 1.5)
+
+
+def test_rate_report_sorts_rows_and_fits():
+    rows = [(0.1, 0.0, 0.1, 0.0, 0.2, 0.2), (0.4, 0.0, 0.4, 0.0, 0.8, 0.8),
+            (0.2, 0.0, 0.2, 0.0, 0.4, 0.4)]
+    rep = rate_report("dt", rows, 1.0, notes=["given"])
+    assert rep.params == [0.4, 0.2, 0.1]
+    assert rep.err_total == [0.8, 0.4, 0.2]
+    assert rep.slope == pytest.approx(1.0)
+    # err_plus is zero everywhere: fitting on it is degenerate and noted
+    plus = rate_report("k", rows, 1.0, notes=["given"], fit_plus=True)
+    assert plus.degenerate and plus.slope == 0.0
+    assert plus.notes == ["given", "3 zero-error level(s) excluded"]
 
 
 def test_run_refinement_max_over_time():

@@ -20,7 +20,6 @@ from hjbfd import (
     splitting_solve,
     splitting_step,
     splitting_vs_inner_check,
-    sub_semigroup_apply,
 )
 from hjbfd.errors import ConfigError
 
@@ -45,7 +44,7 @@ def test_zero_flow_is_identity():
     flow = SemigroupFlow(1, L2PI, 16, [{}])
     rng = np.random.default_rng(4)
     u = rng.standard_normal(16)
-    out = sub_semigroup_apply(flow, u, 0.25, 4)
+    out = flow.apply(u, 0.25, 4)
     np.testing.assert_array_equal(out, u)
 
 
@@ -170,6 +169,21 @@ def test_calibrate_inner_steps_doubles_until_quiet():
     # a tighter fraction can only need more substeps
     m_tight = calibrate_inner_steps(sp, 0.05, ref, m0=2, cap=64, fraction=1e-4)
     assert m_tight >= m
+
+
+def test_calibrate_inner_steps_reports_the_cap():
+    sp = split_problem(T=0.1, n_x=8)
+    ref = splitting_solve(sp, 0.05, 128)
+    notes = []
+    m = calibrate_inner_steps(sp, 0.05, ref, m0=2, cap=4, fraction=1e-6, notes=notes)
+    assert type(m) is int and m == 4
+    assert len(notes) == 1
+    assert notes[0].startswith("inner substeps capped at m=4")
+    assert "misses the target" in notes[0]
+    # a target that is met leaves no note
+    quiet = []
+    calibrate_inner_steps(sp, 0.05, ref, m0=2, cap=4, fraction=1e6, notes=quiet)
+    assert quiet == []
 
 
 def test_semigroup_rate_experiment_synthetic_slopes():
