@@ -3,14 +3,12 @@ Bellman equations on the torus, with rate-verification tooling."""
 
 from .errors import (CFLError, ConfigError, HJBError, NumericalError,
                      ProbeFailure, SchemeError)
-from .grid import (GridFunction, SpaceTimeGrid, lipschitz_seminorm, sup_norm, wrap_index,
-                   write_csv)
+from .grid import GridFunction, SpaceTimeGrid, lipschitz_seminorm, sup_norm, write_csv
 from .problem import (A1Report, CoefficientField, ControlSet, HJBProblem,
                       ManufacturedProblem, SmoothFunction, decaying_wave,
                       evaluate_F, evaluate_L, make_problem, manufacture, verify_A1)
-from .stencil import (BZDecomposition, SpatialStencil, apply_stencil, bz_decompose,
-                      bz_stencil, check_diag_dominant, consistency_residual,
-                      kushner_stencil)
+from .stencil import (BZDecomposition, SpatialStencil, bz_decompose, bz_stencil,
+                      check_diag_dominant, consistency_residual, kushner_stencil)
 from .scheme import (CFLReport, ComparisonConstants, ProbeResult, SolveResult,
                      StepReport, ThetaScheme)
 from .switching import (SwitchingProblem, SwitchingSolution, k_rate_experiment,
@@ -30,12 +28,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CFLError", "ConfigError", "HJBError", "NumericalError", "ProbeFailure",
     "SchemeError",
-    "GridFunction", "SpaceTimeGrid", "lipschitz_seminorm", "sup_norm", "wrap_index",
-    "write_csv",
+    "GridFunction", "SpaceTimeGrid", "lipschitz_seminorm", "sup_norm", "write_csv",
     "A1Report", "CoefficientField", "ControlSet", "HJBProblem", "ManufacturedProblem",
     "SmoothFunction", "decaying_wave", "evaluate_F", "evaluate_L", "make_problem",
     "manufacture", "verify_A1",
-    "BZDecomposition", "SpatialStencil", "apply_stencil", "bz_decompose", "bz_stencil",
+    "BZDecomposition", "SpatialStencil", "bz_decompose", "bz_stencil",
     "check_diag_dominant", "consistency_residual", "kushner_stencil",
     "CFLReport", "ComparisonConstants", "ProbeResult", "SolveResult", "StepReport",
     "ThetaScheme",

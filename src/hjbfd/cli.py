@@ -37,7 +37,7 @@ from .scheme import ThetaScheme
 from .semigroup import (PCControlProblem, SplitProblem, pcc_rate_experiment,
                         splitting_rate_experiment)
 from .stencil import bz_decompose
-from .switching import SwitchingProblem, k_rate_experiment, switching_solve
+from .switching import k_rate_experiment
 
 __all__ = ["main"]
 
@@ -154,17 +154,15 @@ def cmd_switching(args) -> int:
     else:
         k_list = [0.4, 0.2, 0.1, 0.05]
     grid = _grid_for(problem, args.nx, args.dt, args.cfl_factor)
+    finest = []
     report = k_rate_experiment(problem, modes, grid, k_list, theta=args.theta,
-                               builder=args.builder)
+                               builder=args.builder, finest=finest)
     verdict = compare_bounds(report, report.exponent)
     out = _outdir(args)
     write_rate_csv(report, os.path.join(out, "switching.csv"), verdict)
 
-    sp = SwitchingProblem(base=problem, mode_controls=modes, k=min(k_list), grid=grid,
-                          theta=args.theta, builder=args.builder)
-    sol = switching_solve(sp, force=args.force)
-    band = sol.coupling_band_violation()
-    scale = 1.0 + max(float(np.max(np.abs(v))) for v in sol.final_values())
+    band = finest[0].coupling_band_violation()
+    scale = 1.0 + float(np.max(np.abs(finest[0].levels[:, -1])))
     one_sided = max(report.err_minus)
     print(f"switching: slope={_fmt(report.slope)} floor={_fmt(report.exponent - 0.05)} "
           f"one_sided_violation={_fmt(one_sided)} band_violation={_fmt(band)} "

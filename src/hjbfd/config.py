@@ -22,7 +22,10 @@ Composite documents add keys on top of the problem fields: switching
 adds "modes" (lists of control indices) and optional "k_list"; split
 documents carry "family1"/"family2" instead of "controls"; mode
 documents for the piecewise-constant scheme carry "modes" as coefficient
-dicts; matrix documents carry "matrix" and optional "max_order".
+dicts; matrix documents carry "matrix" and optional "max_order".  Every
+document kind accepts "label".  A key the document kind, a built-in or
+its params do not define is rejected, so a misspelling never runs with a
+default in its place.
 """
 
 from __future__ import annotations
@@ -47,7 +50,11 @@ __all__ = [
     "BUILTIN_NAMES",
 ]
 
-BUILTIN_NAMES = ("sin_sum", "gauss_bump", "const")
+_BUILTIN_PARAMS = {"sin_sum": ("amplitude", "modes", "phase"),
+                   "gauss_bump": ("amplitude", "center", "width"),
+                   "const": ("value",)}
+BUILTIN_NAMES = tuple(_BUILTIN_PARAMS)
+_PROBLEM_KEYS = ("dim", "period", "horizon", "u0", "label")
 
 
 def load_json(path) -> dict:
@@ -61,6 +68,13 @@ def load_json(path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
     return doc
+
+
+def _check_keys(doc: dict, allowed, what: str) -> None:
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{what}: unknown key(s) {', '.join(map(repr, unknown))} "
+                          f"(allowed: {', '.join(allowed)})")
 
 
 def _num(doc, key, what, required=True, default=None):
@@ -92,10 +106,15 @@ def space_function(spec, dim: int, period: float, what: str):
         return float(spec)
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError(f"{what}: expected a number or {{'name':..., 'params':...}}")
+    _check_keys(spec, ("name", "params"), what)
     name = spec["name"]
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{what}: params must be an object")
+    if not isinstance(name, str) or name not in _BUILTIN_PARAMS:
+        raise ConfigError(f"{what}: unknown built-in {name!r} "
+                          f"(available: {', '.join(BUILTIN_NAMES)})")
+    _check_keys(params, _BUILTIN_PARAMS[name], f"{what} {name} params")
 
     if name == "const":
         return float(_num(params, "value", what, required=False, default=0.0))
@@ -125,9 +144,6 @@ def space_function(spec, dim: int, period: float, what: str):
 
         return g
 
-    raise ConfigError(f"{what}: unknown built-in {name!r} "
-                      f"(available: {', '.join(BUILTIN_NAMES)})")
-
 
 def _coeff_entry(spec, dim: int, period: float, what: str) -> dict:
     if not isinstance(spec, dict):
@@ -150,7 +166,9 @@ def _coeff_entry(spec, dim: int, period: float, what: str) -> dict:
     return out
 
 
-def _problem_fields(doc: dict, what: str):
+def _problem_fields(doc: dict, what: str, keys):
+    """Shared fields of a problem-like document whose other keys are `keys`."""
+    _check_keys(doc, _PROBLEM_KEYS + tuple(keys), what)
     dim = int(_num(doc, "dim", what))
     if dim < 1:
         raise ConfigError(f"{what}: dim must be >= 1")
@@ -164,8 +182,9 @@ def _problem_fields(doc: dict, what: str):
     return dim, period, horizon, u0
 
 
-def parse_problem(doc: dict, what: str = "problem") -> HJBProblem:
-    dim, period, horizon, u0 = _problem_fields(doc, what)
+def parse_problem(doc: dict, what: str = "problem", extra=()) -> HJBProblem:
+    """Problem document; `extra` names the keys a composite document adds."""
+    dim, period, horizon, u0 = _problem_fields(doc, what, ("controls",) + tuple(extra))
     controls = doc.get("controls")
     if not isinstance(controls, list) or not controls:
         raise ConfigError(f"{what}: 'controls' must be a nonempty list")
@@ -177,7 +196,7 @@ def parse_problem(doc: dict, what: str = "problem") -> HJBProblem:
 
 def parse_switching(doc: dict):
     """Returns (problem, mode index lists, k_list or None)."""
-    problem = parse_problem(doc, "switching")
+    problem = parse_problem(doc, "switching", extra=("modes", "k_list"))
     modes = doc.get("modes")
     if not isinstance(modes, list) or len(modes) < 2:
         raise ConfigError("switching: 'modes' must list at least two control-index lists")
@@ -221,7 +240,7 @@ def _dt_list(doc, what):
 
 def parse_split(doc: dict):
     """Returns (dim, period, horizon, family1, family2, u0, dt_list or None)."""
-    dim, period, horizon, u0 = _problem_fields(doc, "split")
+    dim, period, horizon, u0 = _problem_fields(doc, "split", ("family1", "family2", "dt_list"))
     fam1 = _family(doc, "family1", dim, period, "split")
     fam2 = _family(doc, "family2", dim, period, "split")
     return dim, period, horizon, fam1, fam2, u0, _dt_list(doc, "split")
@@ -229,7 +248,7 @@ def parse_split(doc: dict):
 
 def parse_pcc(doc: dict):
     """Returns (dim, period, horizon, modes, u0, dt_list or None)."""
-    dim, period, horizon, u0 = _problem_fields(doc, "pcc")
+    dim, period, horizon, u0 = _problem_fields(doc, "pcc", ("modes", "dt_list"))
     modes = _family(doc, "modes", dim, period, "pcc")
     if len(modes) < 2:
         raise ConfigError("pcc: 'modes' needs at least two entries")
@@ -238,6 +257,7 @@ def parse_pcc(doc: dict):
 
 def parse_matrix(doc: dict):
     """Returns (symmetric matrix, max_order) for the decomposition command."""
+    _check_keys(doc, ("matrix", "max_order", "label"), "decompose")
     raw = doc.get("matrix")
     if raw is None:
         raise ConfigError("decompose: missing required key 'matrix'")

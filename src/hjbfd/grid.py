@@ -25,7 +25,6 @@ __all__ = [
     "GridFunction",
     "sup_norm",
     "lipschitz_seminorm",
-    "wrap_index",
     "write_csv",
 ]
 
@@ -94,16 +93,6 @@ class SpaceTimeGrid:
     def h(self) -> float:
         """Combined refinement parameter sqrt(dx^2 + dt)."""
         return math.sqrt(self.dx ** 2 + self.dt)
-
-
-def wrap_index(index, offset, n_x: int):
-    """Periodic index shift: (index + offset) mod n_x, componentwise.
-
-    Accepts a scalar index with scalar offset, or same-length tuples.
-    """
-    if np.isscalar(index):
-        return (int(index) + int(offset)) % n_x
-    return tuple((int(i) + int(o)) % n_x for i, o in zip(index, offset))
 
 
 @dataclass

@@ -8,7 +8,10 @@ One step from t-dt to t solves, at every node x,
     G(s, w)(x) = max_alpha { -L_h^alpha w(x) - c^alpha(s,x) w(x) - f^alpha(s,x) },
 
 where L_h^alpha is a positive-type stencil for tr[a^alpha D^2] +
-b^alpha . D built from sigma sigma^T (see stencil module).  theta = 0 is
+b^alpha . D built from sigma sigma^T (see stencil module).  At each time
+level the stencils of all controls form one stacked operator (a weight
+array and a neighbour index, see `_Ops`), applied by one gather and one
+contraction wherever the scheme needs L_h.  theta = 0 is
 explicit, theta = 1 implicit; the implicit part is solved by policy
 iteration (freeze the per-node argmax, solve the resulting linear system
 by Jacobi sweeps, re-select) with lowest-index tie breaking.
@@ -39,6 +42,9 @@ __all__ = [
 ]
 
 MAX_SWEEPS = 1_000_000  # Jacobi sweeps allowed per frozen-policy solve
+MAX_POLICY_ITERS = 100  # policy iterations allowed per implicit step
+BZ_ORDER = 2            # largest direction component the 'bz' builder tries
+STUDY_TOL = 1e-11       # policy-iteration tolerance of the semigroup and switching studies
 
 
 @dataclass
@@ -77,16 +83,19 @@ class ProbeResult:
 
 @dataclass
 class SolveResult:
+    """Every time level of one solve: levels[n] is u at t_n, shape (n_t+1, *grid)."""
+
     grid: SpaceTimeGrid
-    trajectory: list
+    levels: np.ndarray = field(repr=False)
     reports: list
 
     @property
     def final(self) -> GridFunction:
-        return self.trajectory[-1]
+        """The last level, copied so that holding it does not hold every level."""
+        return GridFunction(self.grid, self.levels[-1].copy())
 
     def values(self, n: int) -> np.ndarray:
-        return self.trajectory[n].values
+        return self.levels[n]
 
 
 @dataclass
@@ -101,36 +110,36 @@ class ComparisonConstants:
 
     @classmethod
     def for_scheme(cls, scheme: "ThetaScheme") -> "ComparisonConstants":
-        pr, g = scheme.problem, scheme.grid
-        X = g.nodes()
-        lam = 0.0
-        times = [0.0] if scheme._coeffs_static else g.times()
-        for t in times:
-            for i in range(pr.controls.count):
-                lam = max(lam, float(np.max(np.maximum(pr.coeffs.c(i, t, X), 0.0))))
+        times = [0.0] if scheme._stencils_static else scheme.grid.times()
+        lam = max(float(np.max(np.maximum(scheme._c_at(t), 0.0))) for t in times)
         return cls(lam=lam)
 
 
 class _Ops:
-    """Stacked per-control operator data at one time level."""
+    """Stacked per-control operator at one time level:
 
-    __slots__ = ("offsets", "W", "csum", "c", "f", "per_node")
+        L_h^alpha u = sum_o W[alpha, o] u.flat[nbr[o]] - csum[alpha] u.
 
-    def __init__(self, offsets, W, csum, c, f, per_node):
-        self.offsets = offsets
-        self.W = W            # (n_c, n_o) or (n_c, n_o, *grid)
-        self.csum = csum      # (n_c,) or (n_c, *grid)
+    The weight arrays end in the grid shape, or in ones when no weight
+    varies in space, so broadcasting serves both cases.  The Hamiltonian
+    contracts space-independent weights as one dense matrix product, whose
+    rounding matches a BLAS product over the whole grid."""
+
+    __slots__ = ("W", "csum", "nbr", "c", "f")
+
+    def __init__(self, W, csum, nbr, c, f):
+        self.W = W            # (n_c, n_o, *grid) or (n_c, n_o, 1, ..., 1)
+        self.csum = csum      # W summed over offsets: (n_c, *grid) or (n_c, 1, ..., 1)
+        self.nbr = nbr        # (n_o, *grid) flat index of each node's neighbour per offset
         self.c = c            # (n_c, *grid)
         self.f = f            # (n_c, *grid)
-        self.per_node = per_node
 
 
 class ThetaScheme:
     """Theta-method scheme for an HJBProblem on a SpaceTimeGrid."""
 
     def __init__(self, problem: HJBProblem, grid: SpaceTimeGrid, theta: float,
-                 builder: str = "kushner", bz_order: int = 2, tol: float = 1e-10,
-                 max_policy_iters: int = 100, forcing=None):
+                 builder: str = "kushner", tol: float = 1e-10, forcing=None):
         if not (0.0 <= theta <= 1.0):
             raise ConfigError(f"theta must lie in [0, 1], got {theta}")
         if builder not in ("kushner", "bz"):
@@ -145,9 +154,7 @@ class ThetaScheme:
         self.grid = grid
         self.theta = float(theta)
         self.builder = builder
-        self.bz_order = bz_order
         self.tol = float(tol)
-        self.max_policy_iters = int(max_policy_iters)
         self.forcing = forcing
         self._nodes = grid.nodes()
         self._coeffs_static = all(problem.coeffs.fully_static(i)
@@ -155,7 +162,6 @@ class ThetaScheme:
         self._stencils_static = all(problem.coeffs.stencil_static(i)
                                     for i in range(problem.controls.count))
         self._static_ops = None
-        self._static_stencils = None
         self._static_weights = None
 
     # ----- operator assembly -------------------------------------------------
@@ -178,7 +184,7 @@ class ThetaScheme:
         # (1/2) tr[ssq D^2] when sum w_beta beta beta^T = ssq.
         if not uniform:
             raise ConfigError("bz builder requires space-independent sigma, b")
-        dec = bz_decompose(flat_m[0], max_order=self.bz_order)
+        dec = bz_decompose(flat_m[0], max_order=BZ_ORDER)
         if dec.residual_norm > 1e-12:
             raise ConfigError(
                 f"bz builder: decomposition residual {dec.residual_norm:.3e} too large"
@@ -189,69 +195,58 @@ class ThetaScheme:
                            residual=dec.residual)
         return bz_stencil(scaled, flat_b[0], g.dx)
 
-    def _stencils_at(self, t: float):
-        if self._stencils_static:
-            if self._static_stencils is None:
-                self._static_stencils = [self._build_stencil(i, 0.0)
-                                         for i in range(self.problem.controls.count)]
-            return self._static_stencils
-        return [self._build_stencil(i, t) for i in range(self.problem.controls.count)]
-
     def _weights_at(self, t: float):
-        """Stacked stencil weights (offsets, W, csum, per_node) at time t."""
-        if self._stencils_static and self._static_weights is not None:
+        """Stacked stencil weights W, their offset sums csum and the neighbour
+        index nbr at time t (built once when the stencils are static)."""
+        if self._static_weights is not None:
             return self._static_weights
         g = self.grid
-        n_c = self.problem.controls.count
-        stencils = self._stencils_at(t)
-        offsets = tuple(sorted({off for st in stencils for off in st.entries}))
-        per_node = any(np.ndim(w) != 0 for st in stencils for w in st.entries.values())
-        if per_node:
-            W = np.zeros((n_c, len(offsets)) + g.shape)
-            for k, st in enumerate(stencils):
-                for o, off in enumerate(offsets):
-                    W[k, o] = np.broadcast_to(np.asarray(st.weight(off), dtype=float), g.shape)
-        else:
-            W = np.zeros((n_c, len(offsets)))
-            for k, st in enumerate(stencils):
-                for o, off in enumerate(offsets):
-                    W[k, o] = float(st.weight(off))
-        packed = (offsets, W, W.sum(axis=1), per_node)
+        stencils = [self._build_stencil(i, t) for i in range(self.problem.controls.count)]
+        offsets = sorted({off for st in stencils for off in st.entries})
+        varies = any(np.ndim(w) != 0 for st in stencils for w in st.entries.values())
+        W = np.zeros((len(stencils), len(offsets)) + (g.shape if varies else (1,) * g.dim))
+        for k, st in enumerate(stencils):
+            for o, off in enumerate(offsets):
+                W[k, o] = st.weight(off)
+        idx = np.arange(g.n_nodes).reshape(g.shape)
+        axes = tuple(range(g.dim))
+        nbr = np.array([np.roll(idx, tuple(-c for c in off), axis=axes) for off in offsets],
+                       dtype=np.intp).reshape((len(offsets),) + g.shape)
+        packed = (W, W.sum(axis=1), nbr)
         if self._stencils_static:
             self._static_weights = packed
         return packed
 
+    def _c_at(self, t: float) -> np.ndarray:
+        """Stacked discount rates c^alpha(t, .), shape (n_c, *grid)."""
+        pr, g = self.problem, self.grid
+        return np.stack([np.broadcast_to(pr.coeffs.c(i, t, self._nodes), g.shape)
+                         for i in range(pr.controls.count)])
+
     def _ops_at(self, t: float) -> _Ops:
-        if self._coeffs_static and self._static_ops is not None:
+        if self._static_ops is not None:
             return self._static_ops
         pr, g = self.problem, self.grid
-        n_c = pr.controls.count
-        offsets, W, csum, per_node = self._weights_at(t)
-        X = self._nodes
-        c = np.stack([np.broadcast_to(pr.coeffs.c(i, t, X), g.shape) for i in range(n_c)])
-        f = np.stack([np.broadcast_to(pr.coeffs.f(i, t, X), g.shape) for i in range(n_c)])
+        W, csum, nbr = self._weights_at(t)
+        f = np.stack([np.broadcast_to(pr.coeffs.f(i, t, self._nodes), g.shape)
+                      for i in range(pr.controls.count)])
         if self.forcing is not None:
             f = f + np.broadcast_to(np.asarray(self.forcing, dtype=float), g.shape)
-        ops = _Ops(offsets, W, csum, c, f, per_node)
+        ops = _Ops(W, csum, nbr, self._c_at(t), f)
         if self._coeffs_static:
             self._static_ops = ops
         return ops
 
-    def _rolls(self, u: np.ndarray, offsets) -> np.ndarray:
-        if not offsets:  # zero-order problem: no neighbor terms
-            return np.zeros((0,) + u.shape)
-        axes = tuple(range(u.ndim))
-        return np.stack([np.roll(u, tuple(-c for c in off), axis=axes) for off in offsets])
-
     def _hamiltonian(self, ops: _Ops, u: np.ndarray):
         """G(s, u) = max_alpha(-L_h u - c u - f) and its argmax field."""
-        R = self._rolls(u, ops.offsets)
-        if ops.per_node:
-            Lu = np.einsum("co...,o...->c...", ops.W, R) - ops.csum * u[None]
-        else:
-            Lu = np.tensordot(ops.W, R, axes=([1], [0]))
-            Lu -= ops.csum.reshape((-1,) + (1,) * u.ndim) * u[None]
-        vals = -Lu - ops.c * u[None] - ops.f
+        nb = u.reshape(-1)[ops.nbr]                                          # (n_o, *grid)
+        if ops.W.shape[2:] == u.shape:
+            Lu = np.einsum("co...,o...->c...", ops.W, nb)
+        else:  # space-independent weights: one (n_c, n_o) @ (n_o, N) matrix product
+            Lu = (ops.W.reshape(ops.W.shape[:2]) @ nb.reshape(len(nb), u.size)).reshape(
+                (-1,) + u.shape)
+        Lu -= ops.csum * u
+        vals = -Lu - ops.c * u - ops.f
         P = np.argmax(vals, axis=0)
         G = np.take_along_axis(vals, P[None], axis=0)[0]
         return G, P
@@ -260,25 +255,16 @@ class ThetaScheme:
         """Solve (1 + theta dt (sumC - c)) u - theta dt sum_beta C u(.+beta)
         = rhs + theta dt f for the frozen policy, by Jacobi sweeps."""
         th_dt = self.theta * self.grid.dt
-        if ops.per_node:
-            W_P = np.take_along_axis(ops.W, P[None, None], axis=0)[0]  # (n_o, *grid)
-            csum_P = np.take_along_axis(ops.csum, P[None], axis=0)[0]
-        else:
-            W_P = ops.W[P]                                             # (*grid, n_o)
-            csum_P = ops.csum[P]
-        c_P = np.take_along_axis(ops.c, P[None], axis=0)[0]
-        f_P = np.take_along_axis(ops.f, P[None], axis=0)[0]
+        W_P = np.take_along_axis(ops.W, P[None, None], axis=0)[0]          # (n_o, *grid)
+        csum_P, c_P, f_P = (np.take_along_axis(a, P[None], axis=0)[0]
+                            for a in (ops.csum, ops.c, ops.f))
         diag = 1.0 + th_dt * (csum_P - c_P)
         if np.any(diag <= 0.0):
             raise SchemeError("implicit step: nonpositive diagonal (step too large for c)")
         b_rhs = rhs + th_dt * f_P
         u = rhs.copy()
         for _ in range(MAX_SWEEPS):
-            R = self._rolls(u, ops.offsets)
-            if ops.per_node:
-                off = np.einsum("o...,o...->...", W_P, R)
-            else:
-                off = np.einsum("...o,o...->...", W_P, R)
+            off = np.einsum("o...,o...->...", W_P, u.reshape(-1)[ops.nbr])
             res = diag * u - th_dt * off - b_rhs
             if float(np.max(np.abs(res))) <= inner_tol:
                 return u
@@ -296,16 +282,16 @@ class ThetaScheme:
         th_dt = self.theta * self.grid.dt
         tol = self.tol if inner_tol is None else inner_tol
         u = rhs.copy()
-        for it in range(self.max_policy_iters + 1):
+        for it in range(MAX_POLICY_ITERS + 1):
             G, P = self._hamiltonian(ops, u)
             res = float(np.max(np.abs(u + th_dt * G - rhs)))
             if res <= tol:
                 return u, StepReport(t=t, policy_iterations=it, max_residual=res, argmax=P)
-            if it == self.max_policy_iters:
+            if it == MAX_POLICY_ITERS:
                 break
             u = self._policy_solve(ops, P, rhs, inner_tol=0.2 * tol)
         raise SchemeError(
-            f"policy iteration did not converge within {self.max_policy_iters} "
+            f"policy iteration did not converge within {MAX_POLICY_ITERS} "
             f"iterations at t={t!r} (residual {res:.3e})"
         )
 
@@ -336,35 +322,33 @@ class ThetaScheme:
                     f"CFL violated: explicit lhs {rep.worst_explicit:.6g}, "
                     f"implicit lhs {rep.worst_implicit:.6g} (must be <= 1)", rep)
         g = self.grid
-        u = self.initial_values()
-        traj = [GridFunction(g, u.copy())]
+        levels = np.empty((g.n_t + 1,) + g.shape)
+        levels[0] = GridFunction(g, self.initial_values()).values  # rejects non-finite u0
         reports = []
         for n in range(g.n_t):
-            u, rep = self.step(u, n * g.dt)
+            u, rep = self.step(levels[n], n * g.dt)
             if not np.all(np.isfinite(u)):
                 bad = np.argwhere(~np.isfinite(u))[0]
                 raise SchemeError(
                     f"non-finite value at t={rep.t!r}, node {tuple(int(k) for k in bad)}"
                 )
-            traj.append(GridFunction(g, u.copy()))
+            levels[n + 1] = u
             reports.append(rep)
-        return SolveResult(grid=g, trajectory=traj, reports=reports)
+        return SolveResult(grid=g, levels=levels, reports=reports)
 
     # ----- checks and probes --------------------------------------------------
 
     def cfl_check(self) -> CFLReport:
         """Report-only check of both step-size conditions at every node,
-        control and time level (single level when coefficients are static)."""
-        pr, g = self.problem, self.grid
-        X = self._nodes
+        control and time level (single level when sigma, b and c are
+        constant).  Only the weights and c are read, never the source."""
+        g = self.grid
         worst_e = -math.inf
         worst_i = -math.inf
-        times = [0.0] if self._coeffs_static and self._stencils_static else list(g.times())
-        for t in times:
-            ops = self._ops_at(t)
-            csum = ops.csum if ops.per_node else ops.csum.reshape((-1,) + (1,) * g.dim)
-            lhs_e = g.dt * (1.0 - self.theta) * (-ops.c + csum)
-            lhs_i = g.dt * self.theta * (ops.c - csum)
+        for t in [0.0] if self._stencils_static else g.times():
+            csum, c = self._weights_at(t)[1], self._c_at(t)
+            lhs_e = g.dt * (1.0 - self.theta) * (-c + csum)
+            lhs_i = g.dt * self.theta * (c - csum)
             worst_e = max(worst_e, float(np.max(lhs_e)))
             worst_i = max(worst_i, float(np.max(lhs_i)))
         ok = worst_e <= 1.0 + 1e-12 and worst_i <= 1.0 + 1e-12

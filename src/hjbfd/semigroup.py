@@ -32,7 +32,7 @@ from .errors import ConfigError
 from .grid import SpaceTimeGrid, sup_norm
 from .harness import RateReport, fit_order, rate_report, signed_errors
 from .problem import SmoothFunction, make_problem
-from .scheme import ProbeResult, ThetaScheme
+from .scheme import STUDY_TOL, ProbeResult, ThetaScheme
 
 __all__ = [
     "SemigroupFlow",
@@ -148,7 +148,7 @@ class SemigroupFlow:
     """
 
     def __init__(self, dim: int, period: float, n_x: int, controls,
-                 builder: str = "kushner", tol: float = 1e-11, label: str = "flow"):
+                 builder: str = "kushner", label: str = "flow"):
         if not controls:
             raise ConfigError("semigroup flow needs at least one control")
         self.dim = dim
@@ -156,7 +156,6 @@ class SemigroupFlow:
         self.n_x = n_x
         self.controls = list(controls)
         self.builder = builder
-        self.tol = tol
         self.label = label
         self._cache = {}
 
@@ -170,7 +169,7 @@ class SemigroupFlow:
                 raise ConfigError(f"flow substep count mismatch: {grid.n_t} != {m}")
             problem = make_problem(self.dim, self.period, float(dt), self.controls,
                                    u0=0.0, label=self.label)
-            sch = ThetaScheme(problem, grid, theta=1.0, builder=self.builder, tol=self.tol)
+            sch = ThetaScheme(problem, grid, theta=1.0, builder=self.builder, tol=STUDY_TOL)
             self._cache[key] = sch
         return sch
 
@@ -203,7 +202,6 @@ class SplitProblem:
     u0: object
     n_x: int
     builder: str = "kushner"
-    tol: float = 1e-11
     label: str = "split"
 
     def __post_init__(self):
@@ -221,7 +219,7 @@ class SplitProblem:
         if self._flows is None:
             self._flows = tuple(
                 SemigroupFlow(self.dim, self.period, self.n_x, fam, builder=self.builder,
-                              tol=self.tol, label=f"{self.label} family{j + 1}")
+                              label=f"{self.label} family{j + 1}")
                 for j, fam in enumerate((self.family1, self.family2))
             )
         return self._flows
@@ -278,33 +276,40 @@ def calibrate_inner_steps(sp: SplitProblem, dt: float, reference: np.ndarray,
                           m0: int = 2, cap: int = 256, fraction: float = 0.01,
                           notes: list | None = None) -> int:
     """Double m until the inner-stepping error estimate is at most `fraction`
-    of the splitting error against `reference` (or the cap is reached).
-    The finer run of each Richardson pair seeds the next iteration.
+    of the splitting error against `reference`, or until the doubling
+    reaches the cap (an m0 at or above the cap is returned as it is).  The
+    finer run of each Richardson pair seeds the next iteration, and no run
+    finer than the cap is made.
 
     When the cap stops the doubling before the target is met, a line
-    saying so, with the estimate and the target, is appended to `notes`.
+    saying so, with the last estimate (m = cap/2 against cap) and its
+    target, is appended to `notes`.
     """
     m = int(m0)
+    if m >= cap:
+        return m
     u_m = splitting_solve(sp, dt, m)
     while True:
         u_2m = splitting_solve(sp, dt, 2 * m)
         est = _inner_estimate(u_m, u_2m)
         target = fraction * signed_errors(reference, u_2m)[2]
-        if est <= target or m >= cap:
-            if est > target and notes is not None:
+        if est <= target:
+            return m
+        m *= 2
+        if m >= cap:
+            if notes is not None:
                 notes.append(f"inner substeps capped at m={m}: inner error estimate "
                              f"{est:.3e} misses the target {target:.3e} "
                              f"({100 * fraction:g}% of the splitting error)")
             return m
-        m *= 2
         u_m = u_2m
 
 
 def _combined_reference(problem, grid_template: SpaceTimeGrid, dt_ref: float,
-                        builder: str, tol: float) -> np.ndarray:
+                        builder: str) -> np.ndarray:
     grid = SpaceTimeGrid.build(grid_template.dim, grid_template.period,
                                grid_template.n_x, grid_template.T, dt_ref)
-    scheme = ThetaScheme(problem, grid, theta=1.0, builder=builder, tol=tol)
+    scheme = ThetaScheme(problem, grid, theta=1.0, builder=builder, tol=STUDY_TOL)
     return scheme.solve().final.values
 
 
@@ -340,7 +345,7 @@ def splitting_rate_experiment(sp: SplitProblem, dt_list, m: int | None = None,
         _macro_count(sp.T, d, "splitting_rate_experiment")
     tmpl = sp.spatial_grid()
     ref = _combined_reference(sp.combined_problem(), tmpl, dts[-1] / ref_factor,
-                              sp.builder, sp.tol)
+                              sp.builder)
     notes = [f"reference dt={dts[-1] / ref_factor!r}"]
     if m is None:
         m = calibrate_inner_steps(sp, dts[-1], ref, notes=notes)
@@ -375,7 +380,7 @@ def splitting_vs_inner_check(sp: SplitProblem, dt: float, m: int,
     inner_est = _inner_estimate(u_m, splitting_solve(sp, dt, 2 * m))
     dt_ref = (dt / m) / ref_factor
     ref = _combined_reference(sp.combined_problem(), sp.spatial_grid(), dt_ref,
-                              sp.builder, sp.tol)
+                              sp.builder)
     return SplitCheck(splitting_error=signed_errors(ref, u_m)[2],
                       inner_estimate=inner_est, reference_dt=dt_ref)
 
@@ -430,7 +435,6 @@ class PCControlProblem:
     u0: object
     n_x: int
     builder: str = "kushner"
-    tol: float = 1e-11
     label: str = "pcc"
 
     def __post_init__(self):
@@ -450,7 +454,7 @@ class PCControlProblem:
         if self._flows is None:
             self._flows = tuple(
                 SemigroupFlow(self.dim, self.period, self.n_x, [eff], builder=self.builder,
-                              tol=self.tol, label=f"{self.label} mode{i}")
+                              label=f"{self.label} mode{i}")
                 for i, eff in enumerate(self._effective)
             )
         return self._flows
@@ -504,7 +508,7 @@ def pcc_rate_experiment(pp: PCControlProblem, dt_list, min_inner: int = 16,
                 f"pcc_rate_experiment: dt={d!r} is not a multiple of the common "
                 f"inner step {delta!r}")
     tmpl = pp.spatial_grid()
-    ref = _combined_reference(pp.coupled_problem(), tmpl, delta, pp.builder, pp.tol)
+    ref = _combined_reference(pp.coupled_problem(), tmpl, delta, pp.builder)
     notes = [f"common inner step delta={delta!r}",
              "one-sided: err_plus is the reference-above-scheme violation"]
     return semigroup_rate_experiment(

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridFunction, wrap_index
 
 __all__ = [
     "SpatialStencil",
@@ -38,7 +37,6 @@ __all__ = [
     "check_diag_dominant",
     "bz_decompose",
     "bz_stencil",
-    "apply_stencil",
     "consistency_residual",
 ]
 
@@ -78,23 +76,6 @@ class SpatialStencil:
     @property
     def is_positive(self) -> bool:
         return all(np.all(np.asarray(w) >= 0.0) for w in self.entries.values())
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """sum_beta C(beta) (v(x+beta dx) - v(x)) over the whole grid."""
-        out = np.zeros_like(values, dtype=float)
-        axes = tuple(range(values.ndim))
-        for off, w in self.entries.items():
-            out += w * (np.roll(values, tuple(-o for o in off), axis=axes) - values)
-        return out
-
-    def apply_at(self, values: np.ndarray, index) -> float:
-        n_x = values.shape[0]
-        center = values[tuple(index)]
-        tot = 0.0
-        for off, w in self.entries.items():
-            wk = w if np.isscalar(w) or np.ndim(w) == 0 else w[tuple(index)]
-            tot += wk * (values[wrap_index(index, off, n_x)] - center)
-        return float(tot)
 
 
 def _unit(dim: int, i: int, sign: int = 1) -> tuple:
@@ -341,13 +322,6 @@ def bz_stencil(dec: BZDecomposition, b, dx: float, tol: float = 1e-12) -> Spatia
         if np.any(bm != 0.0):
             st.add(_unit(dim, i, -1), bm / dx)
     return st.prune()
-
-
-def apply_stencil(st: SpatialStencil, phi: GridFunction, index=None):
-    """Apply the stencil to a grid function: everywhere, or at one node."""
-    if index is None:
-        return st.apply(phi.values)
-    return st.apply_at(phi.values, index)
 
 
 def consistency_residual(st: SpatialStencil, a, b, phi, x) -> float:

@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, SchemeError
+from .errors import CFLError, ConfigError, SchemeError
 from .grid import GridFunction, SpaceTimeGrid
 from .harness import RateReport, rate_report, signed_errors
 from .problem import HJBProblem
-from .scheme import SolveResult, ThetaScheme
+from .scheme import STUDY_TOL, SolveResult, ThetaScheme
 
 __all__ = [
     "SwitchingProblem",
@@ -48,7 +48,6 @@ class SwitchingProblem:
     grid: SpaceTimeGrid
     theta: float = 0.0
     builder: str = "kushner"
-    tol: float = 1e-11
 
     def __post_init__(self):
         if self.k <= 0.0:
@@ -68,7 +67,7 @@ class SwitchingProblem:
             raise ConfigError("mode control subsets must cover the full control set")
         self._schemes = [
             ThetaScheme(self.base.restrict(mode), self.grid, self.theta,
-                        builder=self.builder, tol=self.tol)
+                        builder=self.builder, tol=STUDY_TOL)
             for mode in self.mode_controls
         ]
 
@@ -82,29 +81,27 @@ class SwitchingProblem:
 
 @dataclass
 class SwitchingSolution:
-    """Per-mode trajectories (lists of GridFunction over time levels)."""
+    """Every mode at every time level: levels[i, n] is mode i at t_n,
+    shape (n_modes, n_t+1, *grid)."""
 
     grid: SpaceTimeGrid
-    trajectories: list = field(repr=False)
+    levels: np.ndarray = field(repr=False)
     k: float = 0.0
 
     def values(self, mode: int, n: int) -> np.ndarray:
-        return self.trajectories[mode][n].values
+        return self.levels[mode, n]
 
     @property
     def n_modes(self) -> int:
-        return len(self.trajectories)
+        return self.levels.shape[0]
 
     def final_values(self) -> list:
-        return [traj[-1].values for traj in self.trajectories]
+        return list(self.levels[:, -1])
 
     def coupling_band_violation(self) -> float:
         """Worst max_i v_i - min_i v_i - k over all nodes and levels (<= 0 is clean)."""
-        worst = -np.inf
-        for n in range(len(self.trajectories[0])):
-            stack = np.stack([self.values(i, n) for i in range(self.n_modes)])
-            worst = max(worst, float(np.max(stack.max(axis=0) - stack.min(axis=0))) - self.k)
-        return worst
+        return max(float(np.max(v.max(axis=0) - v.min(axis=0)))
+                   for v in self.levels.swapaxes(0, 1)) - self.k
 
 
 def _obstacle_sweeps(vals: list, k: float) -> list:
@@ -142,30 +139,27 @@ def switching_solve(sp: SwitchingProblem, check_cfl: bool = True,
         for scheme in sp.mode_schemes():
             rep = scheme.cfl_check()
             if not rep.ok and not force:
-                from .errors import CFLError
                 raise CFLError(
                     f"CFL violated for a switching mode: explicit lhs "
                     f"{rep.worst_explicit:.6g}, implicit lhs {rep.worst_implicit:.6g}", rep)
     g = sp.grid
-    u0 = sp.mode_schemes()[0].initial_values()
-    vals = [u0.copy() for _ in range(sp.n_modes)]
+    levels = np.empty((sp.n_modes, g.n_t + 1) + g.shape)
     # initial data already satisfies the constraint (all components equal)
-    trajs = [[GridFunction(g, v.copy())] for v in vals]
+    levels[:, 0] = GridFunction(g, sp.mode_schemes()[0].initial_values()).values  # finite u0
     for n in range(g.n_t):
-        vals = switching_step(sp, vals, n * g.dt)
-        for i, v in enumerate(vals):
-            if not np.all(np.isfinite(v)):
-                bad = np.argwhere(~np.isfinite(v))[0]
-                raise SchemeError(
-                    f"switching mode {i}: non-finite value at level {n + 1}, "
-                    f"node {tuple(int(x) for x in bad)}")
-            trajs[i].append(GridFunction(g, v.copy()))
-    return SwitchingSolution(grid=g, trajectories=trajs, k=sp.k)
+        levels[:, n + 1] = switching_step(sp, levels[:, n], n * g.dt)
+        bad = ~np.isfinite(levels[:, n + 1])
+        if np.any(bad):
+            i, *node = (int(x) for x in np.argwhere(bad)[0])
+            raise SchemeError(f"switching mode {i}: non-finite value at level {n + 1}, "
+                              f"node {tuple(node)}")
+    return SwitchingSolution(grid=g, levels=levels, k=sp.k)
 
 
 def k_rate_experiment(base: HJBProblem, mode_controls: list, grid: SpaceTimeGrid,
                       k_list, theta: float = 0.0, builder: str = "kushner",
-                      reference: SolveResult | None = None) -> RateReport:
+                      reference: SolveResult | None = None,
+                      finest: list | None = None) -> RateReport:
     """Decay of the switching gap as the cost k shrinks, on one fixed grid.
 
     For each k the system is solved and compared at the final time against
@@ -177,19 +171,22 @@ def k_rate_experiment(base: HJBProblem, mode_controls: list, grid: SpaceTimeGrid
     max_i |(v_i - u_ref)^-|_0 is the one-sided violation that stays at grid
     tolerance.  The slope of err_plus vs k is fitted log-log; identical
     errors across all k flag the report degenerate.
+
+    When `finest` is given, the SwitchingSolution at the smallest k is
+    appended to it, so a caller can check that solution without solving
+    it again.
     """
     ks = sorted((float(k) for k in k_list), reverse=True)
     if len(ks) < 2:
         raise ConfigError("k rate experiment needs at least two k values")
-    if reference is None:
-        ref_scheme = ThetaScheme(base, grid, theta, builder=builder)
-        reference = ref_scheme.solve()
-    u_ref = reference.final.values
+    u_ref = (reference or ThetaScheme(base, grid, theta, builder=builder).solve()).final.values
 
     rows = []
     for k in ks:
-        sp = SwitchingProblem(base=base, mode_controls=mode_controls, k=k,
-                              grid=grid, theta=theta, builder=builder)
-        modes = np.stack(switching_solve(sp).final_values())
-        rows.append((k, grid.dx, grid.dt, *signed_errors(modes, u_ref)))
+        sol = switching_solve(SwitchingProblem(base=base, mode_controls=mode_controls, k=k,
+                                               grid=grid, theta=theta, builder=builder))
+        rows.append((k, grid.dx, grid.dt, *signed_errors(sol.levels[:, -1], u_ref)))
+        if finest is not None and k == ks[-1]:
+            finest.append(sol)
+        del sol  # the next k must not be solved while this solution is alive
     return rate_report("k", rows, 1.0 / 3.0, fit_plus=True)

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from hjbfd.cli import main
+from hjbfd.config import (load_json, parse_matrix, parse_pcc, parse_problem,
+                          parse_split, parse_switching)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -60,6 +62,46 @@ def test_unknown_builtin_rejected(tmp_path, capsys):
     })
     assert main(["solve", cfg]) == 1
     assert "unknown built-in" in capsys.readouterr().err
+
+
+CONFIG_KINDS = {"solve": "heat.json", "switching": "modes2.json", "split": "split.json",
+                "pcc": "pcc.json", "decompose": "matrix.json"}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KINDS))
+@pytest.mark.parametrize("typo, key", [("lable", "label"), ("horizn", "horizon")])
+def test_unknown_top_level_key_rejected(command, typo, key, tmp_path, capsys):
+    doc = json.loads((CONFIGS / CONFIG_KINDS[command]).read_text())
+    doc[typo] = doc.pop(key, 1.0)
+    cfg = write_config(tmp_path, doc)
+    assert main([command, cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and f"unknown key(s) '{typo}'" in err
+
+
+def test_builtin_side_key_rejected(tmp_path, capsys):
+    # the amplitude belongs under "params"; next to "name" it used to be ignored
+    doc = json.loads((CONFIGS / "twocontrol.json").read_text())
+    doc["controls"][1]["f"] = {"name": "sin_sum", "amplitude": 0.3}
+    assert main(["solve", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
+    assert "unknown key(s) 'amplitude'" in capsys.readouterr().err
+
+
+def test_builtin_unknown_param_rejected(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "heat.json").read_text())
+    doc["u0"] = {"name": "sin_sum", "params": {"modez": [2]}}
+    assert main(["solve", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 1
+    assert "sin_sum params: unknown key(s) 'modez'" in capsys.readouterr().err
+
+
+def test_bundled_configs_parse():
+    parsers = {"heat.json": parse_problem, "twocontrol.json": parse_problem,
+               "modes2.json": parse_switching, "split.json": parse_split,
+               "pcc.json": parse_pcc, "matrix.json": parse_matrix}
+    assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(parsers)
+    for name, parse in parsers.items():
+        parse(load_json(CONFIGS / name))
+    parse_problem(load_json(CONFIGS.parent / "perfbench" / "inputs" / "rates_2d_seed0.json"))
 
 
 def test_solve_heat_outputs(tmp_path, capsys):

@@ -1,11 +1,11 @@
-"""Grid construction, wrapping, norms, and CSV output."""
+"""Grid construction, norms, and CSV output."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hjbfd import GridFunction, SpaceTimeGrid, lipschitz_seminorm, sup_norm, wrap_index
+from hjbfd import GridFunction, SpaceTimeGrid, lipschitz_seminorm, sup_norm
 from hjbfd.errors import ConfigError
 
 
@@ -64,28 +64,6 @@ def test_direct_constructor_checks_products():
         SpaceTimeGrid(dim=1, period=1.0, n_x=8, dx=0.2, n_t=10, dt=0.1, T=1.0)
     with pytest.raises(ConfigError):
         SpaceTimeGrid(dim=1, period=1.0, n_x=8, dx=0.125, n_t=9, dt=0.1, T=1.0)
-
-
-def test_wrap_index_scalar():
-    assert wrap_index(0, -1, 8) == 7
-    assert wrap_index(7, 1, 8) == 0
-    assert wrap_index(3, 0, 8) == 3
-    assert wrap_index(5, 16, 8) == 5
-
-
-def test_wrap_index_tuple():
-    assert wrap_index((7, 7), (1, 1), 8) == (0, 0)
-    assert wrap_index((0, 3), (-1, 2), 8) == (7, 5)
-
-
-def test_wrap_index_involution():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        n = int(rng.integers(3, 20))
-        idx = tuple(int(v) for v in rng.integers(0, n, size=3))
-        off = tuple(int(v) for v in rng.integers(-3 * n, 3 * n, size=3))
-        back = tuple(-o for o in off)
-        assert wrap_index(wrap_index(idx, off, n), back, n) == idx
 
 
 def test_grid_function_shape_and_finiteness():

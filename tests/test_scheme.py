@@ -73,6 +73,18 @@ def test_solve_raises_cfl_error_unless_forced():
     sch.solve(force=True)
 
 
+def test_solve_result_keeps_levels_in_one_array():
+    pr = heat_problem(T=0.1)
+    g = exact_grid(16, 0.1, 0.01)
+    res = ThetaScheme(pr, g, theta=1.0).solve()
+    assert res.levels.shape == (g.n_t + 1,) + g.shape
+    np.testing.assert_array_equal(res.values(0), np.sin(g.nodes()[..., 0]))
+    final = res.final
+    np.testing.assert_array_equal(final.values, res.values(g.n_t))
+    final.values[:] = 0.0  # the final slice is a copy, not a view of the levels
+    assert np.any(res.values(g.n_t) != 0.0)
+
+
 def test_explicit_heat_step_matches_roll_oracle():
     pr = heat_problem()
     g = exact_grid(32, 1.0, 0.005)
@@ -83,6 +95,68 @@ def test_explicit_heat_step_matches_roll_oracle():
         got, _ = sch.step(u, 0.0)
         lap = (np.roll(u, -1) - 2 * u + np.roll(u, 1)) / (2 * g.dx ** 2)
         np.testing.assert_allclose(got, u + g.dt * lap, atol=1e-13)
+
+
+def const_field(value, trailing):
+    """A callable coefficient that returns `value` at every node."""
+    return lambda t, X: np.broadcast_to(np.asarray(value, dtype=float),
+                                        X.shape[:-1] + trailing).copy()
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_space_varying_weights_match_constant_coefficients(theta):
+    # control 0 as callables that return constants, next to a space-varying
+    # control 1 whose large source keeps it out of the argmax: the weights
+    # are then one array over the nodes, and the solve must agree with the
+    # constant-coefficient problem whose weights broadcast from one value
+    sigma = np.array([[1.0, 0.3], [0.0, 0.9]])
+    b = np.array([0.4, -0.2])
+    u0 = lambda X: np.sin(X[..., 0]) * np.cos(X[..., 1])
+    plain = make_problem(2, L2PI, 0.05, [{"sigma": sigma, "b": b, "c": 0.1}], u0)
+    dominated = {"sigma": lambda t, X: (0.8 + 0.3 * np.sin(X[..., 0]))[..., None, None]
+                 * np.eye(2),
+                 "b": lambda t, X: 0.5 * np.cos(X), "f": 1000.0}
+    varying = make_problem(2, L2PI, 0.05, [
+        {"sigma": const_field(sigma, (2, 2)), "b": const_field(b, (2,)), "c": 0.1},
+        dominated], u0)
+    g = exact_grid(16, 0.05, 0.01, dim=2)
+    want = ThetaScheme(plain, g, theta=theta).solve()
+    got = ThetaScheme(varying, g, theta=theta).solve()
+    assert all(np.all(rep.argmax == 0) for rep in got.reports)
+    np.testing.assert_allclose(got.levels, want.levels, rtol=0.0, atol=1e-13)
+
+
+def roll_operator(sig, drift, g, u):
+    """Kushner 1D operator sum_+- C(+-1)(x) (u(x +- dx) - u(x)), built with np.roll."""
+    diff = sig ** 2 / (2 * g.dx ** 2)
+    up = diff + np.maximum(drift, 0.0) / g.dx
+    down = diff + np.maximum(-drift, 0.0) / g.dx
+    return up * (np.roll(u, -1) - u) + down * (np.roll(u, 1) - u)
+
+
+def test_space_varying_weights_match_roll_reference():
+    g = exact_grid(32, 0.1, 0.005)
+    x = g.nodes()[..., 0]
+    sig_fns = [lambda y: 0.8 + 0.3 * np.sin(y), lambda y: 0.6 + 0.2 * np.cos(2 * y)]
+    drift_fns = [lambda y: 0.5 * np.cos(y), lambda y: -0.4 + 0.3 * np.sin(y)]
+    sources = [0.0, 0.2]
+    controls = [{"sigma": lambda t, X, s=s: s(X[..., 0])[..., None, None],
+                 "b": lambda t, X, d=d: d(X), "f": f}
+                for s, d, f in zip(sig_fns, drift_fns, sources)]
+    pr = make_problem(1, L2PI, 0.1, controls, u0=lambda X: np.sin(X[..., 0]))
+    u = np.sin(x) + 0.3 * np.cos(3 * x)
+
+    def ham(w):
+        return np.max([-roll_operator(s(x), d(x), g, w) - f
+                       for s, d, f in zip(sig_fns, drift_fns, sources)], axis=0)
+
+    # explicit step: u - dt G(u), G = max_alpha(-L^alpha u - f^alpha)
+    got, _ = ThetaScheme(pr, g, theta=0.0).step(u, 0.0)
+    np.testing.assert_allclose(got, u - g.dt * ham(u), rtol=0.0, atol=1e-13)
+    # implicit step: the result solves w + dt G(w) = u, with both controls in use
+    got, rep = ThetaScheme(pr, g, theta=1.0).step(u, 0.0)
+    assert set(np.unique(rep.argmax)) == {0, 1}
+    np.testing.assert_allclose(got + g.dt * ham(got), u, rtol=0.0, atol=1e-9)
 
 
 def test_source_only_problem_all_theta():

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from hjbfd import (
-    GridFunction,
     SpaceTimeGrid,
     SpatialStencil,
-    apply_stencil,
+    ThetaScheme,
     bz_decompose,
     bz_stencil,
     check_diag_dominant,
     consistency_residual,
     decaying_wave,
     kushner_stencil,
+    make_problem,
 )
 from hjbfd.errors import ConfigError
 from hjbfd.problem import SmoothFunction
@@ -212,29 +212,20 @@ def test_bz_stencil_rejects_residual():
 
 
 def test_apply_stencil_constants_and_quadratics():
-    g = SpaceTimeGrid.build(dim=1, period=1.6, n_x=16, T=1.0, dt=0.1)
-    st = kushner_stencil(np.array([[1.0]]), 0.0, g.dx)
-    const = GridFunction(g, np.full(16, 2.0))
-    np.testing.assert_allclose(apply_stencil(st, const), 0.0, atol=1e-14)
+    # one explicit step of u_t = L_h u (no c, no f) gives L_h u = (step(u) - u)/dt
+    g = SpaceTimeGrid.build(dim=1, period=1.6, n_x=16, T=0.0025, dt=0.0025)
+    X = g.nodes()[..., 0]
+
+    def apply_stencil(sigma, b, u):
+        pr = make_problem(1, 1.6, g.T, [{"sigma": sigma, "b": b}], u0=0.0)
+        step, _ = ThetaScheme(pr, g, theta=0.0).step(u, 0.0)
+        return (step - u) / g.dt
+
+    np.testing.assert_allclose(apply_stencil(1.0, 0.0, np.full(16, 2.0)), 0.0, atol=1e-14)
     # (1/2) d^2/dx^2 of x^2 is 1; second differences of a quadratic are exact
-    quad = GridFunction.from_callable(g, lambda X: X[..., 0] ** 2)
-    assert apply_stencil(st, quad, index=(8,)) == pytest.approx(1.0, abs=1e-10)
+    assert apply_stencil(1.0, 0.0, X ** 2)[8] == pytest.approx(1.0, abs=1e-10)
     # upwind drift on phi(x) = x is exact away from the seam
-    drift = kushner_stencil(np.zeros((1, 1)), 1.0, g.dx)
-    lin = GridFunction.from_callable(g, lambda X: X[..., 0])
-    assert apply_stencil(drift, lin, index=(8,)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_apply_matches_apply_at():
-    g = SpaceTimeGrid.build(dim=2, period=1.0, n_x=8, T=1.0, dt=0.1)
-    a = np.array([[1.0, 0.3], [0.3, 1.5]])
-    st = kushner_stencil(a, np.array([0.5, -0.2]), g.dx)
-    rng = np.random.default_rng(17)
-    vals = rng.standard_normal(g.shape)
-    full = st.apply(vals)
-    for _ in range(20):
-        idx = tuple(int(v) for v in rng.integers(0, 8, size=2))
-        assert st.apply_at(vals, idx) == pytest.approx(full[idx], abs=1e-12)
+    assert apply_stencil(0.0, 1.0, X)[8] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_consistency_residual_quadratic_is_exact():

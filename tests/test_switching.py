@@ -133,6 +133,20 @@ def test_k_rate_experiment_report():
         k_rate_experiment(base, [[0], [1]], g, [0.4])
 
 
+def test_k_rate_experiment_hands_back_the_smallest_k_solution():
+    base = two_mode_base()
+    g = fine_grid()
+    finest = []
+    rep = k_rate_experiment(base, [[0], [1]], g, [0.1, 0.4, 0.2], finest=finest)
+    assert len(finest) == 1 and finest[0].k == 0.1
+    again = switching_solve(SwitchingProblem(base=base, mode_controls=[[0], [1]], k=0.1,
+                                             grid=g))
+    np.testing.assert_array_equal(finest[0].levels, again.levels)
+    assert finest[0].levels.shape == (2, g.n_t + 1) + g.shape
+    assert finest[0].coupling_band_violation() == again.coupling_band_violation() <= 1e-12
+    assert rep.params == [0.4, 0.2, 0.1]
+
+
 def test_switching_cfl_guard():
     base = two_mode_base()
     dx = L2PI / 16
