@@ -17,8 +17,8 @@ from .semigroup import (PCControlProblem, SemigroupFlow, SplitCheck, SplitProble
                         calibrate_inner_steps, pc_step, pcc_rate_experiment, pcc_solve,
                         semigroup_monotonicity_probe, semigroup_nonexpansive_probe,
                         semigroup_rate_experiment, sigma_from_diffusion,
-                        splitting_consistency_sweep, splitting_rate_experiment,
-                        splitting_solve, splitting_step, splitting_vs_inner_check)
+                        splitting_rate_experiment, splitting_solve, splitting_step,
+                        splitting_vs_inner_check)
 from .harness import (FitResult, RateReport, ReferenceSolution, Verdict,
                       compare_bounds, fit_order, rate_report, run_refinement,
                       signed_errors, write_plot_script, write_rate_csv)
@@ -42,7 +42,7 @@ __all__ = [
     "calibrate_inner_steps", "pc_step", "pcc_rate_experiment",
     "pcc_solve", "semigroup_monotonicity_probe", "semigroup_nonexpansive_probe",
     "semigroup_rate_experiment",
-    "sigma_from_diffusion", "splitting_consistency_sweep", "splitting_rate_experiment",
+    "sigma_from_diffusion", "splitting_rate_experiment",
     "splitting_solve", "splitting_step", "splitting_vs_inner_check",
     "FitResult", "RateReport", "ReferenceSolution", "Verdict", "compare_bounds",
     "fit_order", "rate_report", "run_refinement", "signed_errors", "write_plot_script",

@@ -10,11 +10,13 @@ Subcommands:
     decompose  direction decomposition of a symmetric matrix
     probe      structural checks: monotonicity, comparison, a-priori bounds
 
-Exit codes: 0 success, 1 bad configuration, 2 numerical failure (CFL
-violation, divergence, rate below its floor), 3 probe failure.  Errors
-print exactly one line on stderr of the form "error: <kind>: <reason>".
+Each subcommand accepts only the flags it reads.  Exit codes: 0 success,
+1 bad configuration or usage (unknown flag, malformed or non-finite
+number, out-of-range count), 2 numerical failure (CFL violation,
+divergence, rate below its floor), 3 probe failure.  Errors print exactly
+one line on stderr of the form "error: <kind>: <reason>".
 
-Outputs are deterministic: identical configs and seeds give byte-identical
+Outputs are deterministic: identical configs and flags give byte-identical
 CSV files and gnuplot scripts (floats via repr, no timestamps).
 """
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -31,8 +34,8 @@ from .config import (load_json, parse_matrix, parse_pcc, parse_problem,
                      parse_split, parse_switching)
 from .errors import ConfigError, HJBError, NumericalError, ProbeFailure
 from .grid import SpaceTimeGrid, write_csv
-from .harness import (ReferenceSolution, compare_bounds, run_refinement,
-                      write_rate_csv)
+from .harness import (SLOPE_TOLERANCE, ReferenceSolution, compare_bounds,
+                      run_refinement, write_rate_csv)
 from .scheme import ThetaScheme
 from .semigroup import (PCControlProblem, SplitProblem, pcc_rate_experiment,
                         splitting_rate_experiment)
@@ -53,6 +56,8 @@ def _floats(text: str, what: str) -> list:
         raise ConfigError(f"{what}: expected comma-separated numbers, got {text!r}") from None
     if not vals:
         raise ConfigError(f"{what}: empty list")
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"{what}: expected finite numbers, got {text!r}")
     return vals
 
 
@@ -72,6 +77,8 @@ def _outdir(args) -> str:
 
 
 def _grid_for(problem, n_x: int, dt, cfl_factor: float) -> SpaceTimeGrid:
+    if n_x < 3:
+        raise ConfigError(f"n_x must be >= 3, got {n_x}")
     dx = problem.period / n_x
     dt_target = float(dt) if dt is not None else cfl_factor * dx * dx
     return SpaceTimeGrid.build(problem.dim, problem.period, n_x, problem.T, dt_target)
@@ -124,6 +131,9 @@ def cmd_rates(args) -> int:
     if len(levels) < 2:
         raise ConfigError("--levels needs at least two grid sizes")
     ref_nx = args.ref_nx if args.ref_nx is not None else 2 * max(levels)
+    if min(levels[0], ref_nx) < 3:
+        raise ConfigError(f"every level and the reference need n_x >= 3, got --levels "
+                          f"{args.levels} and reference n_x={ref_nx}")
     for nx in levels:
         if ref_nx % nx != 0 or ((ref_nx // nx) & (ref_nx // nx - 1)):
             raise ConfigError(
@@ -138,7 +148,8 @@ def cmd_rates(args) -> int:
     out = _outdir(args)
     write_rate_csv(report, os.path.join(out, "rates.csv"), verdict)
     print(f"rates: slope={_fmt(report.slope)} r2={_fmt(report.r2)} "
-          f"floor={_fmt(args.exponent - 0.05)} errors={[_fmt(e) for e in report.err_total]} "
+          f"floor={_fmt(args.exponent - SLOPE_TOLERANCE)} "
+          f"errors={[_fmt(e) for e in report.err_total]} "
           f"verdict={'pass' if verdict.passed else 'fail'} notes={report.notes!r}")
     if not verdict.passed:
         raise NumericalError(f"rate check failed: {verdict.reason}")
@@ -164,7 +175,7 @@ def cmd_switching(args) -> int:
     band = finest[0].coupling_band_violation()
     scale = 1.0 + float(np.max(np.abs(finest[0].levels[:, -1])))
     one_sided = max(report.err_minus)
-    print(f"switching: slope={_fmt(report.slope)} floor={_fmt(report.exponent - 0.05)} "
+    print(f"switching: slope={_fmt(report.slope)} floor={_fmt(report.exponent - SLOPE_TOLERANCE)} "
           f"one_sided_violation={_fmt(one_sided)} band_violation={_fmt(band)} "
           f"verdict={'pass' if verdict.passed else 'fail'}")
     if one_sided > 1e-6 * scale:
@@ -193,7 +204,7 @@ def cmd_split(args) -> int:
     verdict = compare_bounds(report, report.exponent)
     out = _outdir(args)
     write_rate_csv(report, os.path.join(out, "split.csv"), verdict)
-    print(f"split: slope={_fmt(report.slope)} floor={_fmt(report.exponent - 0.05)} "
+    print(f"split: slope={_fmt(report.slope)} floor={_fmt(report.exponent - SLOPE_TOLERANCE)} "
           f"errors={[_fmt(e) for e in report.err_total]} "
           f"verdict={'pass' if verdict.passed else 'fail'} notes={report.notes!r}")
     if not verdict.passed:
@@ -213,7 +224,7 @@ def cmd_pcc(args) -> int:
     write_rate_csv(report, os.path.join(out, "pcc.csv"), verdict)
     scale = 1.0 + float(np.max(np.abs(pp.initial_values())))
     one_sided = max(report.err_plus)
-    print(f"pcc: slope={_fmt(report.slope)} floor={_fmt(report.exponent - 0.05)} "
+    print(f"pcc: slope={_fmt(report.slope)} floor={_fmt(report.exponent - SLOPE_TOLERANCE)} "
           f"one_sided_violation={_fmt(one_sided)} "
           f"verdict={'pass' if verdict.passed else 'fail'}")
     if one_sided > 1e-6 * scale:
@@ -282,88 +293,113 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def _common(p, nx_default: int, theta_default: float) -> None:
+def _finite(text: str) -> float:
+    """argparse type of the float flags: a number that is neither nan nor inf."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return val
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so they exit 1 with one 'error: config:' line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _command(sub, name: str, help: str, fn, nx: int | None = None,
+             theta: float | None = None, dt: bool = False, cfl: bool = False,
+             force: bool = False):
+    """Subparser with `config`, `--out`, `--builder` and only the other shared
+    flags `fn` reads: --nx and --theta when their default is given, --dt,
+    --cfl-factor and --force when set."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("config", help="JSON problem description")
     p.add_argument("--out", default="out", help="output directory (default: out)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
-    p.add_argument("--force", action="store_true",
-                   help="run even when a step-size check fails")
+    if nx is not None:
+        p.add_argument("--nx", type=int, default=nx,
+                       help=f"spatial points per axis (default: {nx})")
+    if dt:
+        p.add_argument("--dt", type=_finite, default=None,
+                       help="target time step (default: cfl-factor * dx^2)")
+    if cfl:
+        p.add_argument("--cfl-factor", dest="cfl_factor", type=_finite, default=0.45,
+                       help=f"dt = factor * dx^2{' when --dt is absent' if dt else ''} "
+                            "(default: 0.45)")
+    if theta is not None:
+        p.add_argument("--theta", type=_finite, default=theta,
+                       help=f"time-stepping weight in [0,1] (default: {theta})")
     p.add_argument("--builder", choices=("kushner", "bz"), default="kushner",
                    help="stencil construction (default: kushner)")
-    p.add_argument("--theta", type=float, default=theta_default,
-                   help=f"time-stepping weight in [0,1] (default: {theta_default})")
-    p.add_argument("--nx", type=int, default=nx_default,
-                   help=f"spatial points per axis (default: {nx_default})")
-    p.add_argument("--dt", type=float, default=None,
-                   help="target time step (default: cfl-factor * dx^2)")
-    p.add_argument("--cfl-factor", dest="cfl_factor", type=float, default=0.45,
-                   help="dt = factor * dx^2 when --dt is absent (default: 0.45)")
+    if force:
+        p.add_argument("--force", action="store_true",
+                       help="run even when a step-size check fails")
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hjbfd",
         description="Monotone finite-difference solvers and rate studies for "
                     "parabolic Bellman equations on the torus.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve one problem and dump CSV output")
-    _common(p, 64, 1.0)
-    p.set_defaults(fn=cmd_solve)
+    _command(sub, "solve", "solve one problem and dump CSV output", cmd_solve,
+             nx=64, theta=1.0, dt=True, cfl=True, force=True)
 
-    p = sub.add_parser("rates", help="refinement study against a fine-grid reference")
-    _common(p, 64, 0.0)
+    p = _command(sub, "rates", "refinement study against a fine-grid reference", cmd_rates,
+                 theta=0.0, cfl=True, force=True)
     p.add_argument("--levels", default="16,32,64",
                    help="comma-separated n_x levels (default: 16,32,64)")
     p.add_argument("--ref-nx", dest="ref_nx", type=int, default=None,
                    help="reference n_x (default: 2 * max level)")
-    p.add_argument("--exponent", type=float, default=0.2,
+    p.add_argument("--exponent", type=_finite, default=0.2,
                    help="rate exponent lower bound (default: 0.2)")
-    p.set_defaults(fn=cmd_rates)
 
-    p = sub.add_parser("switching", help="switching-cost decay study")
-    _common(p, 64, 0.0)
+    p = _command(sub, "switching", "switching-cost decay study", cmd_switching,
+                 nx=64, theta=0.0, dt=True, cfl=True)
     p.add_argument("--k-list", dest="k_list", default=None,
                    help="comma-separated switching costs (default: 0.4,0.2,0.1,0.05)")
-    p.set_defaults(fn=cmd_switching)
 
-    p = sub.add_parser("split", help="operator-splitting macro-step study")
-    _common(p, 48, 1.0)
+    p = _command(sub, "split", "operator-splitting macro-step study", cmd_split, nx=48)
     p.add_argument("--dt-list", dest="dt_list", default=None,
                    help="comma-separated macro steps (default: 0.1,0.05,0.025,0.0125)")
     p.add_argument("--inner", type=int, default=None,
                    help="inner substeps per macro step (default: calibrated)")
-    p.add_argument("--exponent", type=float, default=1.0 / 13.0,
+    p.add_argument("--exponent", type=_finite, default=1.0 / 13.0,
                    help="rate exponent lower bound (default: 1/13)")
-    p.set_defaults(fn=cmd_split)
 
-    p = sub.add_parser("pcc", help="piecewise-constant-control macro-step study")
-    _common(p, 48, 1.0)
+    p = _command(sub, "pcc", "piecewise-constant-control macro-step study", cmd_pcc, nx=48)
     p.add_argument("--dt-list", dest="dt_list", default=None,
                    help="comma-separated macro steps (default: 0.1,0.05,0.025,0.0125)")
     p.add_argument("--min-inner", dest="min_inner", type=int, default=16,
                    help="inner steps at the finest level (default: 16)")
-    p.add_argument("--exponent", type=float, default=0.1,
+    p.add_argument("--exponent", type=_finite, default=0.1,
                    help="rate exponent lower bound (default: 1/10)")
-    p.set_defaults(fn=cmd_pcc)
 
     p = sub.add_parser("decompose", help="direction decomposition of a symmetric matrix")
     p.add_argument("config", help="JSON file with 'matrix' and optional 'max_order'")
     p.add_argument("--out", default="out")
     p.set_defaults(fn=cmd_decompose)
 
-    p = sub.add_parser("probe", help="monotonicity, comparison and bound checks")
-    _common(p, 32, 1.0)
+    p = _command(sub, "probe", "monotonicity, comparison and bound checks", cmd_probe,
+                 nx=32, theta=1.0, dt=True, cfl=True, force=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the monotonicity probe's random pairs (default: 0)")
     p.add_argument("--trials", type=int, default=100,
                    help="random pairs for the monotonicity probe (default: 100)")
-    p.set_defaults(fn=cmd_probe)
 
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

@@ -57,12 +57,23 @@ BUILTIN_NAMES = tuple(_BUILTIN_PARAMS)
 _PROBLEM_KEYS = ("dim", "period", "horizon", "u0", "label")
 
 
+def _finite_number(text: str) -> float:
+    val = float(text)
+    if not math.isfinite(val):
+        raise ConfigError(f"non-finite number {text}")
+    return val
+
+
 def load_json(path) -> dict:
+    """Read one JSON object; NaN, Infinity and numbers that overflow to
+    infinity are rejected."""
     if not os.path.exists(path):
         raise ConfigError(f"file not found: {path}")
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
@@ -154,8 +165,13 @@ def _coeff_entry(spec, dim: int, period: float, what: str) -> dict:
     out = {}
     for key in ("sigma", "b", "c"):
         v = spec.get(key, 0.0)
-        if isinstance(v, dict) or callable(v):
-            raise ConfigError(f"{what}: {key} must be a number or list of numbers")
+        try:  # null reads as nan; strings and ragged lists do not convert
+            finite = (not isinstance(v, (dict, str))
+                      and bool(np.all(np.isfinite(np.asarray(v, dtype=float)))))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ConfigError(f"{what}: {key} must be a finite number or list of numbers")
         out[key] = v
     fspec = spec.get("f", 0.0)
     f = space_function(fspec, dim, period, f"{what} f")

@@ -39,6 +39,8 @@ __all__ = [
     "write_plot_script",
 ]
 
+SLOPE_TOLERANCE = 0.05  # a fitted slope may fall this far below its exponent floor
+
 
 @dataclass
 class FitResult:
@@ -151,16 +153,15 @@ class Verdict:
     reason: str
 
 
-def compare_bounds(report: RateReport, exponent_lower: float,
-                   tolerance: float = 0.05) -> Verdict:
-    """Pass iff fitted slope >= exponent_lower - tolerance and total errors
-    are monotone nonincreasing across levels.  Degenerate (all-zero error)
-    reports pass vacuously."""
+def compare_bounds(report: RateReport, exponent_lower: float) -> Verdict:
+    """Pass iff fitted slope >= exponent_lower - SLOPE_TOLERANCE and total
+    errors are monotone nonincreasing across levels.  Degenerate (all-zero
+    error) reports pass vacuously."""
     if report.degenerate:
         return Verdict(True, "degenerate: zero error at every level; bound holds trivially")
     if not report.monotone_nonincreasing():
         return Verdict(False, f"errors not monotone nonincreasing: {report.err_total}")
-    floor = exponent_lower - tolerance
+    floor = exponent_lower - SLOPE_TOLERANCE
     if report.slope < floor:
         return Verdict(False, f"slope {report.slope:.4f} below floor {floor:.4f}")
     return Verdict(True, f"slope {report.slope:.4f} >= {floor:.4f} and errors monotone")

@@ -39,6 +39,9 @@ __all__ = [
     "decaying_wave",
 ]
 
+A1_SAMPLES = 64         # lattice points per dimension of verify_A1's sampling
+RESIDUAL_POINTS = 1000  # sample points of ManufacturedProblem.residual_check
+
 
 @dataclass(frozen=True)
 class ControlSet:
@@ -238,15 +241,12 @@ class HJBProblem:
         )
 
 
-def make_problem(dim, period, T, controls, u0, labels=None, label="problem") -> HJBProblem:
-    """Assemble an HJBProblem from per-control dicts {sigma, b, c, f}."""
+def make_problem(dim, period, T, controls, u0, label="problem") -> HJBProblem:
+    """Assemble an HJBProblem from per-control dicts {sigma, b, c, f};
+    the controls are labelled a0, a1, ..."""
     coeffs = CoefficientField.from_specs(controls, dim)
-    if labels is None:
-        cset = ControlSet.of_size(len(controls))
-    else:
-        cset = ControlSet(tuple(labels))
-    return HJBProblem(dim=dim, controls=cset, coeffs=coeffs, u0=u0, T=T,
-                      period=period, label=label)
+    return HJBProblem(dim=dim, controls=ControlSet.of_size(len(controls)), coeffs=coeffs,
+                      u0=u0, T=T, period=period, label=label)
 
 
 def evaluate_L(problem: HJBProblem, control: int, t: float, x, value: float,
@@ -312,18 +312,18 @@ def _lip_spatial(fn, t_vals, dim, period, n, what) -> float:
     return best
 
 
-def verify_A1(problem: HJBProblem, samples: int = 64) -> A1Report:
+def verify_A1(problem: HJBProblem) -> A1Report:
     """Estimate the regularity constant by sampling.
 
     Sup-norms and spatial/temporal divided differences are taken over a
-    lattice of `samples` points per dimension at five time levels; the
+    lattice of A1_SAMPLES points per dimension at five time levels; the
     temporal differences carry the parabolic 1/2-power scaling.  The
     estimate is (max sampled sup over u0 and all coefficient pieces) +
     (max divided-difference slope).  A piece whose spatial slope keeps
     growing when the lattice is refined (period seam, unbounded
     derivative) flags the report.
     """
-    n = max(4, int(samples))
+    n = A1_SAMPLES
     t_vals = [problem.T * k / 4.0 for k in range(5)]
     X = _lattice(problem.dim, problem.period, n)
 
@@ -414,13 +414,14 @@ class ManufacturedProblem:
     def exact_values(self, t: float, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.exact.value(t, X), dtype=float)
 
-    def residual_check(self, n_points: int = 1000, seed: int = 0) -> float:
-        """Max |u*_t + F(t,x,u*,Du*,D^2u*)| over random sample points."""
-        rng = np.random.default_rng(seed)
+    def residual_check(self) -> float:
+        """Max |u*_t + F(t,x,u*,Du*,D^2u*)| over RESIDUAL_POINTS random
+        sample points, drawn with seed 0."""
+        rng = np.random.default_rng(0)
         pr = self.problem
         worst = 0.0
-        t_samples = rng.uniform(0.0, pr.T, size=n_points)
-        X = rng.uniform(0.0, pr.period, size=(n_points, pr.dim))
+        t_samples = rng.uniform(0.0, pr.T, size=RESIDUAL_POINTS)
+        X = rng.uniform(0.0, pr.period, size=(RESIDUAL_POINTS, pr.dim))
         for t, x in zip(t_samples, X):
             Xp = x.reshape(1, pr.dim)
             r = float(self.exact.value(t, Xp)[0])

@@ -45,6 +45,9 @@ MAX_SWEEPS = 1_000_000  # Jacobi sweeps allowed per frozen-policy solve
 MAX_POLICY_ITERS = 100  # policy iterations allowed per implicit step
 BZ_ORDER = 2            # largest direction component the 'bz' builder tries
 STUDY_TOL = 1e-11       # policy-iteration tolerance of the semigroup and switching studies
+MONOTONE_SLACK = 1e-12  # order violation the scheme's monotonicity probe forgives
+COMPARISON_SLACK = 1e-9  # excess over the discrete comparison bound that is forgiven
+APRIORI_SLACK = 0.05    # relative margin on the a-priori sup-norm bound
 
 
 @dataclass
@@ -79,6 +82,30 @@ class ProbeResult:
     checked: int
     worst: float
     witness: str = ""
+
+
+def probe_monotone(step_fn, shape, trials: int, seed: int, slack: float) -> ProbeResult:
+    """Apply step_fn to `trials` random ordered pairs u <= v of the given
+    shape; step_fn(v) - step_fn(u) must stay >= -slack at every node.  The
+    witness names the trial and node of the worst violation."""
+    if trials < 1:
+        raise ConfigError(f"monotonicity probe needs trials >= 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"monotonicity probe needs seed >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    witness = ""
+    for trial in range(trials):
+        u = rng.uniform(-1.0, 1.0, size=shape)
+        v = u + rng.uniform(0.0, 1.0, size=shape)
+        diff = step_fn(v) - step_fn(u)
+        gap = float(np.min(diff))
+        if gap < -worst:
+            worst = -gap
+            node = np.unravel_index(int(np.argmin(diff)), diff.shape)
+            witness = (f"trial {trial}: step(v) - step(u) = {gap:.3e} at node "
+                       f"{tuple(int(k) for k in node)}")
+    return ProbeResult(passed=worst <= slack, checked=trials, worst=worst, witness=witness)
 
 
 @dataclass
@@ -179,21 +206,9 @@ class ThetaScheme:
             if uniform:
                 return kushner_stencil(flat_m[0], flat_b[0], g.dx)
             return kushner_stencil(ssq, b, g.dx)
-        # direction-decomposition route, consistent scaling: the operator
-        # (1/2) sum w_beta (second difference along beta) matches
-        # (1/2) tr[ssq D^2] when sum w_beta beta beta^T = ssq.
         if not uniform:
             raise ConfigError("bz builder requires space-independent sigma, b")
-        dec = bz_decompose(flat_m[0], max_order=BZ_ORDER)
-        if dec.residual_norm > 1e-12:
-            raise ConfigError(
-                f"bz builder: decomposition residual {dec.residual_norm:.3e} too large"
-            )
-        scaled = type(dec)(dim=dec.dim, directions=dec.directions,
-                           weights=np.asarray(dec.weights) * np.array(
-                               [sum(c * c for c in d) for d in dec.directions], dtype=float) / 2.0,
-                           residual=dec.residual)
-        return bz_stencil(scaled, flat_b[0], g.dx)
+        return bz_stencil(bz_decompose(flat_m[0], max_order=BZ_ORDER), flat_b[0], g.dx)
 
     def _weights_at(self, t: float):
         """Stacked stencil weights W, their offset sums csum and the neighbour
@@ -355,31 +370,16 @@ class ThetaScheme:
         return CFLReport(ok=ok, worst_explicit=worst_e, worst_implicit=worst_i,
                          dt=g.dt, theta=self.theta)
 
-    def monotonicity_probe(self, trials: int = 100, seed: int = 0,
-                           slack: float = 1e-12) -> ProbeResult:
+    def monotonicity_probe(self, trials: int = 100, seed: int = 0) -> ProbeResult:
         """Step random ordered pairs u <= v once; order must be preserved
-        nodewise up to `slack`.  Implicit steps run with a tightened inner
-        tolerance so solver error cannot masquerade as a violation."""
-        rng = np.random.default_rng(seed)
-        g = self.grid
-        worst = 0.0
-        witness = ""
+        nodewise up to MONOTONE_SLACK.  Implicit steps run with a tightened
+        inner tolerance so solver error cannot masquerade as a violation."""
         inner = min(self.tol, 1e-13)
-        for trial in range(trials):
-            u = rng.uniform(-1.0, 1.0, size=g.shape)
-            v = u + rng.uniform(0.0, 1.0, size=g.shape)
-            su, _ = self.step(u, 0.0, inner_tol=inner)
-            sv, _ = self.step(v, 0.0, inner_tol=inner)
-            gap = float(np.min(sv - su))
-            if gap < -worst:
-                worst = -gap
-                node = np.unravel_index(int(np.argmin(sv - su)), g.shape)
-                witness = (f"trial {trial}: step(v) - step(u) = {gap:.3e} at node "
-                           f"{tuple(int(k) for k in node)}")
-        return ProbeResult(passed=worst <= slack, checked=trials, worst=worst, witness=witness)
+        return probe_monotone(lambda u: self.step(u, 0.0, inner_tol=inner)[0],
+                              self.grid.shape, trials, seed, MONOTONE_SLACK)
 
     def comparison_bound_check(self, u_result: SolveResult, v_result: SolveResult,
-                               g1, g2, slack: float = 1e-9) -> ProbeResult:
+                               g1, g2) -> ProbeResult:
         """Check u - v <= e^{mu t} |(u(0)-v(0))^+| + 2 t e^{mu t} |(g1-g2)^+|
         at every time level, with mu = sup (c^alpha)^+ + 1."""
         mu = ComparisonConstants.for_scheme(self).mu
@@ -395,11 +395,12 @@ class ThetaScheme:
             if excess > worst:
                 worst = excess
                 witness = f"t={t!r}: max(u-v)={lhs!r} vs bound {bound!r}"
-        return ProbeResult(passed=worst <= slack, checked=self.grid.n_t + 1,
+        return ProbeResult(passed=worst <= COMPARISON_SLACK, checked=self.grid.n_t + 1,
                            worst=worst, witness=witness)
 
-    def apriori_bounds_check(self, result: SolveResult, slack: float = 0.05) -> ProbeResult:
-        """Check |u(t)|_0 <= e^{lam t} (|u0|_0 + t sup|f|) (1 + slack) at every level."""
+    def apriori_bounds_check(self, result: SolveResult) -> ProbeResult:
+        """Check |u(t)|_0 <= e^{lam t} (|u0|_0 + t sup|f|) (1 + APRIORI_SLACK)
+        at every level."""
         pr, g = self.problem, self.grid
         lam = ComparisonConstants.for_scheme(self).lam
         X = self._nodes
@@ -415,7 +416,7 @@ class ThetaScheme:
         witness = ""
         for n, t in enumerate(g.times()):
             lhs = float(np.max(np.abs(result.values(n))))
-            bound = math.exp(lam * t) * (u0 + t * supf) * (1.0 + slack)
+            bound = math.exp(lam * t) * (u0 + t * supf) * (1.0 + APRIORI_SLACK)
             if lhs - bound > worst:
                 worst = lhs - bound
                 witness = f"t={t!r}: |u|={lhs!r} vs bound {bound!r}"

@@ -24,15 +24,15 @@ the one-sided violation (the scheme must dominate the reference).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .grid import SpaceTimeGrid, sup_norm
-from .harness import RateReport, fit_order, rate_report, signed_errors
-from .problem import SmoothFunction, make_problem
-from .scheme import STUDY_TOL, ProbeResult, ThetaScheme
+from .harness import RateReport, rate_report, signed_errors
+from .problem import CoefficientField, make_problem
+from .scheme import STUDY_TOL, ProbeResult, ThetaScheme, probe_monotone
 
 __all__ = [
     "SemigroupFlow",
@@ -46,13 +46,15 @@ __all__ = [
     "semigroup_rate_experiment",
     "splitting_rate_experiment",
     "splitting_vs_inner_check",
-    "splitting_consistency_sweep",
     "pc_step",
     "pcc_solve",
     "pcc_rate_experiment",
     "semigroup_monotonicity_probe",
     "semigroup_nonexpansive_probe",
 ]
+
+REF_FACTOR = 16     # reference solves step at (finest step) / REF_FACTOR
+PROBE_SLACK = 1e-9  # violation the semigroup probes forgive
 
 
 def sigma_from_diffusion(a):
@@ -77,49 +79,19 @@ def sigma_from_diffusion(a):
     return v @ np.diag(np.sqrt(2.0 * np.clip(w, 0.0, None))) @ v.T
 
 
-def _const_matrix(val, dim: int, what: str) -> np.ndarray:
-    if callable(val):
-        raise ConfigError(f"{what}: semigroup families need constant sigma")
-    arr = np.asarray(val, dtype=float)
-    if arr.ndim == 0:
-        arr = float(arr) * np.eye(dim)
-    elif arr.ndim == 1:
-        if arr.shape != (dim,):
-            raise ConfigError(f"{what}: diagonal must have length {dim}")
-        arr = np.diag(arr)
-    elif arr.ndim != 2 or arr.shape[0] != dim:
-        raise ConfigError(f"{what}: expected {dim} rows")
-    return arr
-
-
-def _const_vector(val, dim: int, what: str) -> np.ndarray:
-    if callable(val):
-        raise ConfigError(f"{what}: semigroup families need constant drift")
-    arr = np.asarray(val, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(dim, float(arr))
-    if arr.shape != (dim,):
-        raise ConfigError(f"{what}: expected scalar or length-{dim} vector")
-    return arr
-
-
-def _const_scalar(val, what: str) -> float:
-    if callable(val):
-        raise ConfigError(f"{what}: semigroup families need constant discounting")
-    return float(val)
-
-
 def _norm_family(entries, dim: int, what: str):
+    """Constant sigma (dim x p), b (dim,) and c of each entry, read through
+    `CoefficientField`; f is kept as given."""
     if not entries:
         raise ConfigError(f"{what}: family needs at least one control")
+    coeffs = CoefficientField.from_specs(entries, dim)
+    X0 = np.zeros((1, dim))
     out = []
     for i, spec in enumerate(entries):
-        out.append({
-            "sigma": _const_matrix(spec.get("sigma", 0.0), dim, f"{what}[{i}] sigma"),
-            "b": _const_vector(spec.get("b", 0.0), dim, f"{what}[{i}] b"),
-            "c": _const_scalar(spec.get("c", 0.0), f"{what}[{i}] c"),
-            "f": spec.get("f", 0.0),
-        })
+        if not coeffs.stencil_static(i):
+            raise ConfigError(f"{what}[{i}]: semigroup families need constant sigma, b and c")
+        out.append({"sigma": coeffs.sigma(i, 0.0, X0)[0], "b": coeffs.b(i, 0.0, X0)[0],
+                    "c": float(coeffs.c(i, 0.0, X0)[0]), "f": spec.get("f", 0.0)})
     return out
 
 
@@ -314,8 +286,7 @@ def _combined_reference(problem, grid_template: SpaceTimeGrid, dt_ref: float,
 
 
 def semigroup_rate_experiment(stepper, reference, dt_list, exponent: float,
-                              param_name: str = "dt", dx: float = float("nan"),
-                              notes=None) -> RateReport:
+                              dx: float = float("nan"), notes=None) -> RateReport:
     """Macro-step rate study for any one-parameter stepper.
 
     stepper(dt) must return final-time values on the reference's grid;
@@ -327,13 +298,13 @@ def semigroup_rate_experiment(stepper, reference, dt_list, exponent: float,
         raise ConfigError("semigroup_rate_experiment needs at least two macro steps")
     rows = [(d, dx, d, *signed_errors(reference, np.asarray(stepper(d), dtype=float)))
             for d in dts]
-    return rate_report(param_name, rows, exponent, notes or ())
+    return rate_report("dt", rows, exponent, notes or ())
 
 
 def splitting_rate_experiment(sp: SplitProblem, dt_list, m: int | None = None,
-                              ref_factor: int = 16, exponent: float = 1.0 / 13.0) -> RateReport:
+                              exponent: float = 1.0 / 13.0) -> RateReport:
     """Errors of the splitting scheme against an implicit combined-problem
-    solve at dt_min/ref_factor, fitted against the macro step.
+    solve at dt_min/REF_FACTOR, fitted against the macro step.
 
     When m is None the substep count is calibrated at the finest macro
     step so the inner error is at most 1% of the splitting error.
@@ -344,9 +315,9 @@ def splitting_rate_experiment(sp: SplitProblem, dt_list, m: int | None = None,
     for d in dts:
         _macro_count(sp.T, d, "splitting_rate_experiment")
     tmpl = sp.spatial_grid()
-    ref = _combined_reference(sp.combined_problem(), tmpl, dts[-1] / ref_factor,
+    ref = _combined_reference(sp.combined_problem(), tmpl, dts[-1] / REF_FACTOR,
                               sp.builder)
-    notes = [f"reference dt={dts[-1] / ref_factor!r}"]
+    notes = [f"reference dt={dts[-1] / REF_FACTOR!r}"]
     if m is None:
         m = calibrate_inner_steps(sp, dts[-1], ref, notes=notes)
         notes.append(f"inner substeps calibrated: m={m}")
@@ -371,50 +342,17 @@ class SplitCheck:
         return self.splitting_error / self.inner_estimate
 
 
-def splitting_vs_inner_check(sp: SplitProblem, dt: float, m: int,
-                             ref_factor: int = 16) -> SplitCheck:
+def splitting_vs_inner_check(sp: SplitProblem, dt: float, m: int) -> SplitCheck:
     """Compare the total splitting error at one macro step against the
     Richardson inner-error estimate.  For families with commuting
     generators the two are of the same size (no splitting defect)."""
     u_m = splitting_solve(sp, dt, m)
     inner_est = _inner_estimate(u_m, splitting_solve(sp, dt, 2 * m))
-    dt_ref = (dt / m) / ref_factor
+    dt_ref = (dt / m) / REF_FACTOR
     ref = _combined_reference(sp.combined_problem(), sp.spatial_grid(), dt_ref,
                               sp.builder)
     return SplitCheck(splitting_error=signed_errors(ref, u_m)[2],
                       inner_estimate=inner_est, reference_dt=dt_ref)
-
-
-def _family_sup(entries, t, X, r, p, H):
-    """sup over a family of -tr[a H] - b.p - c r - f, a = (1/2) sigma sigma^T."""
-    best = None
-    for e in entries:
-        a = 0.5 * (e["sigma"] @ e["sigma"].T)
-        lin = (-np.einsum("ij,...ji->...", a, H)
-               - np.einsum("i,...i->...", e["b"], p) - e["c"] * r)
-        fv = e["f"](t, X) if callable(e["f"]) else float(e["f"])
-        val = lin - fv
-        best = val if best is None else np.maximum(best, val)
-    return best
-
-
-def splitting_consistency_sweep(sp: SplitProblem, phi: SmoothFunction, dt_list,
-                                m: int):
-    """Residual (S(dt) phi - phi)/dt + F_1(phi) + F_2(phi) on the grid nodes
-    for each macro step, plus the log-log fit of residual against dt.
-    The sweep is diagnostic; no order is asserted."""
-    grid = sp.spatial_grid()
-    X = grid.nodes()
-    r = np.asarray(phi.value(0.0, X), dtype=float)
-    p = np.asarray(phi.grad(0.0, X), dtype=float)
-    H = np.asarray(phi.hess(0.0, X), dtype=float)
-    target = _family_sup(sp.family1, 0.0, X, r, p, H) + _family_sup(sp.family2, 0.0, X, r, p, H)
-    dts = sorted((float(d) for d in dt_list), reverse=True)
-    residuals = []
-    for d in dts:
-        s_phi = splitting_step(sp, r, d, m)
-        residuals.append(float(np.max(np.abs((s_phi - r) / d + target))))
-    return residuals, fit_order(dts, residuals)
 
 
 @dataclass
@@ -499,6 +437,8 @@ def pcc_rate_experiment(pp: PCControlProblem, dt_list, min_inner: int = 16,
     dts = sorted((float(d) for d in dt_list), reverse=True)
     if len(dts) < 2:
         raise ConfigError("pcc_rate_experiment needs at least two macro steps")
+    if min_inner < 1:
+        raise ConfigError(f"pcc_rate_experiment needs min_inner >= 1, got {min_inner}")
     delta = dts[-1] / int(min_inner)
     for d in dts:
         _macro_count(pp.T, d, "pcc_rate_experiment")
@@ -516,25 +456,16 @@ def pcc_rate_experiment(pp: PCControlProblem, dt_list, min_inner: int = 16,
         dx=tmpl.dx, notes=notes)
 
 
-def semigroup_monotonicity_probe(step_fn, shape, trials: int = 50, seed: int = 0,
-                                 slack: float = 1e-9) -> ProbeResult:
-    """Apply step_fn to random ordered pairs u <= v; order must be preserved."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = ""
-    for trial in range(trials):
-        u = rng.uniform(-1.0, 1.0, size=shape)
-        v = u + rng.uniform(0.0, 1.0, size=shape)
-        gap = float(np.min(step_fn(v) - step_fn(u)))
-        if gap < -worst:
-            worst = -gap
-            witness = f"trial {trial}: min(S v - S u) = {gap!r}"
-    return ProbeResult(passed=worst <= slack, checked=trials, worst=worst, witness=witness)
+def semigroup_monotonicity_probe(step_fn, shape, trials: int = 50,
+                                 seed: int = 0) -> ProbeResult:
+    """Apply step_fn to random ordered pairs u <= v; order must be preserved
+    up to PROBE_SLACK."""
+    return probe_monotone(step_fn, shape, trials, seed, PROBE_SLACK)
 
 
-def semigroup_nonexpansive_probe(step_fn, shape, trials: int = 50, seed: int = 0,
-                                 slack: float = 1e-9) -> ProbeResult:
-    """|S u - S v|_0 <= |u - v|_0 over random pairs."""
+def semigroup_nonexpansive_probe(step_fn, shape, trials: int = 50,
+                                 seed: int = 0) -> ProbeResult:
+    """|S u - S v|_0 <= |u - v|_0 + PROBE_SLACK over random pairs."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
     witness = ""
@@ -546,4 +477,5 @@ def semigroup_nonexpansive_probe(step_fn, shape, trials: int = 50, seed: int = 0
         if lhs - rhs > worst:
             worst = lhs - rhs
             witness = f"trial {trial}: |Su-Sv|={lhs!r} vs |u-v|={rhs!r}"
-    return ProbeResult(passed=worst <= slack, checked=trials, worst=worst, witness=witness)
+    return ProbeResult(passed=worst <= PROBE_SLACK, checked=trials, worst=worst,
+                       witness=witness)

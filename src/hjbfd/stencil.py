@@ -17,8 +17,9 @@ sigma^T (the problem module's diffusion) must pass sigma sigma^T =
 (single-axis correction sum |a_ij|/(4 dx^2)); it is exact for diagonal a
 and of positive type whenever a is diagonally dominant.  Cross-diffusion
 that needs a consistency-exact operator should go through the direction
-decomposition route (`bz_decompose` + the scheme's 'bz' builder), which
-covers any a admitting a nonnegative integer-direction decomposition.
+decomposition route (`bz_decompose` + `bz_stencil`, the scheme's 'bz'
+builder), which covers any a admitting a nonnegative integer-direction
+decomposition.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ __all__ = [
     "bz_stencil",
     "consistency_residual",
 ]
+
+TOL = 1e-12                # dominance slack, NNLS stationarity, largest accepted residual
+MAX_NNLS_CYCLES = 20000    # safety cap on the active-set iterations of bz_decompose
 
 
 @dataclass
@@ -130,13 +134,13 @@ def kushner_stencil(a, b, dx: float) -> SpatialStencil:
     return st.prune()
 
 
-def check_diag_dominant(a, tol: float = 1e-12) -> bool:
-    """Row dominance a_ii >= sum_{j != i} |a_ij| (within tol * scale)."""
+def check_diag_dominant(a) -> bool:
+    """Row dominance a_ii >= sum_{j != i} |a_ij| (within TOL * scale)."""
     a = np.asarray(a, dtype=float)
     scale = 1.0 + float(np.max(np.abs(a))) if a.size else 1.0
     for i in range(a.shape[-1]):
         offsum = sum(np.abs(a[..., i, j]) for j in range(a.shape[-1]) if j != i)
-        if np.any(a[..., i, i] - offsum < -tol * scale):
+        if np.any(a[..., i, i] - offsum < -TOL * scale):
             return False
     return True
 
@@ -259,8 +263,7 @@ def _nnls_active_set(A: np.ndarray, y: np.ndarray, tol: float, max_iter: int) ->
     return w
 
 
-def bz_decompose(a, max_order: int = 2, tol: float = 1e-12,
-                 max_cycles: int = 20000) -> BZDecomposition:
+def bz_decompose(a, max_order: int = 2) -> BZDecomposition:
     """Nonnegative direction decomposition of a symmetric PSD matrix.
 
     Diagonally dominant matrices get the exact closed form: weight
@@ -268,7 +271,7 @@ def bz_decompose(a, max_order: int = 2, tol: float = 1e-12,
     e_i - e_j (unordered pairs).  Otherwise weights are fitted by
     nonnegative least squares over all integer directions with components
     in [-max_order, max_order] (one representative per sign class), by
-    the active-set method with stationarity tolerance `tol` (max_cycles
+    the active-set method with stationarity tolerance TOL (MAX_NNLS_CYCLES
     caps the active-set iterations).  The residual matrix is returned
     explicitly either way; zero-weight directions are dropped.
     """
@@ -281,7 +284,7 @@ def bz_decompose(a, max_order: int = 2, tol: float = 1e-12,
         cand = _candidate_directions(dim, max_order)
         A = np.stack([np.outer(np.asarray(d, float), np.asarray(d, float)).ravel()
                       for d in cand], axis=1)
-        w = _nnls_active_set(A, a.ravel(), tol, max_cycles)
+        w = _nnls_active_set(A, a.ravel(), TOL, MAX_NNLS_CYCLES)
         keep = w > 0.0
         dirs = [d for d, k in zip(cand, keep) if k]
         weights = list(w[keep])
@@ -293,16 +296,19 @@ def bz_decompose(a, max_order: int = 2, tol: float = 1e-12,
     return dec
 
 
-def bz_stencil(dec: BZDecomposition, b, dx: float, tol: float = 1e-12) -> SpatialStencil:
-    """Direction weights C(+-beta) = w_beta/(|beta|^2 dx^2) plus upwind drift.
+def bz_stencil(dec: BZDecomposition, b, dx: float) -> SpatialStencil:
+    """Stencil for (1/2) tr[a D^2] + b.D from a decomposition of a.
 
-    Rejects decompositions whose residual exceeds `tol`.  Drift is
-    upwinded onto the unit directions; weights landing on the same offset
+    With a = sum_beta w_beta beta beta^T, (1/2) tr[a D^2] is (1/2) sum_beta
+    w_beta (beta.D)^2, and the second difference along beta gives the
+    direction weights C(+-beta) = w_beta/(2 dx^2), whatever |beta|.
+    Rejects decompositions whose residual exceeds TOL.  Drift is upwinded
+    onto the unit directions; weights landing on the same offset
     accumulate.
     """
-    if dec.residual_norm > tol:
+    if dec.residual_norm > TOL:
         raise ConfigError(
-            f"bz_stencil: decomposition residual {dec.residual_norm:.3e} exceeds {tol:.1e}"
+            f"bz_stencil: decomposition residual {dec.residual_norm:.3e} exceeds {TOL:.1e}"
         )
     dim = dec.dim
     b = np.asarray(b, dtype=float)
@@ -310,8 +316,7 @@ def bz_stencil(dec: BZDecomposition, b, dx: float, tol: float = 1e-12) -> Spatia
         b = np.full(dim, float(b))
     st = SpatialStencil(dim=dim, dx=dx)
     for beta, w in zip(dec.directions, dec.weights):
-        nsq = sum(c * c for c in beta)
-        coef = w / (nsq * dx * dx)
+        coef = w / (2.0 * dx * dx)
         st.add(beta, coef)
         st.add(tuple(-c for c in beta), coef)
     for i in range(dim):

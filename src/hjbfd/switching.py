@@ -27,7 +27,7 @@ from .errors import CFLError, ConfigError, SchemeError
 from .grid import GridFunction, SpaceTimeGrid
 from .harness import RateReport, rate_report, signed_errors
 from .problem import HJBProblem
-from .scheme import STUDY_TOL, SolveResult, ThetaScheme
+from .scheme import STUDY_TOL, ThetaScheme
 
 __all__ = [
     "SwitchingProblem",
@@ -158,7 +158,6 @@ def switching_solve(sp: SwitchingProblem, check_cfl: bool = True,
 
 def k_rate_experiment(base: HJBProblem, mode_controls: list, grid: SpaceTimeGrid,
                       k_list, theta: float = 0.0, builder: str = "kushner",
-                      reference: SolveResult | None = None,
                       finest: list | None = None) -> RateReport:
     """Decay of the switching gap as the cost k shrinks, on one fixed grid.
 
@@ -179,7 +178,7 @@ def k_rate_experiment(base: HJBProblem, mode_controls: list, grid: SpaceTimeGrid
     ks = sorted((float(k) for k in k_list), reverse=True)
     if len(ks) < 2:
         raise ConfigError("k rate experiment needs at least two k values")
-    u_ref = (reference or ThetaScheme(base, grid, theta, builder=builder).solve()).final.values
+    u_ref = ThetaScheme(base, grid, theta, builder=builder).solve().final.values
 
     rows = []
     for k in ks:

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, outputs, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -296,6 +297,90 @@ def test_every_subcommand_documents_itself(capsys):
         text = capsys.readouterr().out
         assert "--out" in text
         assert "usage:" in text
+
+
+HELP_FLAGS = {
+    "solve": {"out", "nx", "dt", "cfl-factor", "theta", "builder", "force"},
+    "rates": {"out", "theta", "builder", "cfl-factor", "force", "levels", "ref-nx",
+              "exponent"},
+    "switching": {"out", "nx", "dt", "cfl-factor", "theta", "builder", "k-list"},
+    "split": {"out", "nx", "builder", "dt-list", "inner", "exponent"},
+    "pcc": {"out", "nx", "builder", "dt-list", "min-inner", "exponent"},
+    "decompose": {"out"},
+    "probe": {"out", "nx", "dt", "cfl-factor", "theta", "builder", "force", "seed",
+              "trials"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_help_lists_exactly_the_flags_read(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out)) - {"help"}
+    assert flags == HELP_FLAGS[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["split", str(CONFIGS / "split.json"), "--theta", "0.3", "--force", "--dt", "9",
+     "--seed", "4"],
+    ["split", str(CONFIGS / "split.json"), "--cfl-factor", "0.3"],
+    ["pcc", str(CONFIGS / "pcc.json"), "--force"],
+    ["switching", str(CONFIGS / "modes2.json"), "--force"],
+    ["rates", str(CONFIGS / "heat.json"), "--levels", "8,16", "--nx", "8"],
+    ["rates", str(CONFIGS / "heat.json"), "--levels", "8,16", "--dt", "0.01"],
+    ["solve", str(CONFIGS / "heat.json"), "--nx", "8", "--seed", "1"],
+    ["decompose", str(CONFIGS / "matrix.json"), "--builder", "bz"],
+])
+def test_removed_flags_exit_one(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: config: unrecognized arguments: --")
+
+
+def _heat_with(tmp_path, name, text):
+    path = tmp_path / f"{name}.json"
+    path.write_text((CONFIGS / "heat.json").read_text().replace('"sigma": 1.0', text))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["solve", "{heat}", "--nx", "abc"], "argument --nx: invalid int value"),
+    (["rates", "{heat}", "--levels", "8,16", "--exponent", "nan"],
+     "argument --exponent: expected a finite number"),
+    (["solve", "{heat}", "--nx", "8", "--dt", "nan"], "argument --dt: expected a finite"),
+    (["solve", "{heat}", "--nx", "8", "--theta", "inf"], "argument --theta: expected a finite"),
+    (["split", str(CONFIGS / "split.json"), "--nx", "12", "--dt-list", "0.1,nan"],
+     "--dt-list: expected finite numbers"),
+    (["switching", str(CONFIGS / "modes2.json"), "--nx", "16", "--k-list", "0.2,inf"],
+     "--k-list: expected finite numbers"),
+    (["solve", "{nan}"], "non-finite number NaN"),
+    (["solve", "{inf}"], "non-finite number -Infinity"),
+    (["solve", "{overflow}"], "non-finite number 1e999"),
+    (["solve", "{null}"], "sigma must be a finite number"),
+    (["solve", "{text}"], "sigma must be a finite number"),
+    (["solve", "{ragged}"], "sigma must be a finite number"),
+    (["probe", "{heat}", "--nx", "8", "--trials", "0"], "needs trials >= 1"),
+    (["probe", "{heat}", "--nx", "8", "--trials", "-3"], "needs trials >= 1"),
+    (["probe", "{heat}", "--nx", "8", "--seed", "-1"], "needs seed >= 0"),
+    (["pcc", str(CONFIGS / "pcc.json"), "--nx", "12", "--dt-list", "0.1,0.05",
+      "--min-inner", "0"], "needs min_inner >= 1"),
+    (["rates", "{heat}", "--levels", "0,16"], "need n_x >= 3"),
+    (["rates", "{heat}", "--levels", "8,16", "--ref-nx", "0"], "need n_x >= 3"),
+    (["solve", "{heat}", "--nx", "0"], "n_x must be >= 3"),
+])
+def test_bad_input_exits_one_before_any_solve(argv, reason, tmp_path, capsys):
+    files = {"heat": str(CONFIGS / "heat.json"),
+             "nan": _heat_with(tmp_path, "nan", '"sigma": NaN'),
+             "inf": _heat_with(tmp_path, "inf", '"sigma": -Infinity'),
+             "overflow": _heat_with(tmp_path, "overflow", '"sigma": 1e999'),
+             "null": _heat_with(tmp_path, "null", '"sigma": null'),
+             "text": _heat_with(tmp_path, "text", '"sigma": "1.0"'),
+             "ragged": _heat_with(tmp_path, "ragged", '"sigma": [[1.0, 0.0], [1.0]]')}
+    argv = [a.format(**files) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and reason in err
+    assert err.count("\n") == 1
 
 
 def test_console_script_help_smoke():

@@ -277,6 +277,7 @@ def test_monotonicity_probe_on_flows():
     bad = semigroup_monotonicity_probe(lambda u: -u, (16,), trials=10, seed=3)
     assert not bad.passed
     assert bad.worst > 0.0
+    assert "node" in bad.witness
 
 
 def test_nonexpansive_probe_on_flows():

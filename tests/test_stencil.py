@@ -177,22 +177,23 @@ def test_bz_decompose_random_dominant_property():
 
 
 def test_bz_stencil_axis_weights():
+    # C(+-beta) = w_beta/(2 dx^2): 1/(2 * 0.01) = 50
     dec = BZDecomposition(dim=2, directions=((1, 0), (0, 1)),
                           weights=np.array([1.0, 1.0]),
                           residual=np.zeros((2, 2)))
     st = bz_stencil(dec, 0.0, 0.1)
     for off in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
-        assert st.weight(off) == pytest.approx(100.0)
+        assert st.weight(off) == pytest.approx(50.0)
 
 
 def test_bz_stencil_diagonal_direction_scaling():
-    # |beta|^2 = 2 divides the weight: 2/(2 * 0.01) = 100
-    dec = BZDecomposition(dim=2, directions=((1, 1),),
-                          weights=np.array([2.0]),
+    # |beta|^2 does not enter the weight: 2/(2 * 0.01) = 100 for |beta|^2 = 2 and 5
+    dec = BZDecomposition(dim=2, directions=((1, 1), (1, -2)),
+                          weights=np.array([2.0, 2.0]),
                           residual=np.zeros((2, 2)))
     st = bz_stencil(dec, 0.0, 0.1)
-    assert st.weight((1, 1)) == pytest.approx(100.0)
-    assert st.weight((-1, -1)) == pytest.approx(100.0)
+    for off in [(1, 1), (-1, -1), (1, -2), (-1, 2)]:
+        assert st.weight(off) == pytest.approx(100.0)
     assert st.weight((1, 0)) == 0.0
 
 
@@ -251,24 +252,22 @@ def test_consistency_residual_orders():
 
 
 def test_consistency_residual_bz_cross_term():
-    # with direction weights rescaled by |beta|^2/2 (the solver's bz
-    # route), the decomposition stencil is consistency-exact for cross
-    # diffusion, where the axis table is not
+    # the decomposition stencil is consistency-exact for cross diffusion,
+    # where the axis table is not
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
     dec = bz_decompose(m)
-    scaled = BZDecomposition(
-        dim=2,
-        directions=dec.directions,
-        weights=np.array([w * sum(c * c for c in d) / 2.0
-                          for d, w in zip(dec.directions, dec.weights)]),
-        residual=np.zeros((2, 2)),
-    )
     phi = quadratic_along([1.0, -2.0], 2)
     for dx in (0.2, 0.1):
-        st = bz_stencil(scaled, 0.0, dx)
+        st = bz_stencil(dec, 0.0, dx)
         assert consistency_residual(st, m, 0.0, phi, [0.3, 0.4]) <= 1e-10
         axis = kushner_stencil(m, 0.0, dx)
         assert consistency_residual(axis, m, 0.0, phi, [0.3, 0.4]) > 0.1
+    # and second order on a smooth wave
+    wave = decaying_wave(2, 2 * np.pi, [1, 1], rate=0.0)
+    res = [consistency_residual(bz_stencil(dec, 0.0, dx), m, 0.0, wave, [0.3, 0.4])
+           for dx in (0.1, 0.05, 0.025)]
+    assert res[0] / res[1] == pytest.approx(4.0, rel=0.1)
+    assert res[1] / res[2] == pytest.approx(4.0, rel=0.1)
 
 
 def test_consistency_residual_rejects_array_weights():
