@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    solve      march one problem and dump the final slice + trajectory
+    solve      march one problem, streaming the trajectory, and dump the final slice
     rates      space-time refinement study against a fine-grid reference
     switching  switching-cost decay study (one-sided, fixed grid)
     split      operator-splitting macro-step study
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -33,7 +34,7 @@ import numpy as np
 from .config import (load_json, parse_matrix, parse_pcc, parse_problem,
                      parse_split, parse_switching)
 from .errors import ConfigError, HJBError, NumericalError, ProbeFailure
-from .grid import SpaceTimeGrid, write_csv
+from .grid import GridFunction, SpaceTimeGrid, write_csv
 from .harness import (SLOPE_TOLERANCE, ReferenceSolution, compare_bounds,
                       run_refinement, write_rate_csv)
 from .scheme import ThetaScheme
@@ -84,12 +85,21 @@ def _grid_for(problem, n_x: int, dt, cfl_factor: float) -> SpaceTimeGrid:
     return SpaceTimeGrid.build(problem.dim, problem.period, n_x, problem.T, dt_target)
 
 
-def _write_trajectory(result, path) -> None:
-    g = result.grid
-    coords = g.nodes().reshape(-1, g.dim).tolist()
-    write_csv(path, ["t"] + [f"x_{i + 1}" for i in range(g.dim)] + ["value"],
-              ((t, *row, val) for n, t in enumerate(g.times().tolist())
-               for row, val in zip(coords, result.values(n).reshape(-1).tolist())))
+def _write_trajectory(grid, levels, path) -> tuple:
+    """Stream t,x_1,...,value rows of each (u, report) in `levels` as it
+    arrives; returns the last u and the largest policy-iteration count."""
+    coords = grid.nodes().reshape(-1, grid.dim).tolist()
+    last = [None, 0]
+
+    def rows():
+        for t, (u, rep) in zip(grid.times().tolist(), levels):
+            last[0] = u
+            if rep is not None:
+                last[1] = max(last[1], rep.policy_iterations)
+            yield from ((t, *row, val) for row, val in zip(coords, u.reshape(-1).tolist()))
+
+    write_csv(path, ["t"] + [f"x_{i + 1}" for i in range(grid.dim)] + ["value"], rows())
+    return tuple(last)
 
 
 def _write_solution_plot(csv_path, dim: int) -> None:
@@ -111,16 +121,18 @@ def cmd_solve(args) -> int:
     problem = parse_problem(load_json(args.config))
     grid = _grid_for(problem, args.nx, args.dt, args.cfl_factor)
     scheme = ThetaScheme(problem, grid, theta=args.theta, builder=args.builder)
-    result = scheme.solve(force=args.force)
+    levels = scheme.march(force=args.force)
+    first = next(levels)  # the CFL guard and the u0 check run before any file is written
     out = _outdir(args)
+    u, iters = _write_trajectory(grid, itertools.chain([first], levels),
+                                 os.path.join(out, "trajectory.csv"))
+    final = GridFunction(grid, u)
     sol_path = os.path.join(out, "solution.csv")
-    result.final.to_csv(sol_path)
+    final.to_csv(sol_path)
     _write_solution_plot(sol_path, grid.dim)
-    _write_trajectory(result, os.path.join(out, "trajectory.csv"))
-    iters = max((r.policy_iterations for r in result.reports), default=0)
     print(f"solve ok: label={problem.label} n_x={grid.n_x} n_t={grid.n_t} "
           f"dt={_fmt(grid.dt)} theta={_fmt(args.theta)} "
-          f"sup|u(T)|={_fmt(np.max(np.abs(result.final.values)))} "
+          f"sup|u(T)|={_fmt(np.max(np.abs(final.values)))} "
           f"max_policy_iters={iters}")
     return 0
 
@@ -173,7 +185,7 @@ def cmd_switching(args) -> int:
     write_rate_csv(report, os.path.join(out, "switching.csv"), verdict)
 
     band = finest[0].coupling_band_violation()
-    scale = 1.0 + float(np.max(np.abs(finest[0].levels[:, -1])))
+    scale = 1.0 + float(np.max(np.abs(finest[0].final)))
     one_sided = max(report.err_minus)
     print(f"switching: slope={_fmt(report.slope)} floor={_fmt(report.exponent - SLOPE_TOLERANCE)} "
           f"one_sided_violation={_fmt(one_sided)} band_violation={_fmt(band)} "

@@ -37,7 +37,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError
-from .problem import HJBProblem, make_problem
+from .problem import HJBProblem, SpaceOnly, make_problem
 
 __all__ = [
     "load_json",
@@ -166,28 +166,26 @@ def _coeff_entry(spec, dim: int, period: float, what: str) -> dict:
     for key in ("sigma", "b", "c"):
         v = spec.get(key, 0.0)
         try:  # null reads as nan; strings and ragged lists do not convert
-            finite = (not isinstance(v, (dict, str))
-                      and bool(np.all(np.isfinite(np.asarray(v, dtype=float)))))
+            arr = None if isinstance(v, (dict, str)) else np.asarray(v, dtype=float)
         except (TypeError, ValueError):
-            finite = False
-        if not finite:
+            arr = None
+        if arr is None or not np.all(np.isfinite(arr)):
             raise ConfigError(f"{what}: {key} must be a finite number or list of numbers")
+        if key == "c" and arr.ndim != 0:
+            raise ConfigError(f"{what}: c must be a single number, got a list")
         out[key] = v
-    fspec = spec.get("f", 0.0)
-    f = space_function(fspec, dim, period, f"{what} f")
-    if callable(f):
-        out["f"] = lambda t, X, _g=f: _g(X)
-    else:
-        out["f"] = f
+    f = space_function(spec.get("f", 0.0), dim, period, f"{what} f")
+    out["f"] = SpaceOnly(f) if callable(f) else f
     return out
 
 
 def _problem_fields(doc: dict, what: str, keys):
     """Shared fields of a problem-like document whose other keys are `keys`."""
     _check_keys(doc, _PROBLEM_KEYS + tuple(keys), what)
-    dim = int(_num(doc, "dim", what))
-    if dim < 1:
-        raise ConfigError(f"{what}: dim must be >= 1")
+    dim = _num(doc, "dim", what)
+    if dim != int(dim) or dim < 1:
+        raise ConfigError(f"{what}: dim must be an integer >= 1, got {dim!r}")
+    dim = int(dim)
     period = float(_num(doc, "period", what))
     horizon = float(_num(doc, "horizon", what))
     if period <= 0.0 or horizon <= 0.0:

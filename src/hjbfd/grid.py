@@ -24,7 +24,6 @@ __all__ = [
     "SpaceTimeGrid",
     "GridFunction",
     "sup_norm",
-    "lipschitz_seminorm",
     "write_csv",
 ]
 
@@ -112,11 +111,6 @@ class GridFunction:
             bad = np.argwhere(~np.isfinite(self.values))[0]
             raise ConfigError(f"grid function has a non-finite value at node {tuple(bad)}")
 
-    @classmethod
-    def from_callable(cls, grid: SpaceTimeGrid, fn) -> "GridFunction":
-        vals = np.asarray(fn(grid.nodes()), dtype=float)
-        return cls(grid, np.broadcast_to(vals, grid.shape).copy())
-
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())
 
@@ -146,19 +140,3 @@ def sup_norm(phi) -> float:
     """Max of |values| over the grid."""
     vals = phi.values if isinstance(phi, GridFunction) else np.asarray(phi)
     return float(np.max(np.abs(vals)))
-
-
-def lipschitz_seminorm(phi) -> float:
-    """Max over grid edges of |phi(x + e_i dx) - phi(x)| / dx, wrapping periodically.
-
-    For a GridFunction the spacing comes from its grid; raw arrays are not
-    accepted since the spacing would be ambiguous.
-    """
-    if not isinstance(phi, GridFunction):
-        raise TypeError("lipschitz_seminorm needs a GridFunction (dx is taken from its grid)")
-    vals = phi.values
-    best = 0.0
-    for axis in range(phi.grid.dim):
-        diff = np.abs(np.roll(vals, -1, axis=axis) - vals)
-        best = max(best, float(np.max(diff)))
-    return best / phi.grid.dx

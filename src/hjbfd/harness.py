@@ -208,7 +208,8 @@ def run_refinement(problem, scheme_options: dict, levels, reference: ReferenceSo
     another NumericalError is recorded in the notes and skipped, and at
     least two surviving levels are required.  Any other exception
     propagates.  Errors are measured at the final time T (or, with
-    max_over_time, the worst level over all times).
+    max_over_time, the worst level over all times, folded as the march
+    goes, so no level is kept).
     """
     from .scheme import ThetaScheme  # local import to avoid a cycle
 
@@ -217,17 +218,22 @@ def run_refinement(problem, scheme_options: dict, levels, reference: ReferenceSo
     for n_x, dt_target in levels:
         grid = SpaceTimeGrid.build(problem.dim, problem.period, int(n_x), problem.T,
                                    float(dt_target))
+        scheme = ThetaScheme(problem, grid, **scheme_options)
         try:
-            result = ThetaScheme(problem, grid, **scheme_options).solve()
+            if max_over_time:  # fold the worst error of each sign over one march
+                errs = None
+                for (u, _), t in zip(scheme.march(), grid.times()):
+                    e = signed_errors(reference.values_on(grid, t), u)
+                    errs = e if errs is None else tuple(map(max, errs, e))
+            else:
+                errs = signed_errors(reference.values_on(grid, grid.T),
+                                     scheme.solve().final.values)
         except CFLError:
             raise
         except NumericalError as exc:  # record and continue with remaining levels
             notes.append(f"level n_x={n_x} dt={dt_target!r} failed: {exc}")
             continue
-        levels_t = enumerate(grid.times()) if max_over_time else [(grid.n_t, grid.T)]
-        errs = [signed_errors(reference.values_on(grid, t), result.values(n))
-                for n, t in levels_t]
-        rows.append((grid.h(), grid.dx, grid.dt, *(max(col) for col in zip(*errs))))
+        rows.append((grid.h(), grid.dx, grid.dt, *errs))
 
     if len(rows) < 2:
         raise ConfigError(

@@ -27,6 +27,7 @@ from .errors import ConfigError
 __all__ = [
     "ControlSet",
     "CoefficientField",
+    "SpaceOnly",
     "HJBProblem",
     "SmoothFunction",
     "ManufacturedProblem",
@@ -60,6 +61,19 @@ class ControlSet:
     @classmethod
     def of_size(cls, n: int) -> "ControlSet":
         return cls(tuple(f"a{i}" for i in range(n)))
+
+
+class SpaceOnly:
+    """A scalar field g(X) that does not depend on t, as a (t, X) evaluator.
+
+    CoefficientField counts it as time-independent, so a scheme evaluates
+    it once per grid instead of once per step."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def __call__(self, t, X):
+        return self.g(X)
 
 
 def _as_scalar_field(val, what: str):
@@ -122,7 +136,7 @@ class _ControlCoeffs:
     sigma_const: bool
     b_const: bool
     c_const: bool
-    f_const: bool
+    f_static: bool  # f constant or SpaceOnly
 
 
 class CoefficientField:
@@ -141,7 +155,8 @@ class CoefficientField:
             b, b_c = _as_vector_field(spec.get("b", 0.0), dim, f"control {i} b")
             c, c_c = _as_scalar_field(spec.get("c", 0.0), f"control {i} c")
             f, f_c = _as_scalar_field(spec.get("f", 0.0), f"control {i} f")
-            entries.append(_ControlCoeffs(sig, b, c, f, sig_c, b_c, c_c, f_c))
+            entries.append(_ControlCoeffs(sig, b, c, f, sig_c, b_c, c_c,
+                                          f_c or isinstance(f, SpaceOnly)))
         return cls(entries)
 
     def __len__(self) -> int:
@@ -174,8 +189,8 @@ class CoefficientField:
         return e.sigma_const and e.b_const and e.c_const
 
     def fully_static(self, i: int) -> bool:
-        e = self._entries[i]
-        return e.sigma_const and e.b_const and e.c_const and e.f_const
+        """True when no coefficient depends on t (f may still vary in space)."""
+        return self.stencil_static(i) and self._entries[i].f_static
 
     def restrict(self, indices) -> "CoefficientField":
         return CoefficientField([self._entries[i] for i in indices])

@@ -16,6 +16,11 @@ explicit, theta = 1 implicit; the implicit part is solved by policy
 iteration (freeze the per-node argmax, solve the resulting linear system
 by Jacobi sweeps, re-select) with lowest-index tie breaking.
 
+`ThetaScheme.march` is the only time loop: it yields each level as it is
+computed and keeps none.  `solve` folds it into the final level and the
+largest policy-iteration count, so memory does not grow with n_t; a caller
+that needs every level walks `march()` or replays `SolveResult.levels()`.
+
 Probes (monotonicity, comparison bound, a-priori bound) are first-class
 operations so CI can assert structure, not just convergence.
 """
@@ -110,19 +115,17 @@ def probe_monotone(step_fn, shape, trials: int, seed: int, slack: float) -> Prob
 
 @dataclass
 class SolveResult:
-    """Every time level of one solve: levels[n] is u at t_n, shape (n_t+1, *grid)."""
+    """What a solve keeps: the final level and the largest policy-iteration
+    count.  `levels()` replays the march, so no level is stored."""
 
-    grid: SpaceTimeGrid
-    levels: np.ndarray = field(repr=False)
-    reports: list
+    scheme: "ThetaScheme" = field(repr=False)
+    final: GridFunction
+    max_policy_iters: int
 
-    @property
-    def final(self) -> GridFunction:
-        """The last level, copied so that holding it does not hold every level."""
-        return GridFunction(self.grid, self.levels[-1].copy())
-
-    def values(self, n: int) -> np.ndarray:
-        return self.levels[n]
+    def levels(self):
+        """Yield u at t_0, ..., t_{n_t} by marching again; the march is
+        deterministic, so the replay is bit-identical to the solve."""
+        return (u for u, _ in self.scheme.march(check_cfl=False))
 
 
 @dataclass
@@ -328,8 +331,10 @@ class ThetaScheme:
     def initial_values(self) -> np.ndarray:
         return self.problem.u0_values(self._nodes)
 
-    def solve(self, check_cfl: bool = True, force: bool = False) -> SolveResult:
-        """March from u0 to T.  Raises CFLError unless forced; fails fast on NaN."""
+    def march(self, check_cfl: bool = True, force: bool = False):
+        """Yield (u, report) at every level from u0 to T, u0 first with report
+        None.  Raises CFLError unless forced; fails fast on NaN.  Each u is a
+        fresh array that later steps do not touch."""
         if check_cfl:
             rep = self.cfl_check()
             if not rep.ok and not force:
@@ -337,19 +342,24 @@ class ThetaScheme:
                     f"CFL violated: explicit lhs {rep.worst_explicit:.6g}, "
                     f"implicit lhs {rep.worst_implicit:.6g} (must be <= 1)", rep)
         g = self.grid
-        levels = np.empty((g.n_t + 1,) + g.shape)
-        levels[0] = GridFunction(g, self.initial_values()).values  # rejects non-finite u0
-        reports = []
+        u = GridFunction(g, self.initial_values()).values  # rejects non-finite u0
+        yield u, None
         for n in range(g.n_t):
-            u, rep = self.step(levels[n], n * g.dt)
+            u, rep = self.step(u, n * g.dt)
             if not np.all(np.isfinite(u)):
                 bad = np.argwhere(~np.isfinite(u))[0]
                 raise SchemeError(
                     f"non-finite value at t={rep.t!r}, node {tuple(int(k) for k in bad)}"
                 )
-            levels[n + 1] = u
-            reports.append(rep)
-        return SolveResult(grid=g, levels=levels, reports=reports)
+            yield u, rep
+
+    def solve(self, check_cfl: bool = True, force: bool = False) -> SolveResult:
+        """Fold the march into its last level and largest policy-iteration count."""
+        iters = 0
+        for u, rep in self.march(check_cfl, force):
+            if rep is not None:
+                iters = max(iters, rep.policy_iterations)
+        return SolveResult(self, GridFunction(self.grid, u), iters)
 
     # ----- checks and probes --------------------------------------------------
 
@@ -381,15 +391,17 @@ class ThetaScheme:
     def comparison_bound_check(self, u_result: SolveResult, v_result: SolveResult,
                                g1, g2) -> ProbeResult:
         """Check u - v <= e^{mu t} |(u(0)-v(0))^+| + 2 t e^{mu t} |(g1-g2)^+|
-        at every time level, with mu = sup (c^alpha)^+ + 1."""
+        at every time level, with mu = sup (c^alpha)^+ + 1.  Both solves are
+        replayed in lockstep."""
         mu = ComparisonConstants.for_scheme(self).mu
-        d0 = float(np.max(np.maximum(u_result.values(0) - v_result.values(0), 0.0)))
         gdiff = np.asarray(g1, dtype=float) - np.asarray(g2, dtype=float)
         gplus = float(np.max(np.maximum(gdiff, 0.0)))
         worst = -math.inf
         witness = ""
-        for n, t in enumerate(self.grid.times()):
-            lhs = float(np.max(u_result.values(n) - v_result.values(n)))
+        for t, u, v in zip(self.grid.times(), u_result.levels(), v_result.levels(), strict=True):
+            if t == 0.0:
+                d0 = float(np.max(np.maximum(u - v, 0.0)))
+            lhs = float(np.max(u - v))
             bound = math.exp(mu * t) * d0 + 2.0 * t * math.exp(mu * t) * gplus
             excess = lhs - bound
             if excess > worst:
@@ -400,7 +412,7 @@ class ThetaScheme:
 
     def apriori_bounds_check(self, result: SolveResult) -> ProbeResult:
         """Check |u(t)|_0 <= e^{lam t} (|u0|_0 + t sup|f|) (1 + APRIORI_SLACK)
-        at every level."""
+        at every level of a replay of the solve."""
         pr, g = self.problem, self.grid
         lam = ComparisonConstants.for_scheme(self).lam
         X = self._nodes
@@ -411,11 +423,12 @@ class ThetaScheme:
                 supf = max(supf, float(np.max(np.abs(pr.coeffs.f(i, t, X)))))
         if self.forcing is not None:
             supf += float(np.max(np.abs(np.asarray(self.forcing, dtype=float))))
-        u0 = float(np.max(np.abs(result.values(0))))
         worst = -math.inf
         witness = ""
-        for n, t in enumerate(g.times()):
-            lhs = float(np.max(np.abs(result.values(n))))
+        for t, u in zip(g.times(), result.levels(), strict=True):
+            lhs = float(np.max(np.abs(u)))
+            if t == 0.0:
+                u0 = lhs
             bound = math.exp(lam * t) * (u0 + t * supf) * (1.0 + APRIORI_SLACK)
             if lhs - bound > worst:
                 worst = lhs - bound

@@ -11,6 +11,9 @@ step restricted to A_i and (b) projecting onto the constraint by
 Gauss-Seidel sweeps in fixed mode order until nothing changes; positive
 k forbids switching cycles, so at most M sweeps are ever needed.
 
+`switching_solve` holds only the current level of every mode and folds
+the coupling-band spread as it marches.
+
 As k shrinks, every component approaches (from above) the solution of
 the scalar problem with the union control set; `k_rate_experiment`
 measures the decay of max_i |(v_i - u_ref)^+| against the scalar solve
@@ -19,6 +22,7 @@ on the same grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,27 +85,17 @@ class SwitchingProblem:
 
 @dataclass
 class SwitchingSolution:
-    """Every mode at every time level: levels[i, n] is mode i at t_n,
-    shape (n_modes, n_t+1, *grid)."""
+    """What a switching solve keeps: every mode at the final time,
+    final[i] of shape grid.shape, and the largest spread max_i v_i - min_i v_i
+    over all nodes and levels, folded as the solve marches."""
 
-    grid: SpaceTimeGrid
-    levels: np.ndarray = field(repr=False)
-    k: float = 0.0
-
-    def values(self, mode: int, n: int) -> np.ndarray:
-        return self.levels[mode, n]
-
-    @property
-    def n_modes(self) -> int:
-        return self.levels.shape[0]
-
-    def final_values(self) -> list:
-        return list(self.levels[:, -1])
+    final: np.ndarray = field(repr=False)
+    k: float
+    spread: float
 
     def coupling_band_violation(self) -> float:
         """Worst max_i v_i - min_i v_i - k over all nodes and levels (<= 0 is clean)."""
-        return max(float(np.max(v.max(axis=0) - v.min(axis=0)))
-                   for v in self.levels.swapaxes(0, 1)) - self.k
+        return self.spread - self.k
 
 
 def _obstacle_sweeps(vals: list, k: float) -> list:
@@ -134,7 +128,8 @@ def switching_step(sp: SwitchingProblem, v_prev: list, t_prev: float) -> list:
 
 def switching_solve(sp: SwitchingProblem, check_cfl: bool = True,
                     force: bool = False) -> SwitchingSolution:
-    """March the coupled system from v_0 = (u0, ..., u0) to the horizon."""
+    """March the coupled system from v_0 = (u0, ..., u0) to the horizon,
+    keeping only the current level and the folded coupling spread."""
     if check_cfl:
         for scheme in sp.mode_schemes():
             rep = scheme.cfl_check()
@@ -143,17 +138,19 @@ def switching_solve(sp: SwitchingProblem, check_cfl: bool = True,
                     f"CFL violated for a switching mode: explicit lhs "
                     f"{rep.worst_explicit:.6g}, implicit lhs {rep.worst_implicit:.6g}", rep)
     g = sp.grid
-    levels = np.empty((sp.n_modes, g.n_t + 1) + g.shape)
-    # initial data already satisfies the constraint (all components equal)
-    levels[:, 0] = GridFunction(g, sp.mode_schemes()[0].initial_values()).values  # finite u0
+    u0 = GridFunction(g, sp.mode_schemes()[0].initial_values()).values  # finite u0
+    v = np.stack([u0] * sp.n_modes)  # equal components satisfy the constraint
+    spread = 0.0
     for n in range(g.n_t):
-        levels[:, n + 1] = switching_step(sp, levels[:, n], n * g.dt)
-        bad = ~np.isfinite(levels[:, n + 1])
-        if np.any(bad):
-            i, *node = (int(x) for x in np.argwhere(bad)[0])
+        v = np.array(switching_step(sp, v, n * g.dt))
+        # a nan or inf anywhere in v makes this level's spread nan or inf
+        level = float((np.maximum.reduce(v) - np.minimum.reduce(v)).max())
+        if not math.isfinite(level) and not np.all(np.isfinite(v)):
+            i, *node = (int(x) for x in np.argwhere(~np.isfinite(v))[0])
             raise SchemeError(f"switching mode {i}: non-finite value at level {n + 1}, "
                               f"node {tuple(node)}")
-    return SwitchingSolution(grid=g, levels=levels, k=sp.k)
+        spread = max(spread, level)
+    return SwitchingSolution(final=v, k=sp.k, spread=spread)
 
 
 def k_rate_experiment(base: HJBProblem, mode_controls: list, grid: SpaceTimeGrid,
@@ -184,8 +181,7 @@ def k_rate_experiment(base: HJBProblem, mode_controls: list, grid: SpaceTimeGrid
     for k in ks:
         sol = switching_solve(SwitchingProblem(base=base, mode_controls=mode_controls, k=k,
                                                grid=grid, theta=theta, builder=builder))
-        rows.append((k, grid.dx, grid.dt, *signed_errors(sol.levels[:, -1], u_ref)))
+        rows.append((k, grid.dx, grid.dt, *signed_errors(sol.final, u_ref)))
         if finest is not None and k == ks[-1]:
             finest.append(sol)
-        del sol  # the next k must not be solved while this solution is alive
     return rate_report("k", rows, 1.0 / 3.0, fit_plus=True)

@@ -105,6 +105,35 @@ def test_bundled_configs_parse():
     parse_problem(load_json(CONFIGS.parent / "perfbench" / "inputs" / "rates_2d_seed0.json"))
 
 
+def test_builtin_source_is_evaluated_once_per_solve(monkeypatch):
+    # a built-in f depends on x only, so the scheme builds f once, not once per step
+    from hjbfd import CoefficientField, SpaceTimeGrid, ThetaScheme
+
+    problem = parse_problem(load_json(CONFIGS / "twocontrol.json"))
+    assert all(problem.coeffs.fully_static(i) for i in range(problem.controls.count))
+    calls = []
+    f = CoefficientField.f
+    monkeypatch.setattr(CoefficientField, "f",
+                        lambda self, i, t, X: calls.append(i) or f(self, i, t, X))
+    grid = SpaceTimeGrid.build(1, problem.period, 16, problem.T, 0.05)
+    ThetaScheme(problem, grid, theta=1.0).solve()
+    assert calls == [0, 1]
+
+
+@pytest.mark.parametrize("old, new, reason", [
+    ('"dim": 1', '"dim": 2.5', "dim must be an integer >= 1, got 2.5"),
+    ('"c": 0.1', '"c": [1, 2]', "c must be a single number"),
+])
+def test_malformed_problem_field_exits_one(old, new, reason, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text((CONFIGS / "twocontrol.json").read_text().replace(old, new, 1))
+    assert main(["solve", str(cfg), "--nx", "8", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and reason in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_heat_outputs(tmp_path, capsys):
     files = run_twice_identical(
         lambda out: ["solve", str(CONFIGS / "heat.json"), "--nx", "16", "--out", out],
@@ -143,6 +172,15 @@ def test_rates_cfl_violation_exits_two(tmp_path, capsys):
     code = main(["rates", str(CONFIGS / "heat.json"), "--levels", "8,16",
                  "--cfl-factor", "8.0", "--out", str(tmp_path / "o")])
     assert code == 2
+    assert capsys.readouterr().err.startswith("error: numerical: CFL violated")
+
+
+def test_solve_cfl_violation_writes_nothing(tmp_path, capsys):
+    # solve streams its trajectory, but the step-size guard runs before any file is opened
+    out = tmp_path / "o"
+    code = main(["solve", str(CONFIGS / "heat.json"), "--nx", "32", "--theta", "0",
+                 "--cfl-factor", "4", "--out", str(out)])
+    assert code == 2 and not out.exists()
     assert capsys.readouterr().err.startswith("error: numerical: CFL violated")
 
 

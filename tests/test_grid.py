@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hjbfd import GridFunction, SpaceTimeGrid, lipschitz_seminorm, sup_norm
+from hjbfd import GridFunction, SpaceTimeGrid, sup_norm
 from hjbfd.errors import ConfigError
 
 
@@ -78,16 +78,6 @@ def test_grid_function_shape_and_finiteness():
         GridFunction(g, np.full(8, np.inf))
 
 
-def test_grid_function_from_callable():
-    g = SpaceTimeGrid.build(dim=1, period=2 * np.pi, n_x=16, T=1.0, dt=0.5)
-    phi = GridFunction.from_callable(g, lambda X: np.sin(X[..., 0]))
-    assert phi.values.shape == (16,)
-    assert phi.values[4] == pytest.approx(1.0)  # node 4 sits at pi/2
-    # scalar results broadcast to the full grid
-    const = GridFunction.from_callable(g, lambda X: 2.5)
-    assert np.all(const.values == 2.5)
-
-
 def test_grid_function_copy_is_independent():
     g = SpaceTimeGrid.build(dim=1, period=1.0, n_x=8, T=1.0, dt=0.5)
     phi = GridFunction(g, np.arange(8.0))
@@ -101,37 +91,9 @@ def test_sup_norm_values():
     assert sup_norm(GridFunction(g, np.full(8, 3.0))) == 3.0
     assert sup_norm(np.array([-5.0, 2.0])) == 5.0
     g64 = SpaceTimeGrid.build(dim=1, period=2 * np.pi, n_x=64, T=1.0, dt=0.5)
-    phi = GridFunction.from_callable(g64, lambda X: np.sin(X[..., 0]))
+    phi = GridFunction(g64, np.sin(g64.nodes()[..., 0]))
     # node 16 sits exactly at pi/2 so the max is hit on the grid
     assert sup_norm(phi) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_lipschitz_seminorm_values():
-    g = SpaceTimeGrid.build(dim=1, period=1.0, n_x=8, T=1.0, dt=0.5)
-    assert lipschitz_seminorm(GridFunction(g, np.full(8, 4.0))) == 0.0
-    # sawtooth x -> x has one wrap-around jump of size period - dx
-    saw = GridFunction.from_callable(g, lambda X: X[..., 0])
-    assert lipschitz_seminorm(saw) == pytest.approx((1.0 - g.dx) / g.dx)
-    g64 = SpaceTimeGrid.build(dim=1, period=2 * np.pi, n_x=64, T=1.0, dt=0.5)
-    phi = GridFunction.from_callable(g64, lambda X: np.sin(X[..., 0]))
-    lip = lipschitz_seminorm(phi)
-    assert 0.9 <= lip <= 1.0 + 1e-12
-
-
-def test_lipschitz_seminorm_rejects_plain_arrays():
-    with pytest.raises(TypeError):
-        lipschitz_seminorm(np.zeros(8))
-
-
-def test_lipschitz_seminorm_2d_direction_max():
-    g = SpaceTimeGrid.build(dim=2, period=1.0, n_x=8, T=1.0, dt=0.5)
-    # varies along axis 0 only; the axis-1 differences are zero
-    phi = GridFunction.from_callable(g, lambda X: np.sin(2 * np.pi * X[..., 0]))
-    expected = GridFunction.from_callable(
-        SpaceTimeGrid.build(dim=1, period=1.0, n_x=8, T=1.0, dt=0.5),
-        lambda X: np.sin(2 * np.pi * X[..., 0]),
-    )
-    assert lipschitz_seminorm(phi) == pytest.approx(lipschitz_seminorm(expected))
 
 
 def test_to_csv_layout_and_determinism(tmp_path):

@@ -15,6 +15,7 @@ from hjbfd import (
     verify_A1,
 )
 from hjbfd.errors import ConfigError
+from hjbfd.problem import SpaceOnly
 
 L2PI = 2 * np.pi
 
@@ -78,11 +79,16 @@ def test_coefficient_shapes_and_a():
 def test_coefficient_static_flags():
     pr = make_problem(1, L2PI, 1.0,
                       [{"sigma": 1.0, "f": 2.0},
-                       {"sigma": 1.0, "f": lambda t, X: np.sin(X[..., 0])}],
+                       {"sigma": 1.0, "f": lambda t, X: np.sin(X[..., 0])},
+                       {"sigma": 1.0, "f": SpaceOnly(lambda X: np.sin(X[..., 0]))}],
                       u0=0.0)
     assert pr.coeffs.fully_static(0)
     assert pr.coeffs.stencil_static(1)
     assert not pr.coeffs.fully_static(1)
+    # a space-only source does not depend on t, with the same values
+    assert pr.coeffs.fully_static(2)
+    X = np.linspace(0.0, L2PI, 5)[:, None]
+    np.testing.assert_array_equal(pr.coeffs.f(2, 0.7, X), pr.coeffs.f(1, 0.7, X))
 
 
 def test_restrict_keeps_evaluators():

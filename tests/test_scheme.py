@@ -1,6 +1,7 @@
 """Theta-method stepping, CFL checks, policy iteration, probes and bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,16 +74,37 @@ def test_solve_raises_cfl_error_unless_forced():
     sch.solve(force=True)
 
 
-def test_solve_result_keeps_levels_in_one_array():
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_levels_replay_the_march_bit_for_bit(theta):
+    pr = make_problem(1, L2PI, 0.1, [{"sigma": 1.0, "b": 0.3}, {"sigma": 0.6, "f": 0.2}],
+                      u0=lambda X: np.sin(X[..., 0]))
+    g = exact_grid(16, 0.1, 0.005)
+    sch = ThetaScheme(pr, g, theta=theta)
+    marched = [(u.copy(), rep) for u, rep in sch.march()]
+    assert len(marched) == g.n_t + 1 and marched[0][1] is None
+    assert [rep.t for _, rep in marched[1:]] == pytest.approx(g.times()[1:].tolist())
+    res = sch.solve()
+    replayed = list(res.levels())
+    assert len(replayed) == g.n_t + 1
+    for (u, _), v in zip(marched, replayed):
+        np.testing.assert_array_equal(v, u)
+    np.testing.assert_array_equal(res.final.values, marched[-1][0])
+    assert res.max_policy_iters == max(rep.policy_iterations for _, rep in marched[1:])
+
+
+def test_solve_memory_does_not_grow_with_time_steps():
+    # a solve keeps the final level only, so its traced peak is the same for
+    # 200 and for 2000 steps (a stored level array and one report per step
+    # would add about 1.4 MB at 2000 steps)
     pr = heat_problem(T=0.1)
-    g = exact_grid(16, 0.1, 0.01)
-    res = ThetaScheme(pr, g, theta=1.0).solve()
-    assert res.levels.shape == (g.n_t + 1,) + g.shape
-    np.testing.assert_array_equal(res.values(0), np.sin(g.nodes()[..., 0]))
-    final = res.final
-    np.testing.assert_array_equal(final.values, res.values(g.n_t))
-    final.values[:] = 0.0  # the final slice is a copy, not a view of the levels
-    assert np.any(res.values(g.n_t) != 0.0)
+    peaks = []
+    for n_t in (200, 2000):
+        sch = ThetaScheme(pr, exact_grid(32, 0.1, 0.1 / n_t), theta=0.0)
+        tracemalloc.start()
+        sch.solve()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 16_384, peaks
 
 
 def test_explicit_heat_step_matches_roll_oracle():
@@ -120,10 +142,11 @@ def test_space_varying_weights_match_constant_coefficients(theta):
         {"sigma": const_field(sigma, (2, 2)), "b": const_field(b, (2,)), "c": 0.1},
         dominated], u0)
     g = exact_grid(16, 0.05, 0.01, dim=2)
-    want = ThetaScheme(plain, g, theta=theta).solve()
-    got = ThetaScheme(varying, g, theta=theta).solve()
-    assert all(np.all(rep.argmax == 0) for rep in got.reports)
-    np.testing.assert_allclose(got.levels, want.levels, rtol=0.0, atol=1e-13)
+    want = ThetaScheme(plain, g, theta=theta).march()
+    got = ThetaScheme(varying, g, theta=theta).march()
+    for (u_got, rep), (u_want, _) in zip(got, want):
+        assert rep is None or np.all(rep.argmax == 0)
+        np.testing.assert_allclose(u_got, u_want, rtol=0.0, atol=1e-13)
 
 
 def roll_operator(sig, drift, g, u):
@@ -173,16 +196,17 @@ def test_source_only_problem_all_theta():
 def test_sup_of_negated_sources_freezes_zero_control():
     # f in {0, 2} from u0 = 0: G = max(0, -2) = 0, so u stays 0
     pr = make_problem(1, L2PI, 1.0, [{"f": 0.0}, {"f": 2.0}], u0=0.0)
-    res = ThetaScheme(pr, exact_grid(16, 1.0, 0.1), theta=0.0).solve()
-    np.testing.assert_allclose(res.final.values, 0.0, atol=1e-14)
+    sch = ThetaScheme(pr, exact_grid(16, 1.0, 0.1), theta=0.0)
+    np.testing.assert_allclose(sch.solve().final.values, 0.0, atol=1e-14)
     # argmax reports the lowest maximizing index
-    assert np.all(res.reports[0].argmax == 0)
+    assert all(np.all(rep.argmax == 0) for _, rep in list(sch.march())[1:])
 
 
 def test_argmax_field_picks_larger_negated_source():
     pr = make_problem(1, L2PI, 1.0, [{"f": 2.0}, {"f": 0.0}], u0=0.0)
-    res = ThetaScheme(pr, exact_grid(16, 1.0, 0.1), theta=0.0).solve()
-    assert np.all(res.reports[0].argmax == 1)
+    levels = ThetaScheme(pr, exact_grid(16, 1.0, 0.1), theta=0.0).march()
+    next(levels)
+    assert np.all(next(levels)[1].argmax == 1)
 
 
 def test_argmax_invariant_under_common_source_shift():
@@ -190,17 +214,17 @@ def test_argmax_invariant_under_common_source_shift():
     u0 = lambda X: np.sin(X[..., 0])
     controls = [{"sigma": 1.0, "b": 0.5}, {"sigma": 0.7, "b": -0.5, "f": 0.3}]
     shifted = [dict(cc, f=cc.get("f", 0.0) + 5.0) for cc in controls]
-    res_a = ThetaScheme(make_problem(1, L2PI, 0.5, controls, u0), g, theta=0.0).solve()
-    res_b = ThetaScheme(make_problem(1, L2PI, 0.5, shifted, u0), g, theta=0.0).solve()
-    for ra, rb in zip(res_a.reports, res_b.reports):
+    march_a = ThetaScheme(make_problem(1, L2PI, 0.5, controls, u0), g, theta=0.0).march()
+    march_b = ThetaScheme(make_problem(1, L2PI, 0.5, shifted, u0), g, theta=0.0).march()
+    for (_, ra), (_, rb) in list(zip(march_a, march_b))[1:]:
         np.testing.assert_array_equal(ra.argmax, rb.argmax)
 
 
 def test_implicit_linear_problem_one_policy_iteration():
     pr = heat_problem(T=0.2)
-    res = ThetaScheme(pr, exact_grid(32, 0.2, 0.02), theta=1.0).solve()
-    assert all(rep.policy_iterations == 1 for rep in res.reports)
-    assert all(rep.max_residual <= 1e-10 for rep in res.reports)
+    reports = [rep for _, rep in ThetaScheme(pr, exact_grid(32, 0.2, 0.02), theta=1.0).march()]
+    assert all(rep.policy_iterations == 1 for rep in reports[1:])
+    assert all(rep.max_residual <= 1e-10 for rep in reports[1:])
 
 
 def test_implicit_source_only():
@@ -328,7 +352,7 @@ def test_comparison_bound_forced_difference():
     sch_v = ThetaScheme(pr, g, theta=1.0, forcing=1.0)
     v_res = sch_v.solve()
     t_grid = g.times()
-    gap = [sup_norm(v_res.values(n) - u_res.values(n) - t) for n, t in enumerate(t_grid)]
+    gap = [sup_norm(v - u - t) for t, v, u in zip(t_grid, v_res.levels(), u_res.levels())]
     assert max(gap) <= 1e-8
     # v - u = t is inside the two-sided forcing bound 2 t e^{mu t}
     check = sch_v.comparison_bound_check(v_res, u_res, 1.0, 0.0)

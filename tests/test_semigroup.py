@@ -14,7 +14,6 @@ from hjbfd import (
     pcc_rate_experiment,
     pcc_solve,
     semigroup_monotonicity_probe,
-    semigroup_nonexpansive_probe,
     semigroup_rate_experiment,
     sigma_from_diffusion,
     splitting_solve,
@@ -278,12 +277,3 @@ def test_monotonicity_probe_on_flows():
     assert not bad.passed
     assert bad.worst > 0.0
     assert "node" in bad.witness
-
-
-def test_nonexpansive_probe_on_flows():
-    flow = SemigroupFlow(1, L2PI, 16, [{"sigma": 1.0, "b": 0.5}])
-    probe = semigroup_nonexpansive_probe(lambda u: flow.apply(u, 0.1, 4), (16,),
-                                         trials=25, seed=3)
-    assert probe.passed
-    bad = semigroup_nonexpansive_probe(lambda u: 2.0 * u, (16,), trials=10, seed=3)
-    assert not bad.passed

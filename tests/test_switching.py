@@ -1,5 +1,7 @@
 """Obstacle-coupled switching systems and the cost-decay experiment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from hjbfd import (
     switching_solve,
     switching_step,
 )
-from hjbfd.errors import CFLError, ConfigError
+from hjbfd.errors import CFLError, ConfigError, SchemeError
 
 L2PI = 2 * np.pi
 
@@ -54,7 +56,7 @@ def test_identical_modes_stay_equal_and_degenerate():
     sol = switching_solve(sp)
     ref = ThetaScheme(base, g, theta=0.0).solve()
     for i in range(2):
-        np.testing.assert_allclose(sol.values(i, g.n_t), ref.final.values, atol=1e-12)
+        np.testing.assert_allclose(sol.final[i], ref.final.values, atol=1e-12)
     rep = k_rate_experiment(base, [[0], [0]], g, [0.4, 0.2, 0.1])
     assert rep.degenerate
 
@@ -69,7 +71,7 @@ def test_large_cost_decouples_modes():
     sol = switching_solve(sp)
     for i, mode in enumerate([[0], [1]]):
         solo = ThetaScheme(base.restrict(mode), g, theta=0.0).solve()
-        np.testing.assert_allclose(sol.values(i, g.n_t), solo.final.values, atol=1e-12)
+        np.testing.assert_allclose(sol.final[i], solo.final.values, atol=1e-12)
 
 
 def test_one_step_obstacle_activation_exact():
@@ -101,7 +103,7 @@ def test_switching_dominates_scalar_solution():
     sp = SwitchingProblem(base=base, mode_controls=[[0], [1]], k=0.1, grid=g)
     sol = switching_solve(sp)
     for i in range(2):
-        assert float(np.min(sol.values(i, g.n_t) - ref.final.values)) >= -1e-10
+        assert float(np.min(sol.final[i] - ref.final.values)) >= -1e-10
 
 
 def test_switching_gap_monotone_in_k():
@@ -112,7 +114,7 @@ def test_switching_gap_monotone_in_k():
     for k in (0.4, 0.2, 0.1):
         sp = SwitchingProblem(base=base, mode_controls=[[0], [1]], k=k, grid=g)
         sol = switching_solve(sp)
-        gaps.append(max(sup_norm(v - ref.final.values) for v in sol.final_values()))
+        gaps.append(max(sup_norm(v - ref.final.values) for v in sol.final))
     assert gaps[0] >= gaps[1] >= gaps[2]
     # halving k cuts the gap by at least 2^{1/3} up to a 10 percent margin
     assert gaps[0] / gaps[1] >= 2.0 ** (1.0 / 3.0) * 0.9
@@ -141,10 +143,57 @@ def test_k_rate_experiment_hands_back_the_smallest_k_solution():
     assert len(finest) == 1 and finest[0].k == 0.1
     again = switching_solve(SwitchingProblem(base=base, mode_controls=[[0], [1]], k=0.1,
                                              grid=g))
-    np.testing.assert_array_equal(finest[0].levels, again.levels)
-    assert finest[0].levels.shape == (2, g.n_t + 1) + g.shape
+    np.testing.assert_array_equal(finest[0].final, again.final)
+    assert finest[0].final.shape == (2,) + g.shape
     assert finest[0].coupling_band_violation() == again.coupling_band_violation() <= 1e-12
     assert rep.params == [0.4, 0.2, 0.1]
+
+
+def test_band_violation_is_folded_over_every_level():
+    # the spread max_i v_i - min_i v_i of every level, walked step by step,
+    # peaks before the final time here, and the solve must report that peak
+    base = two_mode_base()
+    g = fine_grid()
+    sp = SwitchingProblem(base=base, mode_controls=[[0], [1]], k=0.3, grid=g)
+    v = [np.sin(g.nodes()[..., 0])] * 2
+    spreads = []
+    for n in range(g.n_t):
+        v = switching_step(sp, v, n * g.dt)
+        spreads.append(float(np.max(np.max(v, axis=0) - np.min(v, axis=0))))
+    assert max(spreads) > spreads[-1]
+    sol = switching_solve(sp)
+    assert sol.coupling_band_violation() == max(spreads) - 0.3
+    np.testing.assert_array_equal(sol.final, np.stack(v))
+
+
+def test_switching_memory_does_not_grow_with_time_steps():
+    # the solve keeps the current level only: the same traced peak for 200
+    # and for 2000 steps (a level array would add 2 x 2000 x 32 doubles)
+    base = two_mode_base(T=0.05)
+    peaks = []
+    for n_t in (200, 2000):
+        g = SpaceTimeGrid.build(dim=1, period=L2PI, n_x=32, T=0.05, dt=0.05 / n_t)
+        sp = SwitchingProblem(base=base, mode_controls=[[0], [1]], k=0.1, grid=g)
+        tracemalloc.start()
+        switching_solve(sp)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 16_384, peaks
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")  # -inf - -inf
+def test_switching_solve_fails_fast_on_a_non_finite_value():
+    # mode 1's source turns -inf after the second level, so mode 1 and, through
+    # the projection, mode 0 reach -inf at the third: the solve stops there
+    def f(t, X):
+        return np.where(t > 0.015, -np.inf, np.zeros(np.shape(X)[:-1]))
+
+    base = make_problem(1, L2PI, 0.05, [{"sigma": 0.5}, {"sigma": 0.5, "f": f}], u0=0.0)
+    g = SpaceTimeGrid.build(dim=1, period=L2PI, n_x=8, T=0.05, dt=0.01)
+    sp = SwitchingProblem(base=base, mode_controls=[[0], [1]], k=0.1, grid=g)
+    with pytest.raises(SchemeError,
+                       match=r"switching mode 0: non-finite value at level 3, node \(0,\)"):
+        switching_solve(sp)
 
 
 def test_switching_cfl_guard():
