@@ -14,7 +14,11 @@ array and a neighbour index, see `_Ops`), applied by one gather and one
 contraction wherever the scheme needs L_h.  theta = 0 is
 explicit, theta = 1 implicit; the implicit part is solved by policy
 iteration (freeze the per-node argmax, solve the resulting linear system
-by Jacobi sweeps, re-select) with lowest-index tie breaking.
+by Jacobi sweeps, re-select) with lowest-index tie breaking.  Each
+operator keeps the frozen-policy systems of its last FROZEN_POLICIES
+distinct policies (least recently used out), so a policy seen again
+reuses its weights, diagonal and scaled source; reuse repeats the same
+arithmetic, so results are bit-identical to rebuilding them.
 
 `ThetaScheme.march` is the only time loop: it yields each level as it is
 computed and keeps none.  `solve` folds it into the final level and the
@@ -48,6 +52,7 @@ __all__ = [
 
 MAX_SWEEPS = 1_000_000  # Jacobi sweeps allowed per frozen-policy solve
 MAX_POLICY_ITERS = 100  # policy iterations allowed per implicit step
+FROZEN_POLICIES = 4     # frozen-policy systems an operator keeps, least recently used out
 BZ_ORDER = 2            # largest direction component the 'bz' builder tries
 STUDY_TOL = 1e-11       # policy-iteration tolerance of the semigroup and switching studies
 MONOTONE_SLACK = 1e-12  # order violation the scheme's monotonicity probe forgives
@@ -57,10 +62,12 @@ APRIORI_SLACK = 0.05    # relative margin on the a-priori sup-norm bound
 
 @dataclass
 class StepReport:
-    """Per-step diagnostics: policy iterations, final residual, argmax field."""
+    """Per-step diagnostics: policy iterations, Jacobi sweeps summed over
+    them (0 for an explicit step), final residual, argmax field."""
 
     t: float
     policy_iterations: int
+    sweeps: int
     max_residual: float
     argmax: np.ndarray = field(repr=False)
 
@@ -153,9 +160,13 @@ class _Ops:
     The weight arrays end in the grid shape, or in ones when no weight
     varies in space, so broadcasting serves both cases.  The Hamiltonian
     contracts space-independent weights as one dense matrix product, whose
-    rounding matches a BLAS product over the whole grid."""
+    rounding matches a BLAS product over the whole grid.
 
-    __slots__ = ("W", "csum", "nbr", "c", "f")
+    `frozen` maps a policy's bytes to its frozen-policy system (W_P, the
+    diagonal, theta dt f_P), most recently used last; an entry is stored
+    only once its diagonal has passed the positivity check."""
+
+    __slots__ = ("W", "csum", "nbr", "c", "f", "node", "frozen")
 
     def __init__(self, W, csum, nbr, c, f):
         self.W = W            # (n_c, n_o, *grid) or (n_c, n_o, 1, ..., 1)
@@ -163,6 +174,8 @@ class _Ops:
         self.nbr = nbr        # (n_o, *grid) flat index of each node's neighbour per offset
         self.c = c            # (n_c, *grid)
         self.f = f            # (n_c, *grid)
+        self.node = np.arange(c[0].size)  # flat node index, pairs with a flat policy
+        self.frozen = {}
 
 
 class ThetaScheme:
@@ -264,29 +277,46 @@ class ThetaScheme:
             Lu = (ops.W.reshape(ops.W.shape[:2]) @ nb.reshape(len(nb), u.size)).reshape(
                 (-1,) + u.shape)
         Lu -= ops.csum * u
-        vals = -Lu - ops.c * u - ops.f
-        P = np.argmax(vals, axis=0)
-        G = np.take_along_axis(vals, P[None], axis=0)[0]
+        vals = np.negative(Lu, out=Lu)  # -Lu - c u - f, one temporary fewer
+        vals -= ops.c * u
+        vals -= ops.f
+        P = vals.argmax(axis=0)
+        G = vals.reshape(len(vals), -1)[P.ravel(), ops.node].reshape(u.shape)
         return G, P
+
+    def _frozen_system(self, ops: _Ops, P: np.ndarray):
+        """(W_P, diag, theta dt f_P) of the frozen policy P, from the operator's
+        cache when P was seen among its last FROZEN_POLICIES policies."""
+        key = P.tobytes()
+        system = ops.frozen.pop(key, None)
+        if system is None:
+            th_dt = self.theta * self.grid.dt
+            W_P = np.take_along_axis(ops.W, P[None, None], axis=0)[0]          # (n_o, *grid)
+            csum_P, c_P, f_P = (np.take_along_axis(a, P[None], axis=0)[0]
+                                for a in (ops.csum, ops.c, ops.f))
+            diag = 1.0 + th_dt * (csum_P - c_P)
+            if np.any(diag <= 0.0):
+                raise SchemeError("implicit step: nonpositive diagonal (step too large for c)")
+            system = (W_P, diag, th_dt * f_P)
+            if len(ops.frozen) >= FROZEN_POLICIES:
+                del ops.frozen[next(iter(ops.frozen))]
+        ops.frozen[key] = system
+        return system
 
     def _policy_solve(self, ops: _Ops, P: np.ndarray, rhs: np.ndarray, inner_tol: float):
         """Solve (1 + theta dt (sumC - c)) u - theta dt sum_beta C u(.+beta)
-        = rhs + theta dt f for the frozen policy, by Jacobi sweeps."""
+        = rhs + theta dt f for the frozen policy, by Jacobi sweeps.  Returns
+        u and the number of sweeps."""
         th_dt = self.theta * self.grid.dt
-        W_P = np.take_along_axis(ops.W, P[None, None], axis=0)[0]          # (n_o, *grid)
-        csum_P, c_P, f_P = (np.take_along_axis(a, P[None], axis=0)[0]
-                            for a in (ops.csum, ops.c, ops.f))
-        diag = 1.0 + th_dt * (csum_P - c_P)
-        if np.any(diag <= 0.0):
-            raise SchemeError("implicit step: nonpositive diagonal (step too large for c)")
-        b_rhs = rhs + th_dt * f_P
+        W_P, diag, th_f = self._frozen_system(ops, P)
+        b_rhs = rhs + th_f
         u = rhs.copy()
-        for _ in range(MAX_SWEEPS):
-            off = np.einsum("o...,o...->...", W_P, u.reshape(-1)[ops.nbr])
-            res = diag * u - th_dt * off - b_rhs
-            if float(np.max(np.abs(res))) <= inner_tol:
-                return u
-            u = (b_rhs + th_dt * off) / diag
+        for sweep in range(1, MAX_SWEEPS + 1):
+            off = th_dt * np.einsum("o...,o...->...", W_P, u.reshape(-1)[ops.nbr])
+            res = diag * u - off - b_rhs
+            if np.abs(res).max() <= inner_tol:
+                return u, sweep
+            u = (b_rhs + off) / diag
         raise SchemeError(
             f"implicit step: Jacobi sweeps failed to reach {inner_tol:.1e} "
             f"within {MAX_SWEEPS} sweeps"
@@ -300,14 +330,17 @@ class ThetaScheme:
         th_dt = self.theta * self.grid.dt
         tol = self.tol if inner_tol is None else inner_tol
         u = rhs.copy()
+        sweeps = 0
         for it in range(MAX_POLICY_ITERS + 1):
             G, P = self._hamiltonian(ops, u)
             res = float(np.max(np.abs(u + th_dt * G - rhs)))
             if res <= tol:
-                return u, StepReport(t=t, policy_iterations=it, max_residual=res, argmax=P)
+                return u, StepReport(t=t, policy_iterations=it, sweeps=sweeps,
+                                     max_residual=res, argmax=P)
             if it == MAX_POLICY_ITERS:
                 break
-            u = self._policy_solve(ops, P, rhs, inner_tol=0.2 * tol)
+            u, n = self._policy_solve(ops, P, rhs, inner_tol=0.2 * tol)
+            sweeps += n
         raise SchemeError(
             f"policy iteration did not converge within {MAX_POLICY_ITERS} "
             f"iterations at t={t!r} (residual {res:.3e})"
@@ -323,7 +356,8 @@ class ThetaScheme:
         else:
             rhs, P = u_prev, None
         if self.theta == 0.0:
-            report = StepReport(t=t_prev + dt, policy_iterations=0, max_residual=0.0, argmax=P)
+            report = StepReport(t=t_prev + dt, policy_iterations=0, sweeps=0,
+                                max_residual=0.0, argmax=P)
             return rhs, report
         vals, report = self.implicit_step(rhs, t_prev + dt, inner_tol=inner_tol)
         return vals, report

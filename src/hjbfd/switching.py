@@ -114,6 +114,8 @@ def _obstacle_sweeps(vals: list, k: float) -> list:
                 changed = True
         if not changed:
             return vals
+    if not all(np.isfinite(v).all() for v in vals):
+        return vals  # nan != nan keeps a sweep "changing"; the caller names the node
     raise SchemeError("obstacle projection did not reach a fixed point")
 
 

@@ -16,6 +16,7 @@ from hjbfd import (
     sup_norm,
 )
 from hjbfd.errors import CFLError, ConfigError, SchemeError
+from hjbfd.scheme import FROZEN_POLICIES
 
 L2PI = 2 * np.pi
 
@@ -225,6 +226,10 @@ def test_implicit_linear_problem_one_policy_iteration():
     reports = [rep for _, rep in ThetaScheme(pr, exact_grid(32, 0.2, 0.02), theta=1.0).march()]
     assert all(rep.policy_iterations == 1 for rep in reports[1:])
     assert all(rep.max_residual <= 1e-10 for rep in reports[1:])
+    # the one policy solve takes at least one Jacobi sweep; an explicit step none
+    assert all(rep.sweeps >= 1 for rep in reports[1:])
+    explicit = ThetaScheme(pr, exact_grid(32, 0.2, 0.002), theta=0.0).march()
+    assert all(rep.sweeps == 0 for _, rep in list(explicit)[1:])
 
 
 def test_implicit_source_only():
@@ -407,3 +412,159 @@ def test_manufactured_two_control_convergence():
         errs.append(sup_norm(res.final.values - mp.exact_values(0.5, g.nodes())))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.2 * errs[0]
+
+
+# ----- frozen-policy reuse and index-free argmax selection ---------------------
+
+def wavy_u0(X):
+    return np.sin(X[..., 0]) + 0.5 * np.cos(3 * X[..., 0])
+
+
+def varying_sigma(dim):
+    return lambda t, X: (0.8 + 0.3 * np.sin(X[..., 0]))[..., None, None] * np.eye(dim)
+
+
+# (dim, controls): constant weights, whose operator lives for the whole march,
+# and space-varying weights, whose operator is rebuilt every step
+FROZEN_CASES = {
+    "1d": (1, [{"sigma": 1.0, "b": 1.0}, {"sigma": 1.0, "b": -1.0}]),
+    "1d-varying": (1, [{"sigma": varying_sigma(1), "b": lambda t, X: 0.5 * np.cos(X)},
+                       {"sigma": 0.6, "b": -0.4, "f": 0.1}]),
+    "2d": (2, [{"sigma": np.array([[1.0, 0.3], [0.0, 0.9]]), "b": [0.5, -0.2]},
+               {"sigma": 0.7, "b": [-0.5, 0.3], "f": 0.05}]),
+    "2d-varying": (2, [{"sigma": varying_sigma(2), "b": lambda t, X: 0.5 * np.cos(X)},
+                       {"sigma": 0.7, "b": [-0.5, 0.3], "f": 0.05}]),
+}
+
+
+def frozen_case_scheme(case, theta):
+    dim, controls = FROZEN_CASES[case]
+    pr = make_problem(dim, L2PI, 0.2, controls, u0=wavy_u0)
+    return ThetaScheme(pr, exact_grid(16 if dim == 1 else 8, 0.2, 0.02, dim=dim), theta=theta)
+
+
+def record_policy_solves(monkeypatch, forget=False):
+    """Wrap _policy_solve to record each frozen policy (and, when `forget`,
+    to clear the operator's frozen-policy cache before every solve)."""
+    keys = []
+    solve = ThetaScheme._policy_solve
+
+    def wrapped(self, ops, P, rhs, inner_tol):
+        keys.append(P.tobytes())
+        if forget:
+            ops.frozen.clear()
+        return solve(self, ops, P, rhs, inner_tol)
+
+    monkeypatch.setattr(ThetaScheme, "_policy_solve", wrapped)
+    return keys
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("case", sorted(FROZEN_CASES))
+def test_frozen_policy_reuse_is_bit_identical_to_rebuilding(monkeypatch, case, theta):
+    keys = record_policy_solves(monkeypatch)
+    reused = list(frozen_case_scheme(case, theta).march())
+    if not case.endswith("varying"):  # the cache must actually serve repeats
+        assert len(set(keys)) < len(keys)
+    monkeypatch.undo()
+    record_policy_solves(monkeypatch, forget=True)
+    rebuilt = list(frozen_case_scheme(case, theta).march())
+    assert len(reused) == len(rebuilt)
+    for (u, rep), (v, ref) in zip(reused[1:], rebuilt[1:]):
+        np.testing.assert_array_equal(u, v)
+        assert (rep.policy_iterations, rep.sweeps) == (ref.policy_iterations, ref.sweeps)
+        np.testing.assert_array_equal(rep.argmax, ref.argmax)
+
+
+def test_frozen_policy_cache_keeps_the_most_recent_policies(monkeypatch):
+    pr = make_problem(1, L2PI, 1.0, [{"sigma": 0.3, "c": 0.5}, {"sigma": 0.8, "f": 0.1}],
+                      u0=wavy_u0)
+    sch = ThetaScheme(pr, exact_grid(32, 1.0, 0.02), theta=1.0)
+    keys = record_policy_solves(monkeypatch)
+    sch.solve()
+    assert len(set(keys)) > FROZEN_POLICIES
+    frozen = sch._ops_at(1.0).frozen
+    assert len(frozen) <= FROZEN_POLICIES
+    # least recently used out: the cache holds the last distinct policies, oldest first
+    recent = list(dict.fromkeys(reversed(keys)))[:FROZEN_POLICIES]
+    assert list(frozen) == recent[::-1]
+
+
+def test_nonpositive_diagonal_raises_on_every_use():
+    # 1 + theta dt (csum - c) = 1 - 0.1 * 100 < 0: the failing policy is never
+    # cached, so the same step fails the same way a second time
+    pr = make_problem(1, L2PI, 1.0, [{"c": 100.0}], u0=1.0)
+    sch = ThetaScheme(pr, exact_grid(16, 1.0, 0.1), theta=1.0)
+    for _ in range(2):
+        with pytest.raises(SchemeError, match="nonpositive diagonal"):
+            sch.step(np.ones(16), 0.0)
+    assert not sch._ops_at(0.1).frozen
+
+
+def reference_hamiltonian(ops, u):
+    """G and its argmax as built with an out-of-place sum and take_along_axis."""
+    nb = u.reshape(-1)[ops.nbr]
+    if ops.W.shape[2:] == u.shape:
+        Lu = np.einsum("co...,o...->c...", ops.W, nb)
+    else:
+        Lu = (ops.W.reshape(ops.W.shape[:2]) @ nb.reshape(len(nb), u.size)).reshape(
+            (-1,) + u.shape)
+    Lu -= ops.csum * u
+    vals = -Lu - ops.c * u - ops.f
+    P = np.argmax(vals, axis=0)
+    return np.take_along_axis(vals, P[None], axis=0)[0], P
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_CASES))
+def test_hamiltonian_selects_like_take_along_axis(case):
+    sch = frozen_case_scheme(case, 1.0)
+    ops = sch._ops_at(0.0)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        u = rng.standard_normal(sch.grid.shape)
+        G, P = sch._hamiltonian(ops, u)
+        G_ref, P_ref = reference_hamiltonian(ops, u)
+        np.testing.assert_array_equal(P, P_ref)
+        np.testing.assert_array_equal(G, G_ref)
+
+
+def test_hamiltonian_ties_go_to_the_lowest_index():
+    # at u = 0, G = max(-f) ties controls 1 and 2 at every node
+    pr = make_problem(2, L2PI, 1.0, [{"sigma": 1.0, "f": 0.2}, {"sigma": 0.5}, {"b": [0.3, 0.1]}],
+                      u0=0.0)
+    sch = ThetaScheme(pr, exact_grid(8, 1.0, 0.01, dim=2), theta=1.0)
+    ops = sch._ops_at(0.0)
+    u = np.zeros(sch.grid.shape)
+    G, P = sch._hamiltonian(ops, u)
+    G_ref, P_ref = reference_hamiltonian(ops, u)
+    assert np.all(P == 1)
+    np.testing.assert_array_equal(P, P_ref)
+    np.testing.assert_array_equal(G, G_ref)
+
+
+def counted_take_along_axis(monkeypatch):
+    calls = [0]
+    take = np.take_along_axis
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take_along_axis", counted)
+    return calls
+
+
+def test_steps_build_no_index_arrays(monkeypatch):
+    # an explicit step selects its argmax without take_along_axis, and an
+    # implicit march gathers each distinct frozen policy once: 4 arrays per
+    # policy, however many steps reuse it
+    controls = [{"sigma": 1.0, "b": 1.0}, {"sigma": 1.0, "b": -1.0}]
+    pr = make_problem(1, L2PI, 1.0, controls, u0=lambda X: np.sin(X[..., 0]))
+    calls = counted_take_along_axis(monkeypatch)
+    ThetaScheme(pr, exact_grid(32, 1.0, 0.02), theta=0.0).solve()
+    assert calls[0] == 0
+    keys = record_policy_solves(monkeypatch)
+    ThetaScheme(pr, exact_grid(32, 1.0, 0.02), theta=1.0).solve()
+    k = len(set(keys))
+    assert len(keys) > k
+    assert calls[0] <= 4 * k

@@ -196,6 +196,20 @@ def test_switching_solve_fails_fast_on_a_non_finite_value():
         switching_solve(sp)
 
 
+def test_switching_solve_names_the_node_of_a_nan():
+    # nan != nan, so the projection never sees a nan level settle; it must hand
+    # the level back for the solve's own check instead of failing as unsettled
+    def f(t, X):
+        return np.where(t > 0.015, np.nan, np.zeros(np.shape(X)[:-1]))
+
+    base = make_problem(1, L2PI, 0.05, [{"sigma": 0.5}, {"sigma": 0.5, "f": f}], u0=0.0)
+    g = SpaceTimeGrid.build(dim=1, period=L2PI, n_x=8, T=0.05, dt=0.01)
+    sp = SwitchingProblem(base=base, mode_controls=[[0], [1]], k=0.1, grid=g)
+    with pytest.raises(SchemeError,
+                       match=r"switching mode 0: non-finite value at level 3, node \(0,\)"):
+        switching_solve(sp)
+
+
 def test_switching_cfl_guard():
     base = two_mode_base()
     dx = L2PI / 16
