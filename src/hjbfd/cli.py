@@ -177,15 +177,14 @@ def cmd_switching(args) -> int:
     else:
         k_list = [0.4, 0.2, 0.1, 0.05]
     grid = _grid_for(problem, args.nx, args.dt, args.cfl_factor)
-    finest = []
-    report = k_rate_experiment(problem, modes, grid, k_list, theta=args.theta,
-                               builder=args.builder, finest=finest)
+    report, finest = k_rate_experiment(problem, modes, grid, k_list, theta=args.theta,
+                                       builder=args.builder)
     verdict = compare_bounds(report, report.exponent)
     out = _outdir(args)
     write_rate_csv(report, os.path.join(out, "switching.csv"), verdict)
 
-    band = finest[0].coupling_band_violation()
-    scale = 1.0 + float(np.max(np.abs(finest[0].final)))
+    band = finest.coupling_band_violation()
+    scale = 1.0 + float(np.max(np.abs(finest.final)))
     one_sided = max(report.err_minus)
     print(f"switching: slope={_fmt(report.slope)} floor={_fmt(report.exponent - SLOPE_TOLERANCE)} "
           f"one_sided_violation={_fmt(one_sided)} band_violation={_fmt(band)} "

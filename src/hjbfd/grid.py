@@ -24,6 +24,7 @@ __all__ = [
     "SpaceTimeGrid",
     "GridFunction",
     "sup_norm",
+    "first_non_finite",
     "write_csv",
 ]
 
@@ -94,6 +95,13 @@ class SpaceTimeGrid:
         return math.sqrt(self.dx ** 2 + self.dt)
 
 
+def first_non_finite(a: np.ndarray):
+    """Index of the first nan or inf in `a`, as a tuple of ints, or None."""
+    if np.isfinite(a).all():
+        return None
+    return tuple(int(k) for k in np.argwhere(~np.isfinite(a))[0])
+
+
 @dataclass
 class GridFunction:
     """One time slice of grid values, shape grid.shape."""
@@ -107,9 +115,9 @@ class GridFunction:
             raise ConfigError(
                 f"grid function shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
-            bad = np.argwhere(~np.isfinite(self.values))[0]
-            raise ConfigError(f"grid function has a non-finite value at node {tuple(bad)}")
+        bad = first_non_finite(self.values)
+        if bad is not None:
+            raise ConfigError(f"grid function has a non-finite value at node {bad}")
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())

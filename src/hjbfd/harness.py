@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CFLError, ConfigError, NumericalError
-from .grid import GridFunction, SpaceTimeGrid, write_csv
+from .grid import GridFunction, SpaceTimeGrid, first_non_finite, write_csv
 
 __all__ = [
     "FitResult",
@@ -55,16 +55,17 @@ def fit_order(params, errors) -> FitResult:
     """Least-squares slope of log(error) against log(param).
 
     Zero errors are excluded (with a note); fewer than two positive
-    entries makes the fit degenerate with slope 0.
+    entries makes the fit degenerate with slope 0.  A nan or infinite
+    param or error is rejected, as is a param <= 0 or an error < 0.
     """
     params = [float(p) for p in params]
     errors = [float(e) for e in errors]
     if len(params) != len(errors):
         raise ConfigError("fit_order: params and errors must have equal length")
-    if any(p <= 0.0 for p in params):
-        raise ConfigError("fit_order: params must be strictly positive")
-    if any(e < 0.0 for e in errors):
-        raise ConfigError("fit_order: errors must be nonnegative")
+    if not all(0.0 < p < math.inf for p in params):
+        raise ConfigError("fit_order: params must be finite and strictly positive")
+    if not all(0.0 <= e < math.inf for e in errors):
+        raise ConfigError("fit_order: errors must be finite and nonnegative")
     pairs = [(p, e) for p, e in zip(params, errors) if e > 0.0]
     dropped = len(params) - len(pairs)
     note = f"{dropped} zero-error level(s) excluded" if dropped else ""
@@ -120,12 +121,16 @@ def signed_errors(ref, u):
     This is the only place the package measures an error: err_plus =
     |d^+|_0, err_minus = |d^-|_0, err_total = |d|_0.  Callers put the
     reference first, except the switching study, which puts the mode
-    values first to measure v - u_ref.
+    values first to measure v - u_ref.  A nan or inf anywhere in d raises
+    NumericalError: such a level has no error to fit.
     """
     d = np.asarray(ref, dtype=float) - u
+    total = float(np.max(np.abs(d)))
+    if not math.isfinite(total):
+        raise NumericalError(f"non-finite error {total!r} at node {first_non_finite(d)}")
     return (float(np.max(np.maximum(d, 0.0))),
             float(np.max(np.maximum(-d, 0.0))),
-            float(np.max(np.abs(d))))
+            total)
 
 
 def rate_report(param_name: str, rows, exponent: float, notes=(),

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CFLError, ConfigError, SchemeError
-from .grid import GridFunction, SpaceTimeGrid
+from .grid import GridFunction, SpaceTimeGrid, first_non_finite
 from .problem import HJBProblem
 from .stencil import bz_decompose, bz_stencil, kushner_stencil
 
@@ -303,7 +303,7 @@ class ThetaScheme:
         ops.frozen[key] = system
         return system
 
-    def _policy_solve(self, ops: _Ops, P: np.ndarray, rhs: np.ndarray, inner_tol: float):
+    def _policy_solve(self, ops: _Ops, P: np.ndarray, rhs: np.ndarray, inner_tol: float, t):
         """Solve (1 + theta dt (sumC - c)) u - theta dt sum_beta C u(.+beta)
         = rhs + theta dt f for the frozen policy, by Jacobi sweeps.  Returns
         u and the number of sweeps."""
@@ -314,8 +314,12 @@ class ThetaScheme:
         for sweep in range(1, MAX_SWEEPS + 1):
             off = th_dt * np.einsum("o...,o...->...", W_P, u.reshape(-1)[ops.nbr])
             res = diag * u - off - b_rhs
-            if np.abs(res).max() <= inner_tol:
+            worst = np.abs(res).max()
+            if worst <= inner_tol:
                 return u, sweep
+            if not math.isfinite(worst):  # no further sweep can bring it down
+                raise SchemeError(f"implicit step: non-finite Jacobi residual at t={t!r}, "
+                                  f"node {first_non_finite(res)}")
             u = (b_rhs + off) / diag
         raise SchemeError(
             f"implicit step: Jacobi sweeps failed to reach {inner_tol:.1e} "
@@ -333,13 +337,17 @@ class ThetaScheme:
         sweeps = 0
         for it in range(MAX_POLICY_ITERS + 1):
             G, P = self._hamiltonian(ops, u)
-            res = float(np.max(np.abs(u + th_dt * G - rhs)))
+            r = u + th_dt * G - rhs
+            res = np.abs(r).max()
             if res <= tol:
                 return u, StepReport(t=t, policy_iterations=it, sweeps=sweeps,
                                      max_residual=res, argmax=P)
+            if not math.isfinite(res):  # no further iteration can bring it down
+                raise SchemeError(f"implicit step: non-finite residual at t={t!r}, "
+                                  f"node {first_non_finite(r)}")
             if it == MAX_POLICY_ITERS:
                 break
-            u, n = self._policy_solve(ops, P, rhs, inner_tol=0.2 * tol)
+            u, n = self._policy_solve(ops, P, rhs, 0.2 * tol, t)
             sweeps += n
         raise SchemeError(
             f"policy iteration did not converge within {MAX_POLICY_ITERS} "
@@ -359,8 +367,7 @@ class ThetaScheme:
             report = StepReport(t=t_prev + dt, policy_iterations=0, sweeps=0,
                                 max_residual=0.0, argmax=P)
             return rhs, report
-        vals, report = self.implicit_step(rhs, t_prev + dt, inner_tol=inner_tol)
-        return vals, report
+        return self.implicit_step(rhs, t_prev + dt, inner_tol=inner_tol)
 
     def initial_values(self) -> np.ndarray:
         return self.problem.u0_values(self._nodes)
@@ -370,21 +377,15 @@ class ThetaScheme:
         None.  Raises CFLError unless forced; fails fast on NaN.  Each u is a
         fresh array that later steps do not touch."""
         if check_cfl:
-            rep = self.cfl_check()
-            if not rep.ok and not force:
-                raise CFLError(
-                    f"CFL violated: explicit lhs {rep.worst_explicit:.6g}, "
-                    f"implicit lhs {rep.worst_implicit:.6g} (must be <= 1)", rep)
+            self.cfl_guard(force)
         g = self.grid
         u = GridFunction(g, self.initial_values()).values  # rejects non-finite u0
         yield u, None
         for n in range(g.n_t):
             u, rep = self.step(u, n * g.dt)
-            if not np.all(np.isfinite(u)):
-                bad = np.argwhere(~np.isfinite(u))[0]
-                raise SchemeError(
-                    f"non-finite value at t={rep.t!r}, node {tuple(int(k) for k in bad)}"
-                )
+            bad = first_non_finite(u)
+            if bad is not None:
+                raise SchemeError(f"non-finite value at t={rep.t!r}, node {bad}")
             yield u, rep
 
     def solve(self, check_cfl: bool = True, force: bool = False) -> SolveResult:
@@ -396,6 +397,14 @@ class ThetaScheme:
         return SolveResult(self, GridFunction(self.grid, u), iters)
 
     # ----- checks and probes --------------------------------------------------
+
+    def cfl_guard(self, force: bool = False) -> None:
+        """Run `cfl_check` and raise CFLError on a violation, unless forced."""
+        rep = self.cfl_check()
+        if not rep.ok and not force:
+            raise CFLError(
+                f"CFL violated: explicit lhs {rep.worst_explicit:.6g}, "
+                f"implicit lhs {rep.worst_implicit:.6g} (must be <= 1)", rep)
 
     def cfl_check(self) -> CFLReport:
         """Report-only check of both step-size conditions at every node,

@@ -5,14 +5,11 @@ problem and couples the modes through the constraint
 
     v_i <= min_{j != i} v_j + k,     k > 0 the switching cost,
 
-all modes starting from the same initial data.  One time level advances
-by (a) computing each mode's candidate value with the plain theta-scheme
-step restricted to A_i and (b) projecting onto the constraint by
-Gauss-Seidel sweeps in fixed mode order until nothing changes; positive
-k forbids switching cycles, so at most M sweeps are ever needed.
-
-`switching_solve` holds only the current level of every mode and folds
-the coupling-band spread as it marches.
+all modes starting from the same initial data.  The modes travel as one
+stacked array of shape (M, *grid).  One time level advances by (a)
+computing each mode's candidate value with the plain theta-scheme step
+restricted to A_i and (b) projecting the stacked candidates onto the
+constraint in closed form (`obstacle_projection`).
 
 As k shrinks, every component approaches (from above) the solution of
 the scalar problem with the union control set; `k_rate_experiment`
@@ -27,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CFLError, ConfigError, SchemeError
-from .grid import GridFunction, SpaceTimeGrid
+from .errors import ConfigError, SchemeError
+from .grid import GridFunction, SpaceTimeGrid, first_non_finite
 from .harness import RateReport, rate_report, signed_errors
 from .problem import HJBProblem
 from .scheme import STUDY_TOL, ThetaScheme
@@ -36,6 +33,7 @@ from .scheme import STUDY_TOL, ThetaScheme
 __all__ = [
     "SwitchingProblem",
     "SwitchingSolution",
+    "obstacle_projection",
     "switching_step",
     "switching_solve",
     "k_rate_experiment",
@@ -52,6 +50,7 @@ class SwitchingProblem:
     grid: SpaceTimeGrid
     theta: float = 0.0
     builder: str = "kushner"
+    schemes: list = field(init=False, repr=False)  # one ThetaScheme per mode
 
     def __post_init__(self):
         if self.k <= 0.0:
@@ -69,18 +68,11 @@ class SwitchingProblem:
                 seen.add(idx)
         if seen != set(range(n)):
             raise ConfigError("mode control subsets must cover the full control set")
-        self._schemes = [
+        self.schemes = [
             ThetaScheme(self.base.restrict(mode), self.grid, self.theta,
                         builder=self.builder, tol=STUDY_TOL)
             for mode in self.mode_controls
         ]
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.mode_controls)
-
-    def mode_schemes(self) -> list:
-        return self._schemes
 
 
 @dataclass
@@ -98,57 +90,46 @@ class SwitchingSolution:
         return self.spread - self.k
 
 
-def _obstacle_sweeps(vals: list, k: float) -> list:
-    """Gauss-Seidel projection v_i <- min(v_i, min_{j != i} v_j + k) to a fixed point.
+def obstacle_projection(v: np.ndarray, k: float) -> np.ndarray:
+    """Project stacked mode values v, shape (M, *grid), onto the constraint:
+    v_i <- min(v_i, min_{j != i} v_j + k), every mode from the same input.
 
-    Positive k allows at most M changing sweeps; 2M + 2 leaves a margin."""
-    M = len(vals)
-    vals = [v.copy() for v in vals]
-    for _ in range(2 * M + 2):
-        changed = False
-        for i in range(M):
-            others = np.min(np.stack([vals[j] for j in range(M) if j != i]), axis=0)
-            clipped = np.minimum(vals[i], others + k)
-            if np.any(clipped != vals[i]):
-                vals[i] = clipped
-                changed = True
-        if not changed:
-            return vals
-    if not all(np.isfinite(v).all() for v in vals):
-        return vals  # nan != nan keeps a sweep "changing"; the caller names the node
-    raise SchemeError("obstacle projection did not reach a fixed point")
+    For k > 0 this one pass gives the values that Gauss-Seidel sweeps in
+    mode order settle on.  A sweep lowers v_i only to w = fl(v_l + k),
+    l != i.  A later mode j then sees fl(w + k) >= w in place of
+    fl(v_i + k) >= fl(w + k), as rounding is monotone and fl(x + k) >= x;
+    and w is one of mode j's own candidates (l != j) or at least v_j
+    (l = j).  So neither decides the minimum, and a second sweep changes
+    nothing.  Only the sign of a zero at a -0.0/+0.0 tie can differ, which
+    no later step or error norm turns into a different value.  A nan at a
+    node spreads to every mode there, through min and minimum.
+    """
+    return np.stack([np.minimum(v[i], np.delete(v, i, axis=0).min(axis=0) + k)
+                     for i in range(len(v))])
 
 
-def switching_step(sp: SwitchingProblem, v_prev: list, t_prev: float) -> list:
-    """Advance all modes one level: candidate scheme steps, then projection."""
-    cands = []
-    for scheme, v in zip(sp.mode_schemes(), v_prev):
-        w, _ = scheme.step(np.asarray(v, dtype=float), t_prev)
-        cands.append(w)
-    return _obstacle_sweeps(cands, sp.k)
+def switching_step(sp: SwitchingProblem, v: np.ndarray, t: float) -> np.ndarray:
+    """Advance the stacked modes v, shape (M, *grid), one level from t:
+    candidate scheme steps, then the projection."""
+    return obstacle_projection(
+        np.stack([scheme.step(vi, t)[0] for scheme, vi in zip(sp.schemes, v)]), sp.k)
 
 
-def switching_solve(sp: SwitchingProblem, check_cfl: bool = True,
-                    force: bool = False) -> SwitchingSolution:
+def switching_solve(sp: SwitchingProblem) -> SwitchingSolution:
     """March the coupled system from v_0 = (u0, ..., u0) to the horizon,
     keeping only the current level and the folded coupling spread."""
-    if check_cfl:
-        for scheme in sp.mode_schemes():
-            rep = scheme.cfl_check()
-            if not rep.ok and not force:
-                raise CFLError(
-                    f"CFL violated for a switching mode: explicit lhs "
-                    f"{rep.worst_explicit:.6g}, implicit lhs {rep.worst_implicit:.6g}", rep)
+    for scheme in sp.schemes:
+        scheme.cfl_guard()
     g = sp.grid
-    u0 = GridFunction(g, sp.mode_schemes()[0].initial_values()).values  # finite u0
-    v = np.stack([u0] * sp.n_modes)  # equal components satisfy the constraint
+    u0 = GridFunction(g, sp.schemes[0].initial_values()).values  # finite u0
+    v = np.stack([u0] * len(sp.schemes))  # equal components satisfy the constraint
     spread = 0.0
     for n in range(g.n_t):
-        v = np.array(switching_step(sp, v, n * g.dt))
+        v = switching_step(sp, v, n * g.dt)
         # a nan or inf anywhere in v makes this level's spread nan or inf
         level = float((np.maximum.reduce(v) - np.minimum.reduce(v)).max())
-        if not math.isfinite(level) and not np.all(np.isfinite(v)):
-            i, *node = (int(x) for x in np.argwhere(~np.isfinite(v))[0])
+        if not math.isfinite(level) and (bad := first_non_finite(v)) is not None:
+            i, *node = bad
             raise SchemeError(f"switching mode {i}: non-finite value at level {n + 1}, "
                               f"node {tuple(node)}")
         spread = max(spread, level)
@@ -156,8 +137,8 @@ def switching_solve(sp: SwitchingProblem, check_cfl: bool = True,
 
 
 def k_rate_experiment(base: HJBProblem, mode_controls: list, grid: SpaceTimeGrid,
-                      k_list, theta: float = 0.0, builder: str = "kushner",
-                      finest: list | None = None) -> RateReport:
+                      k_list, theta: float = 0.0,
+                      builder: str = "kushner") -> tuple[RateReport, SwitchingSolution]:
     """Decay of the switching gap as the cost k shrinks, on one fixed grid.
 
     For each k the system is solved and compared at the final time against
@@ -170,9 +151,8 @@ def k_rate_experiment(base: HJBProblem, mode_controls: list, grid: SpaceTimeGrid
     tolerance.  The slope of err_plus vs k is fitted log-log; identical
     errors across all k flag the report degenerate.
 
-    When `finest` is given, the SwitchingSolution at the smallest k is
-    appended to it, so a caller can check that solution without solving
-    it again.
+    Returns (report, solution at the smallest k), so a caller can check
+    that solution without solving it again.
     """
     ks = sorted((float(k) for k in k_list), reverse=True)
     if len(ks) < 2:
@@ -184,6 +164,4 @@ def k_rate_experiment(base: HJBProblem, mode_controls: list, grid: SpaceTimeGrid
         sol = switching_solve(SwitchingProblem(base=base, mode_controls=mode_controls, k=k,
                                                grid=grid, theta=theta, builder=builder))
         rows.append((k, grid.dx, grid.dt, *signed_errors(sol.final, u_ref)))
-        if finest is not None and k == ks[-1]:
-            finest.append(sol)
-    return rate_report("k", rows, 1.0 / 3.0, fit_plus=True)
+    return rate_report("k", rows, 1.0 / 3.0, fit_plus=True), sol

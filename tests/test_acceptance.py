@@ -178,7 +178,7 @@ def test_06_switching_cost_rate_one_sided_band():
     g = SpaceTimeGrid.build(dim=1, period=L2PI, n_x=64, T=0.5,
                             dt=0.45 * (L2PI / 64) ** 2)
     k_list = [0.4, 0.2, 0.1, 0.05]
-    rep = k_rate_experiment(base, [[0], [1]], g, k_list, theta=0.0)
+    rep, _ = k_rate_experiment(base, [[0], [1]], g, k_list, theta=0.0)
     ref = ThetaScheme(base, g, theta=0.0).solve()
     scale = max(1.0, float(np.max(np.abs(ref.final.values))))
     band_worst = 0.0

@@ -175,6 +175,18 @@ def test_rates_cfl_violation_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: numerical: CFL violated")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_solve_overflow_exits_two_at_once(tmp_path, capsys):
+    # u0 of amplitude 1e308 overflows the first implicit step's residual
+    doc = json.loads((CONFIGS / "heat.json").read_text())
+    doc["u0"]["params"] = {"amplitude": 1e308}
+    code = main(["solve", write_config(tmp_path, doc), "--nx", "16",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert re.match(r"error: numerical: implicit step: non-finite residual at t=\S+, node \(\d+,\)",
+                    capsys.readouterr().err)
+
+
 def test_solve_cfl_violation_writes_nothing(tmp_path, capsys):
     # solve streams its trajectory, but the step-size guard runs before any file is opened
     out = tmp_path / "o"

@@ -19,7 +19,7 @@ from hjbfd import (
     signed_errors,
     write_rate_csv,
 )
-from hjbfd.errors import CFLError, ConfigError, SchemeError
+from hjbfd.errors import CFLError, ConfigError, NumericalError, SchemeError
 from hjbfd.scheme import ThetaScheme
 from hjbfd.harness import write_plot_script
 
@@ -72,6 +72,11 @@ def test_fit_order_input_validation():
         fit_order([1.0, -0.5], [1.0, 0.5])
     with pytest.raises(ConfigError):
         fit_order([1.0, 0.5], [1.0, -0.5])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
+            fit_order([1.0, 2.0, 3.0], [bad, 1e-3, 2e-3])
+        with pytest.raises(ConfigError, match="finite and strictly positive"):
+            fit_order([bad, 0.5, 0.25], [1.0, 0.5, 0.25])
 
 
 def make_report(errs, params=None, slope=None, exponent=0.5, degenerate=False):
@@ -234,6 +239,25 @@ def test_signed_errors_orientation():
     assert signed_errors(ref, u) == (0.5, 0.5, 0.5)
     assert signed_errors(ref, u - 1.0) == (1.5, 0.0, 1.5)
     assert signed_errors(u - 1.0, ref) == (0.0, 1.5, 1.5)
+
+
+def test_signed_errors_reject_a_non_finite_error():
+    ref = np.zeros(4)
+    for bad in (np.nan, np.inf, -np.inf):
+        u = np.zeros(4)
+        u[2] = bad
+        with pytest.raises(NumericalError, match=r"non-finite error .* node \(2,\)"):
+            signed_errors(ref, u)
+
+
+def test_run_refinement_drops_a_level_with_a_non_finite_error():
+    # the reference is nan on the 16-node grid only, so that level has no error
+    pr, ref = heat_study()
+    nan_ref = ReferenceSolution(
+        "exact", exact=lambda t, X: ref.exact(t, X) + (np.nan if len(X) == 16 else 0.0))
+    rep = run_refinement(pr, {"theta": 0.0}, heat_levels([8, 16, 32]), nan_ref)
+    assert len(rep.params) == 2
+    assert any("n_x=16" in n and "non-finite error" in n for n in rep.notes)
 
 
 def test_rate_report_sorts_rows_and_fits():

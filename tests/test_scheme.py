@@ -399,6 +399,31 @@ def test_nan_in_source_fails_fast():
         sch.solve()
 
 
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_nan_source_fails_fast_in_the_implicit_step(theta):
+    # the source turns nan at t > 0.015, so the residual of the step to
+    # t = 0.02 is nan: the step raises there instead of sweeping to its cap
+    def f(t, X):
+        return np.where(t > 0.015, np.nan, np.zeros(np.shape(X)[:-1]))
+
+    pr = make_problem(1, L2PI, 0.05, [{"sigma": 0.5, "f": f}], u0=0.0)
+    sch = ThetaScheme(pr, exact_grid(8, 0.05, 0.01), theta=theta)
+    with pytest.raises(SchemeError,
+                       match=r"implicit step: non-finite residual at t=0\.02, node \(0,\)"):
+        sch.solve()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")  # inf - inf
+def test_jacobi_sweeps_fail_fast_on_a_non_finite_residual():
+    sch = ThetaScheme(heat_problem(), exact_grid(8, 1.0, 0.1), theta=1.0)
+    ops = sch._ops_at(0.1)
+    rhs = np.zeros(8)
+    rhs[0] = np.inf
+    with pytest.raises(SchemeError,
+                       match=r"non-finite Jacobi residual at t=0\.1, node \(0,\)"):
+        sch._policy_solve(ops, np.zeros(8, dtype=np.intp), rhs, 1e-12, 0.1)
+
+
 def test_manufactured_two_control_convergence():
     exact = decaying_wave(1, L2PI, [1], rate=0.5)
     mp = manufacture(1, L2PI, 0.5,
@@ -449,11 +474,11 @@ def record_policy_solves(monkeypatch, forget=False):
     keys = []
     solve = ThetaScheme._policy_solve
 
-    def wrapped(self, ops, P, rhs, inner_tol):
+    def wrapped(self, ops, P, *args):
         keys.append(P.tobytes())
         if forget:
             ops.frozen.clear()
-        return solve(self, ops, P, rhs, inner_tol)
+        return solve(self, ops, P, *args)
 
     monkeypatch.setattr(ThetaScheme, "_policy_solve", wrapped)
     return keys

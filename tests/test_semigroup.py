@@ -20,7 +20,7 @@ from hjbfd import (
     splitting_step,
     splitting_vs_inner_check,
 )
-from hjbfd.errors import ConfigError
+from hjbfd.errors import ConfigError, NumericalError, SchemeError
 
 L2PI = 2 * np.pi
 
@@ -60,6 +60,22 @@ def test_heat_flow_matches_decay():
     u = np.sin(g_x)
     out = flow.apply(u, 0.1, 64)
     np.testing.assert_allclose(out, math.exp(-0.05) * u, atol=2e-3)
+
+
+def test_flow_fails_fast_on_non_finite_values():
+    # split and pcc march through these flows: a nan must raise, not sweep
+    flow = SemigroupFlow(1, L2PI, 8, [{"sigma": 1.0}])
+    u = np.zeros(8)
+    u[3] = np.nan
+    with pytest.raises(SchemeError, match=r"non-finite residual at t=0\.125, node \(2,\)"):
+        flow.apply(u, 0.25, 2)
+
+
+def test_semigroup_rate_experiment_fails_on_non_finite_errors():
+    ref = np.zeros(8)
+    with pytest.raises(NumericalError, match="non-finite error"):
+        semigroup_rate_experiment(lambda d: ref + np.nan, ref, [0.1, 0.05, 0.025],
+                                  exponent=1.0)
 
 
 def test_flow_rejects_bad_arguments():

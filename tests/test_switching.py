@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hjbfd import (
     SpaceTimeGrid,
@@ -16,6 +19,7 @@ from hjbfd import (
     switching_step,
 )
 from hjbfd.errors import CFLError, ConfigError, SchemeError
+from hjbfd.switching import obstacle_projection
 
 L2PI = 2 * np.pi
 
@@ -57,7 +61,7 @@ def test_identical_modes_stay_equal_and_degenerate():
     ref = ThetaScheme(base, g, theta=0.0).solve()
     for i in range(2):
         np.testing.assert_allclose(sol.final[i], ref.final.values, atol=1e-12)
-    rep = k_rate_experiment(base, [[0], [0]], g, [0.4, 0.2, 0.1])
+    rep, _ = k_rate_experiment(base, [[0], [0]], g, [0.4, 0.2, 0.1])
     assert rep.degenerate
 
 
@@ -81,7 +85,7 @@ def test_one_step_obstacle_activation_exact():
     base = make_problem(1, L2PI, 0.01, [{"f": 0.0}, {"f": -10.0}], u0=0.0)
     g = SpaceTimeGrid.build(dim=1, period=L2PI, n_x=8, T=0.01, dt=0.01)
     sp = SwitchingProblem(base=base, mode_controls=[[0], [1]], k=0.01, grid=g)
-    vals = switching_step(sp, [np.zeros(8), np.zeros(8)], 0.0)
+    vals = switching_step(sp, np.zeros((2, 8)), 0.0)
     np.testing.assert_allclose(vals[0], -0.09, atol=1e-15)
     np.testing.assert_allclose(vals[1], -0.10, atol=1e-15)
 
@@ -124,7 +128,7 @@ def test_switching_gap_monotone_in_k():
 def test_k_rate_experiment_report():
     base = two_mode_base()
     g = fine_grid()
-    rep = k_rate_experiment(base, [[0], [1]], g, [0.4, 0.2, 0.1, 0.05])
+    rep, _ = k_rate_experiment(base, [[0], [1]], g, [0.4, 0.2, 0.1, 0.05])
     assert rep.param_name == "k"
     assert rep.params == [0.4, 0.2, 0.1, 0.05]
     assert not rep.degenerate
@@ -138,14 +142,13 @@ def test_k_rate_experiment_report():
 def test_k_rate_experiment_hands_back_the_smallest_k_solution():
     base = two_mode_base()
     g = fine_grid()
-    finest = []
-    rep = k_rate_experiment(base, [[0], [1]], g, [0.1, 0.4, 0.2], finest=finest)
-    assert len(finest) == 1 and finest[0].k == 0.1
+    rep, finest = k_rate_experiment(base, [[0], [1]], g, [0.1, 0.4, 0.2])
+    assert finest.k == 0.1
     again = switching_solve(SwitchingProblem(base=base, mode_controls=[[0], [1]], k=0.1,
                                              grid=g))
-    np.testing.assert_array_equal(finest[0].final, again.final)
-    assert finest[0].final.shape == (2,) + g.shape
-    assert finest[0].coupling_band_violation() == again.coupling_band_violation() <= 1e-12
+    np.testing.assert_array_equal(finest.final, again.final)
+    assert finest.final.shape == (2,) + g.shape
+    assert finest.coupling_band_violation() == again.coupling_band_violation() <= 1e-12
     assert rep.params == [0.4, 0.2, 0.1]
 
 
@@ -155,7 +158,7 @@ def test_band_violation_is_folded_over_every_level():
     base = two_mode_base()
     g = fine_grid()
     sp = SwitchingProblem(base=base, mode_controls=[[0], [1]], k=0.3, grid=g)
-    v = [np.sin(g.nodes()[..., 0])] * 2
+    v = np.stack([np.sin(g.nodes()[..., 0])] * 2)
     spreads = []
     for n in range(g.n_t):
         v = switching_step(sp, v, n * g.dt)
@@ -163,7 +166,7 @@ def test_band_violation_is_folded_over_every_level():
     assert max(spreads) > spreads[-1]
     sol = switching_solve(sp)
     assert sol.coupling_band_violation() == max(spreads) - 0.3
-    np.testing.assert_array_equal(sol.final, np.stack(v))
+    np.testing.assert_array_equal(sol.final, v)
 
 
 def test_switching_memory_does_not_grow_with_time_steps():
@@ -197,8 +200,8 @@ def test_switching_solve_fails_fast_on_a_non_finite_value():
 
 
 def test_switching_solve_names_the_node_of_a_nan():
-    # nan != nan, so the projection never sees a nan level settle; it must hand
-    # the level back for the solve's own check instead of failing as unsettled
+    # mode 1's nan spreads to mode 0 through the projection's min, so the
+    # solve's own check names mode 0 at the level where the nan appears
     def f(t, X):
         return np.where(t > 0.015, np.nan, np.zeros(np.shape(X)[:-1]))
 
@@ -215,7 +218,58 @@ def test_switching_cfl_guard():
     dx = L2PI / 16
     g = SpaceTimeGrid.build(dim=1, period=L2PI, n_x=16, T=0.5, dt=4.0 * dx * dx)
     sp = SwitchingProblem(base=base, mode_controls=[[0], [1]], k=0.1, grid=g)
-    with pytest.raises(CFLError):
+    with pytest.raises(CFLError, match="CFL violated"):
         switching_solve(sp)
-    # forcing skips the guard (the run may still be garbage, but it runs)
-    switching_solve(sp, force=True)
+
+
+def gauss_seidel_projection(v, k):
+    """Reference: sweep v_i <- min(v_i, min_{j != i} v_j + k) in mode order,
+    storing a mode only when its value changes, until a sweep changes nothing
+    (at most 2M + 2 sweeps; a nan never settles and is handed back)."""
+    vals = [row.copy() for row in v]
+    M = len(vals)
+    for _ in range(2 * M + 2):
+        changed = False
+        for i in range(M):
+            others = np.min(np.stack([vals[j] for j in range(M) if j != i]), axis=0)
+            clipped = np.minimum(vals[i], others + k)
+            if np.any(clipped != vals[i]):
+                vals[i] = clipped
+                changed = True
+        if not changed:
+            return np.stack(vals)
+    assert not all(np.isfinite(row).all() for row in vals), "sweeps did not settle"
+    return np.stack(vals)
+
+
+@st.composite
+def stacked_modes(draw):
+    # k spans 1e-12..1; with values near 1e6 (ulp ~1.2e-10) a small k rounds
+    # away in v + k, and values k apart or equal give ties on the band edge
+    k = draw(st.one_of(st.sampled_from([1e-12, 1e-9, 0.25, 1.0]),
+                       st.floats(1e-12, 1.0)))
+    shape = (draw(st.integers(2, 4)),) + draw(st.sampled_from([(1,), (5,), (2, 3), (3, 3)]))
+    pool = st.sampled_from([0.0, -0.0, 1.0, -1.0, k, -k, 1.0 + k, 1e6, 1e6 + k])
+    elements = st.one_of(pool, st.floats(-1e6, 1e6, allow_nan=False))
+    return draw(arrays(np.float64, shape, elements=elements)), k
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(stacked_modes())
+def test_projection_matches_gauss_seidel_sweeps(case):
+    v, k = case
+    out = obstacle_projection(v, k)
+    ref = gauss_seidel_projection(v, k)
+    np.testing.assert_array_equal(out, ref)  # equal values; -0.0 == 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(stacked_modes(), st.data())
+def test_projection_spreads_a_nan_to_every_mode(case, data):
+    v, k = case
+    mode = data.draw(st.integers(0, len(v) - 1))
+    node = tuple(data.draw(st.integers(0, n - 1)) for n in v.shape[1:])
+    v[(mode,) + node] = np.nan
+    out = obstacle_projection(v, k)
+    assert np.all(np.isnan(out[(slice(None),) + node]))
+    np.testing.assert_array_equal(out, gauss_seidel_projection(v, k))
