@@ -14,7 +14,9 @@ Each subcommand accepts only the flags it reads.  Exit codes: 0 success,
 1 bad configuration or usage (unknown flag, malformed or non-finite
 number, out-of-range count), 2 numerical failure (CFL violation,
 divergence, rate below its floor), 3 probe failure.  Errors print exactly
-one line on stderr of the form "error: <kind>: <reason>".
+one line on stderr of the form "error: <kind>: <reason>".  Commands run
+with numpy's floating-point warnings off: an overflow or nan is reported
+by the solvers' own finiteness checks, as that one line.
 
 Outputs are deterministic: identical configs and flags give byte-identical
 CSV files and gnuplot scripts (floats via repr, no timestamps).
@@ -411,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1

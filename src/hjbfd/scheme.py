@@ -158,24 +158,41 @@ class _Ops:
         L_h^alpha u = sum_o W[alpha, o] u.flat[nbr[o]] - csum[alpha] u.
 
     The weight arrays end in the grid shape, or in ones when no weight
-    varies in space, so broadcasting serves both cases.  The Hamiltonian
-    contracts space-independent weights as one dense matrix product, whose
-    rounding matches a BLAS product over the whole grid.
+    varies in space, so broadcasting serves both cases.  `csum`, `c` and
+    `f` carry a unit axis after the control axis, where a stack of B
+    states puts its member axis.  The Hamiltonian contracts
+    space-independent weights as one dense matrix product, whose rounding
+    matches a BLAS product over the whole grid.
 
     `frozen` maps a policy's bytes to its frozen-policy system (W_P, the
     diagonal, theta dt f_P), most recently used last; an entry is stored
     only once its diagonal has passed the positivity check."""
 
-    __slots__ = ("W", "csum", "nbr", "c", "f", "node", "frozen")
+    __slots__ = ("W", "Wmat", "csum", "nbr", "c", "f", "frozen", "stacks")
 
     def __init__(self, W, csum, nbr, c, f):
+        n_c, n_o = W.shape[:2]
         self.W = W            # (n_c, n_o, *grid) or (n_c, n_o, 1, ..., 1)
-        self.csum = csum      # W summed over offsets: (n_c, *grid) or (n_c, 1, ..., 1)
+        # (n_c, n_o) when no weight varies in space, else None
+        self.Wmat = W.reshape(n_c, n_o) if math.prod(W.shape[2:]) == 1 else None
+        self.csum = csum[:, None]  # W summed over offsets: (n_c, 1, *grid) or (n_c, 1, ..., 1)
         self.nbr = nbr        # (n_o, *grid) flat index of each node's neighbour per offset
-        self.c = c            # (n_c, *grid)
-        self.f = f            # (n_c, *grid)
-        self.node = np.arange(c[0].size)  # flat node index, pairs with a flat policy
+        self.c = c[:, None]   # (n_c, 1, *grid)
+        self.f = f[:, None]   # (n_c, 1, *grid)
         self.frozen = {}
+        self.stacks = {}
+
+    def stack_index(self, size: int):
+        """Flat neighbour index (n_o, size) and flat node index (size,) of a
+        stack of size // N states, N the node count; built once per size."""
+        index = self.stacks.get(size)
+        if index is None:
+            n_o, N = len(self.nbr), self.c[0].size
+            nbr = self.nbr.reshape(n_o, N)  # a view when size == N
+            if size != N:
+                nbr = (nbr[:, None] + np.arange(0, size, N)[:, None]).reshape(n_o, size)
+            index = self.stacks[size] = (nbr, np.arange(size))
+        return index
 
 
 class ThetaScheme:
@@ -269,20 +286,22 @@ class ThetaScheme:
         return ops
 
     def _hamiltonian(self, ops: _Ops, u: np.ndarray):
-        """G(s, u) = max_alpha(-L_h u - c u - f) and its argmax field."""
-        nb = u.reshape(-1)[ops.nbr]                                          # (n_o, *grid)
-        if ops.W.shape[2:] == u.shape:
-            Lu = np.einsum("co...,o...->c...", ops.W, nb)
-        else:  # space-independent weights: one (n_c, n_o) @ (n_o, N) matrix product
-            Lu = (ops.W.reshape(ops.W.shape[:2]) @ nb.reshape(len(nb), u.size)).reshape(
-                (-1,) + u.shape)
+        """G(s, u) = max_alpha(-L_h u - c u - f) and its argmax field, for
+        one state of the grid's shape or a stack of B states (B, *grid)."""
+        nbr, node = ops.stack_index(u.size)
+        nb = u.reshape(-1)[nbr]                                              # (n_o, B N)
+        stack = (-1,) + self.grid.shape                                      # (B, *grid)
+        if ops.Wmat is None:
+            Lu = np.einsum("co...,ob...->cb...", ops.W, nb.reshape((len(nb),) + stack))
+        else:  # space-independent weights: one (n_c, n_o) @ (n_o, B N) matrix product
+            Lu = (ops.Wmat @ nb).reshape((len(ops.Wmat),) + stack)
         Lu -= ops.csum * u
         vals = np.negative(Lu, out=Lu)  # -Lu - c u - f, one temporary fewer
         vals -= ops.c * u
         vals -= ops.f
         P = vals.argmax(axis=0)
-        G = vals.reshape(len(vals), -1)[P.ravel(), ops.node].reshape(u.shape)
-        return G, P
+        G = vals.reshape(len(vals), -1)[P.ravel(), node].reshape(u.shape)
+        return G, P.reshape(u.shape)
 
     def _frozen_system(self, ops: _Ops, P: np.ndarray):
         """(W_P, diag, theta dt f_P) of the frozen policy P, from the operator's
@@ -292,7 +311,7 @@ class ThetaScheme:
         if system is None:
             th_dt = self.theta * self.grid.dt
             W_P = np.take_along_axis(ops.W, P[None, None], axis=0)[0]          # (n_o, *grid)
-            csum_P, c_P, f_P = (np.take_along_axis(a, P[None], axis=0)[0]
+            csum_P, c_P, f_P = (np.take_along_axis(a, P[None, None], axis=0)[0, 0]
                                 for a in (ops.csum, ops.c, ops.f))
             diag = 1.0 + th_dt * (csum_P - c_P)
             if np.any(diag <= 0.0):
@@ -355,7 +374,14 @@ class ThetaScheme:
         )
 
     def step(self, u_prev: np.ndarray, t_prev: float, inner_tol: float | None = None):
-        """Advance one level from t_prev.  Returns (values, report)."""
+        """Advance one level from t_prev.  Returns (values, report).
+
+        u_prev is one state of the grid's shape or a stack (B, *grid) of
+        states, each advanced bit for bit as if alone: the explicit part
+        takes the whole stack in one gather, one contraction and one argmax,
+        the implicit part solves member by member.  A stack's report holds
+        the largest iteration count and residual, the summed sweeps and the
+        stacked argmax."""
         dt = self.grid.dt
         if self.theta < 1.0:
             ops = self._ops_at(t_prev)
@@ -367,7 +393,14 @@ class ThetaScheme:
             report = StepReport(t=t_prev + dt, policy_iterations=0, sweeps=0,
                                 max_residual=0.0, argmax=P)
             return rhs, report
-        return self.implicit_step(rhs, t_prev + dt, inner_tol=inner_tol)
+        if rhs.ndim == self.grid.dim:
+            return self.implicit_step(rhs, t_prev + dt, inner_tol=inner_tol)
+        members = [self.implicit_step(r, t_prev + dt, inner_tol=inner_tol) for r in rhs]
+        reps = [rep for _, rep in members]
+        return np.stack([u for u, _ in members]), StepReport(
+            t=t_prev + dt, policy_iterations=max(r.policy_iterations for r in reps),
+            sweeps=sum(r.sweeps for r in reps), max_residual=max(r.max_residual for r in reps),
+            argmax=np.stack([r.argmax for r in reps]))
 
     def initial_values(self) -> np.ndarray:
         return self.problem.u0_values(self._nodes)

@@ -245,7 +245,7 @@ def _inner_estimate(u_m: np.ndarray, u_2m: np.ndarray) -> float:
 
 def calibrate_inner_steps(sp: SplitProblem, dt: float, reference: np.ndarray,
                           m0: int = 2, cap: int = 256, fraction: float = 0.01,
-                          notes: list | None = None) -> int:
+                          notes: list | None = None, solution: list | None = None) -> int:
     """Double m until the inner-stepping error estimate is at most `fraction`
     of the splitting error against `reference`, or until the doubling
     reaches the cap (an m0 at or above the cap is returned as it is).  The
@@ -254,7 +254,9 @@ def calibrate_inner_steps(sp: SplitProblem, dt: float, reference: np.ndarray,
 
     When the cap stops the doubling before the target is met, a line
     saying so, with the last estimate (m = cap/2 against cap) and its
-    target, is appended to `notes`.
+    target, is appended to `notes`.  The final-time values of the run at
+    the returned m, when one was made, are appended to `solution`, so a
+    caller need not solve it again.
     """
     m = int(m0)
     if m >= cap:
@@ -265,15 +267,18 @@ def calibrate_inner_steps(sp: SplitProblem, dt: float, reference: np.ndarray,
         est = _inner_estimate(u_m, u_2m)
         target = fraction * signed_errors(reference, u_2m)[2]
         if est <= target:
-            return m
+            break
         m *= 2
+        u_m = u_2m
         if m >= cap:
             if notes is not None:
                 notes.append(f"inner substeps capped at m={m}: inner error estimate "
                              f"{est:.3e} misses the target {target:.3e} "
                              f"({100 * fraction:g}% of the splitting error)")
-            return m
-        u_m = u_2m
+            break
+    if solution is not None:
+        solution.append(u_m)
+    return m
 
 
 def _combined_reference(problem, grid_template: SpaceTimeGrid, dt_ref: float,
@@ -317,13 +322,17 @@ def splitting_rate_experiment(sp: SplitProblem, dt_list, m: int | None = None,
     ref = _combined_reference(sp.combined_problem(), tmpl, dts[-1] / REF_FACTOR,
                               sp.builder)
     notes = [f"reference dt={dts[-1] / REF_FACTOR!r}"]
+    finest = []  # calibration's run at dts[-1] and the chosen m, when it made one
     if m is None:
-        m = calibrate_inner_steps(sp, dts[-1], ref, notes=notes)
+        m = calibrate_inner_steps(sp, dts[-1], ref, notes=notes, solution=finest)
         notes.append(f"inner substeps calibrated: m={m}")
     else:
         notes.append(f"inner substeps m={m}")
-    return semigroup_rate_experiment(lambda d: splitting_solve(sp, d, m), ref, dts,
-                                     exponent, dx=tmpl.dx, notes=notes)
+
+    def stepper(d):
+        return finest[0] if finest and d == dts[-1] else splitting_solve(sp, d, m)
+
+    return semigroup_rate_experiment(stepper, ref, dts, exponent, dx=tmpl.dx, notes=notes)
 
 
 @dataclass

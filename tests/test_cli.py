@@ -438,3 +438,17 @@ def test_console_script_help_smoke():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "solve" in proc.stdout and "decompose" in proc.stdout
+
+
+def test_overflow_prints_one_error_line_and_no_warnings(tmp_path):
+    # u0 of amplitude 1e308 overflows in the first step's products; numpy's
+    # warnings stay off, and the residual check reports it as one line
+    doc = load_json(str(CONFIGS / "heat.json"))
+    doc["u0"] = {"name": "sin_sum", "params": {"amplitude": 1e308}}
+    cfg = write_config(tmp_path, doc)
+    proc = subprocess.run([sys.executable, "-m", "hjbfd.cli", "solve", cfg, "--nx", "16",
+                           "--out", str(tmp_path / "o")], capture_output=True, text=True)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: numerical: implicit step: non-finite residual")

@@ -527,15 +527,17 @@ def test_nonpositive_diagonal_raises_on_every_use():
 
 
 def reference_hamiltonian(ops, u):
-    """G and its argmax as built with an out-of-place sum and take_along_axis."""
+    """G and its argmax as built with an out-of-place sum and take_along_axis
+    (csum, c and f drop the operator's unit member axis)."""
+    csum, c, f = (a[:, 0] for a in (ops.csum, ops.c, ops.f))
     nb = u.reshape(-1)[ops.nbr]
     if ops.W.shape[2:] == u.shape:
         Lu = np.einsum("co...,o...->c...", ops.W, nb)
     else:
         Lu = (ops.W.reshape(ops.W.shape[:2]) @ nb.reshape(len(nb), u.size)).reshape(
             (-1,) + u.shape)
-    Lu -= ops.csum * u
-    vals = -Lu - ops.c * u - ops.f
+    Lu -= csum * u
+    vals = -Lu - c * u - f
     P = np.argmax(vals, axis=0)
     return np.take_along_axis(vals, P[None], axis=0)[0], P
 
@@ -593,3 +595,42 @@ def test_steps_build_no_index_arrays(monkeypatch):
     k = len(set(keys))
     assert len(keys) > k
     assert calls[0] <= 4 * k
+
+
+# (dim, controls) for the stacked step: 1D with two offsets and no centre, and
+# the 2D 9-point stencil (cross terms of both signs), each with constant and
+# with space-varying weights; one control gives the 1-row product of a
+# switching mode
+STACK_CASES = {
+    "1d": FROZEN_CASES["1d"],
+    "1d-one-control": (1, [{"sigma": 0.8, "b": 0.7}]),
+    "1d-varying": FROZEN_CASES["1d-varying"],
+    "2d-9pt": (2, [{"sigma": np.array([[1.0, 0.3], [0.0, 0.9]]), "b": [0.5, -0.2]},
+                   {"sigma": np.array([[1.0, -0.3], [0.0, 0.9]]), "b": [-0.5, 0.3],
+                    "f": 0.05}]),
+    "2d-9pt-varying": (2, [{"sigma": varying_sigma(2), "b": lambda t, X: 0.5 * np.cos(X)},
+                           {"sigma": np.array([[1.0, 0.3], [0.0, 0.9]]), "f": 0.05},
+                           {"sigma": np.array([[1.0, -0.3], [0.0, 0.9]]), "b": [-0.5, 0.3]}]),
+}
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacked_step_matches_single_steps_bit_for_bit(case, theta):
+    dim, controls = STACK_CASES[case]
+    pr = make_problem(dim, L2PI, 0.2, controls, u0=wavy_u0)
+    sch = ThetaScheme(pr, exact_grid(16 if dim == 1 else 8, 0.2, 0.02, dim=dim), theta=theta)
+    ops = sch._ops_at(0.0)
+    assert len(ops.nbr) == (2 if dim == 1 else 8)
+    assert (ops.Wmat is None) == case.endswith("varying")
+    states = np.random.default_rng(11).standard_normal((4,) + sch.grid.shape)
+    for B in range(1, 5):
+        for t in (0.0, 0.02):
+            out, rep = sch.step(states[:B], t)
+            singles = [sch.step(u, t) for u in states[:B]]
+            assert out.shape == (B,) + sch.grid.shape
+            for b, (u, single) in enumerate(singles):
+                np.testing.assert_array_equal(out[b], u)
+                np.testing.assert_array_equal(rep.argmax[b], single.argmax)
+            assert rep.policy_iterations == max(s.policy_iterations for _, s in singles)
+            assert rep.sweeps == sum(s.sweeps for _, s in singles)

@@ -20,6 +20,7 @@ from hjbfd import (
     splitting_step,
     splitting_vs_inner_check,
 )
+import hjbfd.semigroup as semigroup
 from hjbfd.errors import ConfigError, NumericalError, SchemeError
 
 L2PI = 2 * np.pi
@@ -199,6 +200,42 @@ def test_calibrate_inner_steps_reports_the_cap():
     quiet = []
     calibrate_inner_steps(sp, 0.05, ref, m0=2, cap=4, fraction=1e6, notes=quiet)
     assert quiet == []
+
+
+@pytest.mark.parametrize("cap, fraction", [(4, 1e-6), (64, 1e6)])  # capped, target met
+def test_calibrate_inner_steps_hands_back_the_chosen_run(cap, fraction):
+    sp = split_problem(T=0.1, n_x=8)
+    ref = splitting_solve(sp, 0.05, 128)
+    solution = []
+    m = calibrate_inner_steps(sp, 0.05, ref, m0=2, cap=cap, fraction=fraction,
+                              solution=solution)
+    assert len(solution) == 1
+    np.testing.assert_array_equal(solution[0], splitting_solve(sp, 0.05, m))
+    # an m0 at the cap makes no run, so there is none to hand back
+    calibrate_inner_steps(sp, 0.05, ref, m0=4, cap=4, solution=(none := []))
+    assert none == []
+
+
+def test_split_study_solves_each_macro_step_and_m_once(monkeypatch):
+    # calibration's run at the finest macro step and the chosen m is the
+    # study's finest level: the same split.csv rows, one solve fewer
+    solved = []
+    solve = semigroup.splitting_solve
+
+    def counted(sp, dt, m):
+        solved.append((dt, m))
+        return solve(sp, dt, m)
+
+    monkeypatch.setattr(semigroup, "splitting_solve", counted)
+    sp = split_problem(T=0.1, n_x=8)
+    rep = semigroup.splitting_rate_experiment(sp, [0.1, 0.05])
+    assert len(solved) == len(set(solved))
+    m = solved[-1][1]
+    assert solved[-1] == (0.1, m) and (0.05, m) in solved
+    monkeypatch.undo()
+    fresh = semigroup.splitting_rate_experiment(sp, [0.1, 0.05], m=m)  # solves every level
+    assert (rep.err_plus, rep.err_minus, rep.err_total) == (
+        fresh.err_plus, fresh.err_minus, fresh.err_total)
 
 
 def test_semigroup_rate_experiment_synthetic_slopes():

@@ -18,6 +18,7 @@ from hjbfd import (
     switching_solve,
     switching_step,
 )
+import hjbfd.switching as switching
 from hjbfd.errors import CFLError, ConfigError, SchemeError
 from hjbfd.switching import obstacle_projection
 
@@ -273,3 +274,74 @@ def test_projection_spreads_a_nan_to_every_mode(case, data):
     out = obstacle_projection(v, k)
     assert np.all(np.isnan(out[(slice(None),) + node]))
     np.testing.assert_array_equal(out, gauss_seidel_projection(v, k))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+def test_vector_k_solve_equals_the_per_k_solves(theta):
+    base = two_mode_base(T=0.2)
+    g = fine_grid(T=0.2)
+    ks = [0.4, 0.05, 0.2]
+    sol = switching_solve(SwitchingProblem(base=base, mode_controls=[[0], [1]], k=ks,
+                                           grid=g, theta=theta))
+    assert sol.final.shape == (2, 3) + g.shape and sol.spread.shape == (3,)
+    for j, k in enumerate(ks):
+        one = switching_solve(SwitchingProblem(base=base, mode_controls=[[0], [1]], k=k,
+                                               grid=g, theta=theta))
+        np.testing.assert_array_equal(sol.final[:, j], one.final)
+        assert sol.spread[j] == one.spread
+        member = sol.cost(j)
+        np.testing.assert_array_equal(member.final, one.final)
+        assert (member.k, member.spread) == (k, one.spread)
+        assert member.coupling_band_violation() == one.coupling_band_violation()
+
+
+def test_vector_k_must_be_positive_and_one_dimensional():
+    base = two_mode_base()
+    g = fine_grid()
+    for bad in ([0.1, 0.0], [[0.1, 0.2]], []):
+        with pytest.raises(ConfigError):
+            SwitchingProblem(base=base, mode_controls=[[0], [1]], k=bad, grid=g)
+
+
+def test_vector_k_solve_names_the_cost_of_a_nan(monkeypatch):
+    # a nan put into mode 1 of the third cost (k=0.1) at node 3 of level 2:
+    # the solve names that cost, mode, level and node
+    project = switching.obstacle_projection
+    calls = [0]
+
+    def poisoned(v, k):
+        out = project(v, k)
+        calls[0] += 1
+        if calls[0] == 2:
+            out[1, 2, 3] = np.nan
+        return out
+
+    monkeypatch.setattr(switching, "obstacle_projection", poisoned)
+    base = two_mode_base(T=0.05)
+    g = fine_grid(T=0.05)
+    assert g.n_t > 2
+    sp = SwitchingProblem(base=base, mode_controls=[[0], [1]], k=[0.4, 0.2, 0.1], grid=g)
+    with pytest.raises(SchemeError, match=r"switching mode 1: non-finite value at level 2, "
+                                          r"node \(3,\) \(cost k=0\.1\)"):
+        switching_solve(sp)
+
+
+@pytest.mark.parametrize("k_list", [[0.4, 0.2], [0.4, 0.2, 0.1, 0.05]])
+def test_k_study_steps_every_cost_in_one_march(monkeypatch, k_list):
+    # (M + 1) n_t scheme steps whatever the number of costs: the reference
+    # and one step per mode per level, each taking all costs as one stack;
+    # the steps' values still add up to (M K + 1) n_t N node steps
+    sizes = []
+    step = ThetaScheme.step
+
+    def counted(self, u, t, *args, **kwargs):
+        out = step(self, u, t, *args, **kwargs)
+        sizes.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(ThetaScheme, "step", counted)
+    g = fine_grid(n_x=16, T=0.1)
+    k_rate_experiment(two_mode_base(T=0.1), [[0], [1]], g, k_list)
+    M, K = 2, len(k_list)
+    assert len(sizes) == (M + 1) * g.n_t
+    assert sum(sizes) == (M * K + 1) * g.n_t * g.n_nodes
