@@ -1,8 +1,11 @@
 """Pinned CSV bytes of the command line, and the tracer's view of the package.
 
-The golden hashes were recorded from the six jobs of acceptance check 11.
-Check 11 only compares a rerun against a rerun, so a writer change that
-altered every file the same way would pass it; these hashes catch that.
+The golden hashes were recorded from the six jobs of acceptance check 11,
+plus two solves: a 2D run, whose x_1,x_2 columns no other job writes, and
+the benchmark's 128-node two-control trajectory.  Check 11 only compares a
+rerun against a rerun, and the benchmark's drift check compares numbers, so
+a writer change that altered every file the same way, or wrote 1e-05 as
+1.0e-05, would pass both; these hashes catch that.
 If an output change is intended, record the new hashes and name the change.
 """
 
@@ -28,6 +31,9 @@ JOBS = {
     "pcc": ["pcc", str(CONFIGS / "pcc.json"), "--nx", "12",
             "--dt-list", "0.1,0.05", "--min-inner", "4"],
     "decompose": ["decompose", str(CONFIGS / "matrix.json")],
+    "solve_2d": ["solve", str(ROOT / "perfbench" / "inputs" / "rates_2d_seed0.json"),
+                 "--nx", "8"],
+    "solve_twocontrol": ["solve", str(CONFIGS / "twocontrol.json"), "--nx", "128"],
 }
 
 GOLDEN = {
@@ -50,6 +56,14 @@ GOLDEN = {
     "decompose": {
         "decomposition.csv":
             "1c7fc5e004162358e3fbb53278968c959cfca9ec169653d4eb6959870af69b00",
+    },
+    "solve_2d": {
+        "solution.csv": "ff8c003a5ff9ddbba7e01c3374c0a7c59f8dbcaf70c7a90fe8404028fa30e113",
+        "trajectory.csv": "222c0a90ea1d94336ccf6d8d5de89a2b6b1a19fbb62dc5b82fadf24f998a25bb",
+    },
+    "solve_twocontrol": {
+        "solution.csv": "c44e20fb6b10d470fc671506767f43d565a1716c5cc7e1d9e3e7f1979e89c60f",
+        "trajectory.csv": "9dcef7f648e9d7c8582573fa433dab0020cf5b3ab901d7f5dcd004fdf11a9f8f",
     },
 }
 
