@@ -36,7 +36,7 @@ import numpy as np
 from .config import (load_json, parse_matrix, parse_pcc, parse_problem,
                      parse_split, parse_switching)
 from .errors import ConfigError, HJBError, NumericalError, ProbeFailure
-from .grid import GridFunction, SpaceTimeGrid, write_csv
+from .grid import GridFunction, SpaceTimeGrid, csv_cell, write_csv
 from .harness import (SLOPE_TOLERANCE, ReferenceSolution, compare_bounds,
                       run_refinement, write_rate_csv)
 from .scheme import ThetaScheme
@@ -88,19 +88,21 @@ def _grid_for(problem, n_x: int, dt, cfl_factor: float) -> SpaceTimeGrid:
 
 
 def _write_trajectory(grid, levels, path) -> tuple:
-    """Stream t,x_1,...,value rows of each (u, report) in `levels` as it
-    arrives; returns the last u and the largest policy-iteration count."""
-    coords = grid.nodes().reshape(-1, grid.dim).tolist()
+    """Stream each (u, report) of `levels` into t,x_1,...,value rows as it
+    arrives, one block per level: the time is formatted once per level and
+    the coordinates once per run.  Returns the last u and the largest
+    policy-iteration count."""
+    coords = [list(map(csv_cell, axis)) for axis in grid.nodes().reshape(-1, grid.dim).T]
     last = [None, 0]
 
-    def rows():
+    def blocks():
         for t, (u, rep) in zip(grid.times().tolist(), levels):
             last[0] = u
             if rep is not None:
                 last[1] = max(last[1], rep.policy_iterations)
-            yield from ((t, *row, val) for row, val in zip(coords, u.reshape(-1).tolist()))
+            yield (csv_cell(t), *coords, u.reshape(-1).tolist())
 
-    write_csv(path, ["t"] + [f"x_{i + 1}" for i in range(grid.dim)] + ["value"], rows())
+    write_csv(path, ["t"] + [f"x_{i + 1}" for i in range(grid.dim)] + ["value"], blocks())
     return tuple(last)
 
 
@@ -252,8 +254,8 @@ def cmd_decompose(args) -> int:
     dec = bz_decompose(a, max_order=max_order)
     out = _outdir(args)
     write_csv(os.path.join(out, "decomposition.csv"), ["direction", "weight"],
-              ((f"\"{' '.join(str(int(x)) for x in beta)}\"", w)
-               for beta, w in zip(dec.directions, dec.weights)))
+              [([f"\"{' '.join(str(int(x)) for x in beta)}\"" for beta in dec.directions],
+                dec.weights)])
     scale = max(1.0, float(np.max(np.abs(a))))
     resid = dec.residual_norm
     print(f"decompose: directions={len(dec.weights)} residual={_fmt(resid)} "

@@ -6,15 +6,16 @@ package.  Time levels are t_n = n*dt with n_t*dt = T exact; because a
 target step rarely divides the horizon, grids are normally built with
 `SpaceTimeGrid.build`, which rounds the step down via n_t = ceil(T/dt).
 
-This module also owns the package's CSV format (`write_csv`): numbers are
-written with repr, strings as given, no timestamps or environment data, so
-identical runs give byte-identical files.
+This module also owns the package's CSV format (`write_csv`, `csv_cell`):
+numbers are written with repr, strings as given, no timestamps or
+environment data, so identical runs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "GridFunction",
     "sup_norm",
     "first_non_finite",
+    "csv_cell",
     "write_csv",
 ]
 
@@ -125,23 +127,39 @@ class GridFunction:
     def to_csv(self, path) -> None:
         """Write node rows as x_1,...,x_N,value (deterministic formatting)."""
         g = self.grid
-        X = g.nodes().reshape(-1, g.dim).tolist()
-        V = self.values.reshape(-1).tolist()
         write_csv(path, [f"x_{i + 1}" for i in range(g.dim)] + ["value"],
-                  ((*row, v) for row, v in zip(X, V)))
+                  [(*g.nodes().reshape(-1, g.dim).T.tolist(), self.values.reshape(-1).tolist())])
 
 
-def write_csv(path, header, rows) -> None:
-    """Write one CSV file: the header names, then one line per row.
+def csv_cell(x) -> str:
+    """One cell as `write_csv` writes it: a str as given, anything else
+    converted to float and written with repr, so a value reads back exactly."""
+    return x if isinstance(x, str) else repr(float(x))
 
-    This is the only place the package opens a CSV file.  String cells are
-    written as given; every other cell is converted to float and written
-    with repr, so a value reads back exactly.
+
+def write_csv(path, header, blocks) -> None:
+    """Write one CSV file: the header names, then the rows of each block.
+
+    This is the only place the package opens a CSV file.  A block is a
+    sequence of columns that share rows.  A str column is one cell,
+    repeated on every row of the block; any other column is a sequence of
+    cells, each written as `csv_cell` writes it.  A block needs at least one
+    sequence column, and its sequence columns have equal lengths.  Blocks
+    are written one at a time, so a generator of blocks streams; a caller
+    that repeats a number across blocks formats it once with `csv_cell`.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join([c if isinstance(c, str) else repr(float(c)) for c in row])
-                      + "\n" for row in rows)
+        for block in blocks:
+            cols = [c if isinstance(c, str) else list(map(csv_cell, c)) for c in block]
+            lengths = {len(c) for c in cols if not isinstance(c, str)}
+            if len(lengths) != 1:
+                raise ValueError(f"write_csv: a block needs sequence columns of one length, "
+                                 f"got lengths {sorted(lengths)}")
+            n = lengths.pop()
+            if n:
+                rows = zip(*(repeat(c, n) if isinstance(c, str) else c for c in cols))
+                fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def sup_norm(phi) -> float:

@@ -253,14 +253,13 @@ def write_rate_csv(report: RateReport, path, verdict: Verdict | None = None) -> 
     h column carries the report's refinement parameter (h, dt, or k).
     """
     n = len(report.params)
-    dxs = report.dxs or [float("nan")] * n
-    dts = report.dts or [float("nan")] * n
-    rows = [[str(i), dxs[i], dts[i], report.params[i], report.err_plus[i],
-             report.err_minus[i], report.err_total[i], "", ""] for i in range(n)]
-    rows[-1][7:] = [report.slope,
-                    "" if verdict is None else ("pass" if verdict.passed else "fail")]
+    nan, blank = [float("nan")] * n, [""] * (n - 1)
+    verdict_cell = "" if verdict is None else ("pass" if verdict.passed else "fail")
+    block = ([str(i) for i in range(n)], report.dxs or nan, report.dts or nan, report.params,
+             report.err_plus, report.err_minus, report.err_total,
+             blank + [report.slope], blank + [verdict_cell])
     write_csv(path, ["level", "dx", "dt", "h", "err_plus", "err_minus", "err_total",
-                     "slope", "verdict"], rows)
+                     "slope", "verdict"], [block])
     write_plot_script(path, report.param_name)
 
 

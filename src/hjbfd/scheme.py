@@ -18,7 +18,9 @@ by Jacobi sweeps, re-select) with lowest-index tie breaking.  Each
 operator keeps the frozen-policy systems of its last FROZEN_POLICIES
 distinct policies (least recently used out), so a policy seen again
 reuses its weights, diagonal and scaled source; reuse repeats the same
-arithmetic, so results are bit-identical to rebuilding them.
+arithmetic, so results are bit-identical to rebuilding them.  Likewise an
+implicit step returns its level read-only and keeps the Hamiltonian it last
+evaluated there, which the next theta = 1 step from that level reuses.
 
 `ThetaScheme.march` is the only time loop: it yields each level as it is
 computed and keeps none.  `solve` folds it into the final level and the
@@ -63,12 +65,15 @@ APRIORI_SLACK = 0.05    # relative margin on the a-priori sup-norm bound
 @dataclass
 class StepReport:
     """Per-step diagnostics: policy iterations, Jacobi sweeps summed over
-    them (0 for an explicit step), final residual, argmax field."""
+    them (0 for an explicit step), final residual, Hamiltonian evaluations
+    (one per call of the scheme's Hamiltonian, a stacked call counting once),
+    argmax field."""
 
     t: float
     policy_iterations: int
     sweeps: int
     max_residual: float
+    hamiltonians: int
     argmax: np.ndarray = field(repr=False)
 
 
@@ -223,6 +228,7 @@ class ThetaScheme:
                                     for i in range(problem.controls.count))
         self._static_ops = None
         self._static_weights = None
+        self._carry = None  # (ops, u, G, P) of the last implicit step, see implicit_step
 
     # ----- operator assembly -------------------------------------------------
 
@@ -348,19 +354,31 @@ class ThetaScheme:
     # ----- stepping -----------------------------------------------------------
 
     def implicit_step(self, rhs: np.ndarray, t: float, inner_tol: float | None = None):
-        """Solve u + theta dt G(t, u) = rhs by policy iteration."""
+        """Solve u + theta dt G(t, u) = rhs by policy iteration.
+
+        The returned u and its report's argmax are read-only, and the scheme
+        keeps its operator, u and G(t, u) with that argmax.  A next call under the same operator
+        whose rhs is that very array (theta = 1, static coefficients) starts
+        policy iteration from the kept G instead of evaluating it again;
+        since nothing can write into u, the result is bit-identical."""
         ops = self._ops_at(t)
         th_dt = self.theta * self.grid.dt
         tol = self.tol if inner_tol is None else inner_tol
         u = rhs.copy()
         sweeps = 0
+        carry, self._carry = self._carry, None
+        if carry is not None and carry[0] is ops and carry[1] is rhs:
+            G, P, evals = carry[2], carry[3], 0
+        else:
+            (G, P), evals = self._hamiltonian(ops, u), 1
         for it in range(MAX_POLICY_ITERS + 1):
-            G, P = self._hamiltonian(ops, u)
             r = u + th_dt * G - rhs
             res = np.abs(r).max()
             if res <= tol:
+                u.flags.writeable = P.flags.writeable = False
+                self._carry = (ops, u, G, P)
                 return u, StepReport(t=t, policy_iterations=it, sweeps=sweeps,
-                                     max_residual=res, argmax=P)
+                                     max_residual=res, hamiltonians=evals, argmax=P)
             if not math.isfinite(res):  # no further iteration can bring it down
                 raise SchemeError(f"implicit step: non-finite residual at t={t!r}, "
                                   f"node {first_non_finite(r)}")
@@ -368,6 +386,8 @@ class ThetaScheme:
                 break
             u, n = self._policy_solve(ops, P, rhs, 0.2 * tol, t)
             sweeps += n
+            G, P = self._hamiltonian(ops, u)
+            evals += 1
         raise SchemeError(
             f"policy iteration did not converge within {MAX_POLICY_ITERS} "
             f"iterations at t={t!r} (residual {res:.3e})"
@@ -386,20 +406,23 @@ class ThetaScheme:
         if self.theta < 1.0:
             ops = self._ops_at(t_prev)
             G, P = self._hamiltonian(ops, u_prev)
-            rhs = u_prev - (1.0 - self.theta) * dt * G
+            rhs, explicit = u_prev - (1.0 - self.theta) * dt * G, 1
         else:
-            rhs, P = u_prev, None
+            rhs, P, explicit = u_prev, None, 0
         if self.theta == 0.0:
             report = StepReport(t=t_prev + dt, policy_iterations=0, sweeps=0,
-                                max_residual=0.0, argmax=P)
+                                max_residual=0.0, hamiltonians=explicit, argmax=P)
             return rhs, report
         if rhs.ndim == self.grid.dim:
-            return self.implicit_step(rhs, t_prev + dt, inner_tol=inner_tol)
+            u, report = self.implicit_step(rhs, t_prev + dt, inner_tol=inner_tol)
+            report.hamiltonians += explicit
+            return u, report
         members = [self.implicit_step(r, t_prev + dt, inner_tol=inner_tol) for r in rhs]
         reps = [rep for _, rep in members]
         return np.stack([u for u, _ in members]), StepReport(
             t=t_prev + dt, policy_iterations=max(r.policy_iterations for r in reps),
             sweeps=sum(r.sweeps for r in reps), max_residual=max(r.max_residual for r in reps),
+            hamiltonians=explicit + sum(r.hamiltonians for r in reps),
             argmax=np.stack([r.argmax for r in reps]))
 
     def initial_values(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, outputs, determinism."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -177,14 +178,22 @@ def test_rates_cfl_violation_exits_two(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_solve_overflow_exits_two_at_once(tmp_path, capsys):
-    # u0 of amplitude 1e308 overflows the first implicit step's residual
+    # u0 of amplitude 1e308 overflows the first implicit step's residual; the
+    # trajectory is left written up to the failing level: the header and the
+    # 16 complete rows of level 0, and no solution
     doc = json.loads((CONFIGS / "heat.json").read_text())
     doc["u0"]["params"] = {"amplitude": 1e308}
-    code = main(["solve", write_config(tmp_path, doc), "--nx", "16",
-                 "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    code = main(["solve", write_config(tmp_path, doc), "--nx", "16", "--out", str(out)])
     assert code == 2
     assert re.match(r"error: numerical: implicit step: non-finite residual at t=\S+, node \(\d+,\)",
                     capsys.readouterr().err)
+    lines = (out / "trajectory.csv").read_text().split("\n")
+    assert lines[0] == "t,x_1,value" and lines[-1] == ""
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert [r[:2] for r in rows] == [["0.0", repr(j * (doc["period"] / 16))] for j in range(16)]
+    assert all(math.isfinite(float(r[2])) for r in rows)
+    assert not (out / "solution.csv").exists()
 
 
 def test_solve_cfl_violation_writes_nothing(tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hjbfd import GridFunction, SpaceTimeGrid, sup_norm
+from hjbfd import GridFunction, SpaceTimeGrid, sup_norm, write_csv
 from hjbfd.errors import ConfigError
 
 
@@ -113,3 +113,41 @@ def test_to_csv_layout_and_determinism(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[2]) == phi.values[0, 0]
+
+
+def reference_rows(block):
+    """The rows of a block, built cell by cell: a str column repeats its one
+    cell, a str cell is kept, anything else is repr(float(x))."""
+    n = len(next(col for col in block if not isinstance(col, str)))
+    rows = []
+    for i in range(n):
+        cells = []
+        for col in block:
+            x = col if isinstance(col, str) else col[i]
+            cells.append(x if isinstance(x, str) else repr(float(x)))
+        rows.append(",".join(cells) + "\n")
+    return rows
+
+
+def test_write_csv_matches_a_cell_by_cell_reference(tmp_path):
+    edge = [-0.0, 5e-324, 1e16, 1e-05, float("nan"), np.float64(0.1), 3, "", "pass"]
+    blocks = [
+        ("0.5", edge, np.arange(len(edge), dtype=float)),   # repeated string column
+        ("0.5", edge[::-1], [str(i) for i in range(len(edge))]),
+        ([f'"{i} 0"' for i in range(3)], [1.5, -2.0, 1e-300], np.array([7.0, 8.0, 9.0])),
+        ("label", [], []),                                   # a block of no rows
+    ]
+    path = tmp_path / "blocks.csv"
+    write_csv(path, ["a", "b", "c"], iter(blocks))
+    text = path.read_text()
+    assert text == "a,b,c\n" + "".join(row for block in blocks for row in reference_rows(block))
+    assert text.splitlines()[1:6] == ["0.5,-0.0,0.0", "0.5,5e-324,1.0", "0.5,1e+16,2.0",
+                                      "0.5,1e-05,3.0", "0.5,nan,4.0"]
+
+
+def test_write_csv_rejects_a_block_without_rows_to_share(tmp_path):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="one length"):
+        write_csv(path, ["a"], [("only strings",)])
+    with pytest.raises(ValueError, match=r"lengths \[1, 2\]"):
+        write_csv(path, ["a", "b"], [([1.0], [1.0, 2.0])])

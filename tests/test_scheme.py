@@ -634,3 +634,54 @@ def test_stacked_step_matches_single_steps_bit_for_bit(case, theta):
                 np.testing.assert_array_equal(rep.argmax[b], single.argmax)
             assert rep.policy_iterations == max(s.policy_iterations for _, s in singles)
             assert rep.sweeps == sum(s.sweeps for _, s in singles)
+            # one stacked explicit evaluation, then each member's implicit ones
+            explicit = int(theta < 1.0)
+            assert rep.hamiltonians == explicit + sum(s.hamiltonians - explicit
+                                                      for _, s in singles)
+
+
+# ----- the Hamiltonian an implicit step hands to the next one ---------------------
+
+@pytest.mark.parametrize("case", sorted(FROZEN_CASES))
+def test_implicit_march_reuses_the_last_hamiltonian(case):
+    # theta = 1: a step's first policy iteration evaluates G at the level the
+    # previous step returned, which that step's last evaluation already gave;
+    # an operator rebuilt every step (space-varying weights here) cannot reuse it
+    reps = [rep for _, rep in frozen_case_scheme(case, 1.0).march()][1:]
+    assert reps[0].hamiltonians == reps[0].policy_iterations + 1
+    missed = int(case.endswith("varying"))
+    assert [rep.hamiltonians for rep in reps[1:]] == [rep.policy_iterations + missed
+                                                      for rep in reps[1:]]
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+def test_a_step_with_an_explicit_part_evaluates_its_own_hamiltonians(theta):
+    # the implicit part's rhs is a new array, so nothing is carried
+    for _, rep in list(frozen_case_scheme("1d", theta).march())[1:]:
+        assert rep.hamiltonians == (1 if theta == 0.0 else rep.policy_iterations + 2)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d"])
+def test_a_copy_of_the_previous_level_steps_to_the_same_bits(case):
+    sch = frozen_case_scheme(case, 1.0)
+    dt = sch.grid.dt
+    u1, _ = sch.step(sch.initial_values(), 0.0)
+    u2, carried = sch.step(u1, dt)
+    v2, fresh = sch.step(u1.copy(), dt)
+    np.testing.assert_array_equal(u2, v2)
+    np.testing.assert_array_equal(carried.argmax, fresh.argmax)
+    assert (carried.policy_iterations, carried.sweeps, carried.max_residual) == \
+        (fresh.policy_iterations, fresh.sweeps, fresh.max_residual)
+    assert fresh.hamiltonians == carried.hamiltonians + 1
+
+
+def test_an_implicit_level_is_read_only():
+    # the carried Hamiltonian is keyed on the level itself, so no one may write into it
+    sch = frozen_case_scheme("1d", 1.0)
+    u, rep = sch.step(sch.initial_values(), 0.0)
+    with pytest.raises(ValueError, match="read-only"):
+        u[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        rep.argmax[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        sch.solve().final.values += 1.0
