@@ -356,11 +356,12 @@ class ThetaScheme:
     def implicit_step(self, rhs: np.ndarray, t: float, inner_tol: float | None = None):
         """Solve u + theta dt G(t, u) = rhs by policy iteration.
 
-        The returned u and its report's argmax are read-only, and the scheme
-        keeps its operator, u and G(t, u) with that argmax.  A next call under the same operator
-        whose rhs is that very array (theta = 1, static coefficients) starts
-        policy iteration from the kept G instead of evaluating it again;
-        since nothing can write into u, the result is bit-identical."""
+        The returned u and its report's argmax are read-only.  When the
+        coefficients are static, the scheme keeps the operator, u, G(t, u)
+        and that argmax; a next call under that operator whose rhs is that
+        very array (theta = 1) starts policy iteration from the kept G
+        instead of evaluating it again.  Nothing can write into u, so the
+        result is bit-identical."""
         ops = self._ops_at(t)
         th_dt = self.theta * self.grid.dt
         tol = self.tol if inner_tol is None else inner_tol
@@ -376,7 +377,8 @@ class ThetaScheme:
             res = np.abs(r).max()
             if res <= tol:
                 u.flags.writeable = P.flags.writeable = False
-                self._carry = (ops, u, G, P)
+                if ops is self._static_ops:  # a rebuilt operator is never the next one
+                    self._carry = (ops, u, G, P)
                 return u, StepReport(t=t, policy_iterations=it, sweeps=sweeps,
                                      max_residual=res, hamiltonians=evals, argmax=P)
             if not math.isfinite(res):  # no further iteration can bring it down

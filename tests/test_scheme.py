@@ -647,11 +647,14 @@ def test_implicit_march_reuses_the_last_hamiltonian(case):
     # theta = 1: a step's first policy iteration evaluates G at the level the
     # previous step returned, which that step's last evaluation already gave;
     # an operator rebuilt every step (space-varying weights here) cannot reuse it
-    reps = [rep for _, rep in frozen_case_scheme(case, 1.0).march()][1:]
+    sch = frozen_case_scheme(case, 1.0)
+    reps = [rep for _, rep in sch.march()][1:]
     assert reps[0].hamiltonians == reps[0].policy_iterations + 1
     missed = int(case.endswith("varying"))
     assert [rep.hamiltonians for rep in reps[1:]] == [rep.policy_iterations + missed
                                                       for rep in reps[1:]]
+    # nothing is kept that could not match, so a rebuilt operator dies with its step
+    assert (sch._carry is None) == bool(missed)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5])
