@@ -121,9 +121,6 @@ class GridFunction:
         if bad is not None:
             raise ConfigError(f"grid function has a non-finite value at node {bad}")
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
     def to_csv(self, path) -> None:
         """Write node rows as x_1,...,x_N,value (deterministic formatting)."""
         g = self.grid

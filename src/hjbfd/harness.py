@@ -56,7 +56,8 @@ def fit_order(params, errors) -> FitResult:
 
     Zero errors are excluded (with a note); fewer than two positive
     entries makes the fit degenerate with slope 0.  A nan or infinite
-    param or error is rejected, as is a param <= 0 or an error < 0.
+    param or error is rejected, as is a param <= 0, a repeated param
+    (the fit would be meaningless) or an error < 0.
     """
     params = [float(p) for p in params]
     errors = [float(e) for e in errors]
@@ -64,6 +65,8 @@ def fit_order(params, errors) -> FitResult:
         raise ConfigError("fit_order: params and errors must have equal length")
     if not all(0.0 < p < math.inf for p in params):
         raise ConfigError("fit_order: params must be finite and strictly positive")
+    if len(set(params)) != len(params):
+        raise ConfigError(f"fit_order: params must be distinct, got {params}")
     if not all(0.0 <= e < math.inf for e in errors):
         raise ConfigError("fit_order: errors must be finite and nonnegative")
     pairs = [(p, e) for p, e in zip(params, errors) if e > 0.0]

@@ -31,16 +31,13 @@ __all__ = [
     "HJBProblem",
     "SmoothFunction",
     "ManufacturedProblem",
-    "A1Report",
     "make_problem",
     "evaluate_L",
     "evaluate_F",
-    "verify_A1",
     "manufacture",
     "decaying_wave",
 ]
 
-A1_SAMPLES = 64         # lattice points per dimension of verify_A1's sampling
 RESIDUAL_POINTS = 1000  # sample points of ManufacturedProblem.residual_check
 
 
@@ -282,98 +279,6 @@ def evaluate_F(problem: HJBProblem, t: float, x, value: float, gradient, hessian
     vals = [evaluate_L(problem, i, t, x, value, gradient, hessian)
             for i in range(problem.controls.count)]
     return float(max(vals))
-
-
-@dataclass
-class A1Report:
-    """Sampled regularity estimate: K ~ max sup-norm + max Lipschitz estimate."""
-
-    k_estimate: float
-    sup_estimate: float
-    lip_estimate: float
-    flagged: bool
-    flag_reason: str = ""
-
-
-def _sample_piece(fn, t_vals, X, what: str) -> np.ndarray:
-    out = []
-    for t in t_vals:
-        v = np.asarray(fn(t, X), dtype=float)
-        if not np.all(np.isfinite(v)):
-            bad = np.argwhere(~np.isfinite(v.reshape(v.shape[0], -1)))[0]
-            raise ConfigError(
-                f"A1 check: non-finite value in {what} at t={t!r}, x={X[bad[0]].tolist()}"
-            )
-        out.append(v.reshape(v.shape[0], -1))
-    return np.stack(out)  # (n_t, n_x_samples, n_components)
-
-
-def _lattice(dim: int, period: float, n: int) -> np.ndarray:
-    axes = [np.arange(n) * (period / n) for _ in range(dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, dim)
-
-
-def _lip_spatial(fn, t_vals, dim, period, n, what) -> float:
-    """Divided differences along axis 0 of a sampling lattice."""
-    h = period / n
-    X = _lattice(dim, period, n)
-    vals = _sample_piece(fn, t_vals, X, what)  # (n_t, n**dim, k)
-    grid = vals.reshape(len(t_vals), *([n] * dim), -1)
-    best = 0.0
-    for axis in range(dim):
-        d = np.abs(np.roll(grid, -1, axis=1 + axis) - grid)
-        best = max(best, float(np.max(d)) / h)
-    return best
-
-
-def verify_A1(problem: HJBProblem) -> A1Report:
-    """Estimate the regularity constant by sampling.
-
-    Sup-norms and spatial/temporal divided differences are taken over a
-    lattice of A1_SAMPLES points per dimension at five time levels; the
-    temporal differences carry the parabolic 1/2-power scaling.  The
-    estimate is (max sampled sup over u0 and all coefficient pieces) +
-    (max divided-difference slope).  A piece whose spatial slope keeps
-    growing when the lattice is refined (period seam, unbounded
-    derivative) flags the report.
-    """
-    n = A1_SAMPLES
-    t_vals = [problem.T * k / 4.0 for k in range(5)]
-    X = _lattice(problem.dim, problem.period, n)
-
-    pieces = [("u0", lambda t, Y: problem.u0_values(Y))]
-    for i in range(problem.controls.count):
-        pieces += [
-            (f"sigma[{i}]", lambda t, Y, _i=i: problem.coeffs.sigma(_i, t, Y)),
-            (f"b[{i}]", lambda t, Y, _i=i: problem.coeffs.b(_i, t, Y)),
-            (f"c[{i}]", lambda t, Y, _i=i: problem.coeffs.c(_i, t, Y)),
-            (f"f[{i}]", lambda t, Y, _i=i: problem.coeffs.f(_i, t, Y)),
-        ]
-
-    sup_best = 0.0
-    lip_best = 0.0
-    flagged = False
-    reason = ""
-    for what, fn in pieces:
-        vals = _sample_piece(fn, t_vals, X, what)
-        sup_best = max(sup_best, float(np.max(np.abs(vals))))
-        lip_n = _lip_spatial(fn, t_vals, problem.dim, problem.period, n, what)
-        lip_2n = _lip_spatial(fn, t_vals, problem.dim, problem.period, 2 * n, what)
-        lip_best = max(lip_best, lip_2n)
-        if lip_2n > 1.5 * lip_n + 1e-9:
-            flagged = True
-            reason = reason or f"{what}: divided differences grow under refinement " \
-                               f"({lip_n:.6g} -> {lip_2n:.6g}); seam or unbounded slope"
-        # temporal differences, parabolic scaling |t-s|^(1/2)
-        for k in range(len(t_vals) - 1):
-            dtk = t_vals[k + 1] - t_vals[k]
-            if dtk > 0:
-                d = float(np.max(np.abs(vals[k + 1] - vals[k]))) / math.sqrt(dtk)
-                lip_best = max(lip_best, d)
-
-    return A1Report(k_estimate=sup_best + lip_best, sup_estimate=sup_best,
-                    lip_estimate=lip_best, flagged=flagged, flag_reason=reason)
 
 
 @dataclass

@@ -32,50 +32,23 @@ from .errors import ConfigError
 from .grid import SpaceTimeGrid, sup_norm
 from .harness import RateReport, rate_report, signed_errors
 from .problem import CoefficientField, make_problem
-from .scheme import STUDY_TOL, ProbeResult, ThetaScheme, probe_monotone
+from .scheme import STUDY_TOL, ThetaScheme
 
 __all__ = [
     "SemigroupFlow",
+    "SemigroupProblem",
     "SplitProblem",
     "PCControlProblem",
     "SplitCheck",
-    "sigma_from_diffusion",
-    "splitting_step",
     "splitting_solve",
     "calibrate_inner_steps",
     "semigroup_rate_experiment",
     "splitting_rate_experiment",
     "splitting_vs_inner_check",
-    "pc_step",
-    "pcc_solve",
     "pcc_rate_experiment",
-    "semigroup_monotonicity_probe",
 ]
 
 REF_FACTOR = 16     # reference solves step at (finest step) / REF_FACTOR
-PROBE_SLACK = 1e-9  # order violation the semigroup monotonicity probe forgives
-
-
-def sigma_from_diffusion(a):
-    """Return sigma with (1/2) sigma sigma^T = a.
-
-    Scalars and vectors map to sqrt(2 a) (entrywise); symmetric PSD
-    matrices go through an eigendecomposition.
-    """
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim == 0:
-        if arr < 0.0:
-            raise ConfigError("sigma_from_diffusion: negative diffusion")
-        return float(math.sqrt(2.0 * float(arr)))
-    if arr.ndim == 1:
-        if np.any(arr < 0.0):
-            raise ConfigError("sigma_from_diffusion: negative diagonal diffusion")
-        return np.sqrt(2.0 * arr)
-    w, v = np.linalg.eigh(0.5 * (arr + arr.T))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if np.min(w) < -1e-10 * scale:
-        raise ConfigError("sigma_from_diffusion: diffusion matrix is not PSD")
-    return v @ np.diag(np.sqrt(2.0 * np.clip(w, 0.0, None))) @ v.T
 
 
 def _norm_family(entries, dim: int, what: str):
@@ -155,70 +128,89 @@ class SemigroupFlow:
         return u
 
 
-@dataclass
-class SplitProblem:
-    """Two coefficient families on a shared torus grid and horizon.
+@dataclass(kw_only=True)
+class SemigroupProblem:
+    """What both semigroup schemes share: a torus grid, one implicit flow per
+    coefficient family, and the Bellman problem the scheme approximates.
 
-    Each family entry is a dict {sigma, b, c, f} with constant sigma, b, c
-    (f may be callable(t, X)).  The combined problem takes the sup over
-    the product control set, which is the equation the splitting scheme
-    approximates.
+    `__post_init__` builds the spatial `grid`, the `flows` and the
+    `reference_problem` once, from the (name, controls) families and the
+    (name, controls) reference that the subclass's `_controls` returns.
+    A subclass also supplies `step(values, dt, m)`, one macro step.
     """
 
     dim: int
     period: float
     T: float
-    family1: list
-    family2: list
     u0: object
     n_x: int
     builder: str = "kushner"
-    label: str = "split"
+    label: str = "semigroup"
 
     def __post_init__(self):
-        if self.n_x < 3:
-            raise ConfigError("split problem needs n_x >= 3")
-        self.family1 = _norm_family(self.family1, self.dim, f"{self.label} family1")
-        self.family2 = _norm_family(self.family2, self.dim, f"{self.label} family2")
-        self._flows = None
-        self._combined = None
-
-    def spatial_grid(self) -> SpaceTimeGrid:
-        return SpaceTimeGrid.build(self.dim, self.period, self.n_x, self.T, self.T)
-
-    def flows(self):
-        if self._flows is None:
-            self._flows = tuple(
-                SemigroupFlow(self.dim, self.period, self.n_x, fam, builder=self.builder,
-                              label=f"{self.label} family{j + 1}")
-                for j, fam in enumerate((self.family1, self.family2))
-            )
-        return self._flows
-
-    def combined_problem(self):
-        """Sup over the product control set: one control per family pair."""
-        if self._combined is None:
-            specs = []
-            for e1 in self.family1:
-                for e2 in self.family2:
-                    specs.append({
-                        "sigma": np.hstack([e1["sigma"], e2["sigma"]]),
-                        "b": e1["b"] + e2["b"],
-                        "c": e1["c"] + e2["c"],
-                        "f": _sum_f(e1["f"], e2["f"]),
-                    })
-            self._combined = make_problem(self.dim, self.period, self.T, specs,
-                                          u0=self.u0, label=f"{self.label} combined")
-        return self._combined
+        self.grid = SpaceTimeGrid.build(self.dim, self.period, self.n_x, self.T, self.T)
+        families, (ref_name, ref_controls) = self._controls()
+        self.flows = tuple(
+            SemigroupFlow(self.dim, self.period, self.n_x, controls, builder=self.builder,
+                          label=f"{self.label} {name}")
+            for name, controls in families
+        )
+        self.reference_problem = make_problem(self.dim, self.period, self.T, ref_controls,
+                                              u0=self.u0, label=f"{self.label} {ref_name}")
 
     def initial_values(self) -> np.ndarray:
-        return self.combined_problem().u0_values(self.spatial_grid().nodes())
+        return self.reference_problem.u0_values(self.grid.nodes())
+
+    def reference(self, dt: float) -> np.ndarray:
+        """Final-time values of an implicit solve of the reference problem
+        with time step dt."""
+        grid = SpaceTimeGrid.build(self.dim, self.period, self.n_x, self.T, dt)
+        scheme = ThetaScheme(self.reference_problem, grid, theta=1.0, builder=self.builder,
+                             tol=STUDY_TOL)
+        return scheme.solve().final.values
+
+    def solve(self, dt: float, m: int) -> np.ndarray:
+        """March the scheme from u0 to T with macro step dt, each flow taking
+        m implicit substeps per macro step."""
+        n = _macro_count(self.T, dt, f"{type(self).__name__}.solve")
+        u = self.initial_values()
+        for _ in range(n):
+            u = self.step(u, dt, m)
+        return u
 
 
-def splitting_step(sp: SplitProblem, values: np.ndarray, dt: float, m: int) -> np.ndarray:
-    """One macro step S_1(dt) S_2(dt): family 2 first, then family 1."""
-    f1, f2 = sp.flows()
-    return f1.apply(f2.apply(values, dt, m), dt, m)
+@dataclass(kw_only=True)
+class SplitProblem(SemigroupProblem):
+    """Two coefficient families on a shared torus grid and horizon.
+
+    Each family entry is a dict {sigma, b, c, f} with constant sigma, b, c
+    (f may be callable(t, X)).  The reference problem takes the sup over
+    the product control set, which is the equation the splitting scheme
+    approximates.
+    """
+
+    family1: list
+    family2: list
+    label: str = "split"
+
+    def _controls(self):
+        fam1 = _norm_family(self.family1, self.dim, f"{self.label} family1")
+        fam2 = _norm_family(self.family2, self.dim, f"{self.label} family2")
+        combined = []  # the product control set: one control per family pair
+        for e1 in fam1:
+            for e2 in fam2:
+                combined.append({
+                    "sigma": np.hstack([e1["sigma"], e2["sigma"]]),
+                    "b": e1["b"] + e2["b"],
+                    "c": e1["c"] + e2["c"],
+                    "f": _sum_f(e1["f"], e2["f"]),
+                })
+        return [("family1", fam1), ("family2", fam2)], ("combined", combined)
+
+    def step(self, values: np.ndarray, dt: float, m: int) -> np.ndarray:
+        """One macro step S_1(dt) S_2(dt): family 2 first, then family 1."""
+        f1, f2 = self.flows
+        return f1.apply(f2.apply(values, dt, m), dt, m)
 
 
 def _macro_count(T: float, dt: float, what: str) -> int:
@@ -228,13 +220,22 @@ def _macro_count(T: float, dt: float, what: str) -> int:
     return n
 
 
+def _macro_steps(T: float, dt_list, what: str) -> list:
+    """The macro steps of a rate study, sorted descending; there must be at
+    least two, and each must divide the horizon T."""
+    dts = sorted((float(d) for d in dt_list), reverse=True)
+    if len(dts) < 2:
+        raise ConfigError(f"{what} needs at least two macro steps")
+    for d in dts:
+        _macro_count(T, d, what)
+    return dts
+
+
 def splitting_solve(sp: SplitProblem, dt: float, m: int) -> np.ndarray:
     """March the splitting scheme from u0 to T with macro step dt."""
-    n = _macro_count(sp.T, dt, "splitting_solve")
-    u = sp.initial_values()
-    for _ in range(n):
-        u = splitting_step(sp, u, dt, m)
-    return u
+    # A module function, not only the method: perfbench/spans.py traces
+    # the splitting solves under this name.
+    return sp.solve(dt, m)
 
 
 def _inner_estimate(u_m: np.ndarray, u_2m: np.ndarray) -> float:
@@ -281,14 +282,6 @@ def calibrate_inner_steps(sp: SplitProblem, dt: float, reference: np.ndarray,
     return m
 
 
-def _combined_reference(problem, grid_template: SpaceTimeGrid, dt_ref: float,
-                        builder: str) -> np.ndarray:
-    grid = SpaceTimeGrid.build(grid_template.dim, grid_template.period,
-                               grid_template.n_x, grid_template.T, dt_ref)
-    scheme = ThetaScheme(problem, grid, theta=1.0, builder=builder, tol=STUDY_TOL)
-    return scheme.solve().final.values
-
-
 def semigroup_rate_experiment(stepper, reference, dt_list, exponent: float,
                               dx: float = float("nan"), notes=None) -> RateReport:
     """Macro-step rate study for any one-parameter stepper.
@@ -313,14 +306,8 @@ def splitting_rate_experiment(sp: SplitProblem, dt_list, m: int | None = None,
     When m is None the substep count is calibrated at the finest macro
     step so the inner error is at most 1% of the splitting error.
     """
-    dts = sorted((float(d) for d in dt_list), reverse=True)
-    if len(dts) < 2:
-        raise ConfigError("splitting_rate_experiment needs at least two macro steps")
-    for d in dts:
-        _macro_count(sp.T, d, "splitting_rate_experiment")
-    tmpl = sp.spatial_grid()
-    ref = _combined_reference(sp.combined_problem(), tmpl, dts[-1] / REF_FACTOR,
-                              sp.builder)
+    dts = _macro_steps(sp.T, dt_list, "splitting_rate_experiment")
+    ref = sp.reference(dts[-1] / REF_FACTOR)
     notes = [f"reference dt={dts[-1] / REF_FACTOR!r}"]
     finest = []  # calibration's run at dts[-1] and the chosen m, when it made one
     if m is None:
@@ -332,7 +319,7 @@ def splitting_rate_experiment(sp: SplitProblem, dt_list, m: int | None = None,
     def stepper(d):
         return finest[0] if finest and d == dts[-1] else splitting_solve(sp, d, m)
 
-    return semigroup_rate_experiment(stepper, ref, dts, exponent, dx=tmpl.dx, notes=notes)
+    return semigroup_rate_experiment(stepper, ref, dts, exponent, dx=sp.grid.dx, notes=notes)
 
 
 @dataclass
@@ -357,80 +344,40 @@ def splitting_vs_inner_check(sp: SplitProblem, dt: float, m: int) -> SplitCheck:
     u_m = splitting_solve(sp, dt, m)
     inner_est = _inner_estimate(u_m, splitting_solve(sp, dt, 2 * m))
     dt_ref = (dt / m) / REF_FACTOR
-    ref = _combined_reference(sp.combined_problem(), sp.spatial_grid(), dt_ref,
-                              sp.builder)
-    return SplitCheck(splitting_error=signed_errors(ref, u_m)[2],
+    return SplitCheck(splitting_error=signed_errors(sp.reference(dt_ref), u_m)[2],
                       inner_estimate=inner_est, reference_dt=dt_ref)
 
 
-@dataclass
-class PCControlProblem:
+@dataclass(kw_only=True)
+class PCControlProblem(SemigroupProblem):
     """Piecewise-constant-control scheme data: a finite list of modes.
 
     Each mode dict {sigma, b, c, f} defines the linear flow
     v_t - tr[sigma sigma^T D^2 v] - b.Dv - c v - f = 0 (note: diffusion
     sigma sigma^T, no half factor); the scheme steps every mode and takes
-    the pointwise min.  The coupled reference problem is the Bellman
+    the pointwise min.  The reference problem is the coupled Bellman
     equation with the same modes as controls.
     """
 
-    dim: int
-    period: float
-    T: float
     modes: list
-    u0: object
-    n_x: int
-    builder: str = "kushner"
     label: str = "pcc"
 
-    def __post_init__(self):
+    def _controls(self):
         norm = _norm_family(self.modes, self.dim, f"{self.label} modes")
         # absorb the solver's half factor: a_eff = sigma sigma^T
-        self._effective = [
+        effective = [
             {"sigma": math.sqrt(2.0) * e["sigma"], "b": e["b"], "c": e["c"], "f": e["f"]}
             for e in norm
         ]
-        self._flows = None
-        self._coupled = None
+        return [(f"mode{i}", [eff]) for i, eff in enumerate(effective)], ("coupled", effective)
 
-    def spatial_grid(self) -> SpaceTimeGrid:
-        return SpaceTimeGrid.build(self.dim, self.period, self.n_x, self.T, self.T)
-
-    def flows(self):
-        if self._flows is None:
-            self._flows = tuple(
-                SemigroupFlow(self.dim, self.period, self.n_x, [eff], builder=self.builder,
-                              label=f"{self.label} mode{i}")
-                for i, eff in enumerate(self._effective)
-            )
-        return self._flows
-
-    def coupled_problem(self):
-        if self._coupled is None:
-            self._coupled = make_problem(self.dim, self.period, self.T, self._effective,
-                                         u0=self.u0, label=f"{self.label} coupled")
-        return self._coupled
-
-    def initial_values(self) -> np.ndarray:
-        return self.coupled_problem().u0_values(self.spatial_grid().nodes())
-
-
-def pc_step(pp: PCControlProblem, values: np.ndarray, dt: float, m: int) -> np.ndarray:
-    """Pointwise min over the per-mode flows applied for time dt."""
-    out = None
-    for flow in pp.flows():
-        cand = flow.apply(values, dt, m)
-        out = cand if out is None else np.minimum(out, cand)
-    return out
-
-
-def pcc_solve(pp: PCControlProblem, dt: float, m: int) -> np.ndarray:
-    """March the piecewise-constant-control scheme from u0 to T."""
-    n = _macro_count(pp.T, dt, "pcc_solve")
-    u = pp.initial_values()
-    for _ in range(n):
-        u = pc_step(pp, u, dt, m)
-    return u
+    def step(self, values: np.ndarray, dt: float, m: int) -> np.ndarray:
+        """Pointwise min over the per-mode flows applied for time dt."""
+        out = None
+        for flow in self.flows:
+            cand = flow.apply(values, dt, m)
+            out = cand if out is None else np.minimum(out, cand)
+        return out
 
 
 def pcc_rate_experiment(pp: PCControlProblem, dt_list, min_inner: int = 16,
@@ -442,30 +389,19 @@ def pcc_rate_experiment(pp: PCControlProblem, dt_list, min_inner: int = 16,
     step by step and err_plus (reference exceeding the scheme) stays at
     solver tolerance while err_total carries the rate.
     """
-    dts = sorted((float(d) for d in dt_list), reverse=True)
-    if len(dts) < 2:
-        raise ConfigError("pcc_rate_experiment needs at least two macro steps")
+    dts = _macro_steps(pp.T, dt_list, "pcc_rate_experiment")
     if min_inner < 1:
         raise ConfigError(f"pcc_rate_experiment needs min_inner >= 1, got {min_inner}")
     delta = dts[-1] / int(min_inner)
     for d in dts:
-        _macro_count(pp.T, d, "pcc_rate_experiment")
         mj = int(round(d / delta))
         if abs(mj * delta - d) > 1e-9 * d:
             raise ConfigError(
                 f"pcc_rate_experiment: dt={d!r} is not a multiple of the common "
                 f"inner step {delta!r}")
-    tmpl = pp.spatial_grid()
-    ref = _combined_reference(pp.coupled_problem(), tmpl, delta, pp.builder)
     notes = [f"common inner step delta={delta!r}",
              "one-sided: err_plus is the reference-above-scheme violation"]
     return semigroup_rate_experiment(
-        lambda d: pcc_solve(pp, d, int(round(d / delta))), ref, dts, exponent,
-        dx=tmpl.dx, notes=notes)
+        lambda d: pp.solve(d, int(round(d / delta))), pp.reference(delta), dts, exponent,
+        dx=pp.grid.dx, notes=notes)
 
-
-def semigroup_monotonicity_probe(step_fn, shape, trials: int = 50,
-                                 seed: int = 0) -> ProbeResult:
-    """Apply step_fn to random ordered pairs u <= v; order must be preserved
-    up to PROBE_SLACK."""
-    return probe_monotone(step_fn, shape, trials, seed, PROBE_SLACK)

@@ -442,6 +442,22 @@ def test_bad_input_exits_one_before_any_solve(argv, reason, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["rates", str(CONFIGS / "heat.json"), "--levels", "8,8"],
+    ["split", str(CONFIGS / "split.json"), "--nx", "12", "--dt-list", "0.1,0.1"],
+    ["pcc", str(CONFIGS / "pcc.json"), "--nx", "12", "--dt-list", "0.1,0.1"],
+    ["switching", str(CONFIGS / "modes2.json"), "--nx", "16", "--k-list", "0.2,0.2"],
+])
+def test_repeated_refinement_level_exits_one(argv, tmp_path, capsys):
+    # two equal levels leave the log-log slope undefined; no verdict is made
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ") and "must be distinct" in err
+    assert err.count("\n") == 1
+    assert not list(out.glob("*.csv"))
+
+
 def test_console_script_help_smoke():
     proc = subprocess.run([sys.executable, "-m", "hjbfd.cli", "--help"],
                           capture_output=True, text=True)

@@ -78,14 +78,6 @@ def test_grid_function_shape_and_finiteness():
         GridFunction(g, np.full(8, np.inf))
 
 
-def test_grid_function_copy_is_independent():
-    g = SpaceTimeGrid.build(dim=1, period=1.0, n_x=8, T=1.0, dt=0.5)
-    phi = GridFunction(g, np.arange(8.0))
-    psi = phi.copy()
-    psi.values[0] = 99.0
-    assert phi.values[0] == 0.0
-
-
 def test_sup_norm_values():
     g = SpaceTimeGrid.build(dim=1, period=1.0, n_x=8, T=1.0, dt=0.5)
     assert sup_norm(GridFunction(g, np.full(8, 3.0))) == 3.0

@@ -1,4 +1,4 @@
-"""Problem assembly, operator evaluation, regularity sampling, manufactured sources."""
+"""Problem assembly, operator evaluation, manufactured sources."""
 
 import math
 
@@ -12,7 +12,6 @@ from hjbfd import (
     evaluate_L,
     make_problem,
     manufacture,
-    verify_A1,
 )
 from hjbfd.errors import ConfigError
 from hjbfd.problem import SpaceOnly
@@ -103,34 +102,6 @@ def test_restrict_keeps_evaluators():
 def test_periodicity_check_rejects_linear_data():
     with pytest.raises(ConfigError):
         make_problem(1, L2PI, 1.0, [{"f": 0.0}], u0=lambda X: X[..., 0])
-
-
-def test_verify_A1_constants_plus_sine():
-    pr = make_problem(1, L2PI, 1.0, [{"f": 2.0}],
-                      u0=lambda X: np.sin(X[..., 0]))
-    rep = verify_A1(pr)
-    assert not rep.flagged
-    assert rep.sup_estimate == pytest.approx(2.0, abs=1e-12)
-    # the only varying piece is sin x, whose sampled slope is about 1
-    assert rep.lip_estimate == pytest.approx(1.0, abs=0.01)
-    assert rep.k_estimate == pytest.approx(3.0, abs=0.01)
-
-
-def test_verify_A1_zero_problem():
-    pr = make_problem(1, L2PI, 1.0, [{}], u0=0.0)
-    rep = verify_A1(pr)
-    assert rep.k_estimate == 0.0
-    assert not rep.flagged
-
-
-def test_verify_A1_flags_sawtooth_seam():
-    # x mod L is L-periodic (so the constructor accepts it) but its seam
-    # jump makes the divided differences blow up under lattice refinement
-    pr = make_problem(1, L2PI, 1.0,
-                      [{"f": lambda t, X: np.mod(X[..., 0], L2PI)}], u0=0.0)
-    rep = verify_A1(pr)
-    assert rep.flagged
-    assert "f[0]" in rep.flag_reason
 
 
 def test_decaying_wave_derivatives_match_finite_differences():

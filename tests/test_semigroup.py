@@ -10,34 +10,16 @@ from hjbfd import (
     SemigroupFlow,
     SplitProblem,
     calibrate_inner_steps,
-    pc_step,
     pcc_rate_experiment,
-    pcc_solve,
-    semigroup_monotonicity_probe,
     semigroup_rate_experiment,
-    sigma_from_diffusion,
     splitting_solve,
-    splitting_step,
     splitting_vs_inner_check,
 )
 import hjbfd.semigroup as semigroup
 from hjbfd.errors import ConfigError, NumericalError, SchemeError
+from hjbfd.scheme import probe_monotone
 
 L2PI = 2 * np.pi
-
-
-def test_sigma_from_diffusion():
-    assert sigma_from_diffusion(0.5) == pytest.approx(1.0)
-    assert sigma_from_diffusion(2.0) == pytest.approx(2.0)
-    np.testing.assert_allclose(sigma_from_diffusion(np.array([0.5, 2.0])),
-                               [1.0, 2.0])
-    a = np.array([[2.0, 0.5], [0.5, 1.0]])
-    s = sigma_from_diffusion(a)
-    np.testing.assert_allclose(0.5 * s @ s.T, a, atol=1e-12)
-    with pytest.raises(ConfigError):
-        sigma_from_diffusion(-1.0)
-    with pytest.raises(ConfigError):
-        sigma_from_diffusion(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_zero_flow_is_identity():
@@ -106,7 +88,7 @@ def split_problem(T=0.2, n_x=16):
 
 def test_combined_problem_adds_generators():
     sp = split_problem()
-    pr = sp.combined_problem()
+    pr = sp.reference_problem
     assert pr.controls.count == 4
     X = np.zeros((1, 1))
     # product control (i, j) sums the squared diffusions of the factors
@@ -127,7 +109,7 @@ def test_splitting_with_zero_family_equals_single_flow():
     )
     u = sp.initial_values()
     got = splitting_solve(sp, 0.1, 4)
-    f1 = sp.flows()[0]
+    f1 = sp.flows[0]
     want = f1.apply(f1.apply(u, 0.1, 4), 0.1, 4)
     np.testing.assert_array_equal(got, want)
 
@@ -144,7 +126,7 @@ def test_splitting_step_applies_family_two_first():
         n_x=8,
     )
     u = np.zeros(8)
-    out = splitting_step(sp, u, 0.1, 1)
+    out = sp.step(u, 0.1, 1)
     # S2 first: u -> 0.1; then S1 (one implicit step of u_t = -u):
     # u -> 0.1/1.1
     np.testing.assert_allclose(out, 0.1 / 1.1, atol=1e-9)
@@ -269,16 +251,16 @@ def pcc_problem(modes=None, n_x=24, T=0.2):
 def test_single_mode_pc_step_is_plain_flow():
     pp = pcc_problem(modes=[{"sigma": 0.6, "b": 0.5}])
     u = pp.initial_values()
-    got = pc_step(pp, u, 0.1, 8)
-    want = pp.flows()[0].apply(u, 0.1, 8)
+    got = pp.step(u, 0.1, 8)
+    want = pp.flows[0].apply(u, 0.1, 8)
     np.testing.assert_array_equal(got, want)
 
 
 def test_identical_modes_collapse():
     pp = pcc_problem(modes=[{"sigma": 0.6}, {"sigma": 0.6}])
     u = pp.initial_values()
-    got = pc_step(pp, u, 0.1, 8)
-    want = pp.flows()[0].apply(u, 0.1, 8)
+    got = pp.step(u, 0.1, 8)
+    want = pp.flows[0].apply(u, 0.1, 8)
     np.testing.assert_array_equal(got, want)
 
 
@@ -287,8 +269,8 @@ def test_pc_step_is_pointwise_min_of_flows():
                             {"sigma": 0.7, "b": -0.4},
                             {"f": 0.3}])
     u = pp.initial_values()
-    cands = [flow.apply(u, 0.05, 4) for flow in pp.flows()]
-    np.testing.assert_array_equal(pc_step(pp, u, 0.05, 4),
+    cands = [flow.apply(u, 0.05, 4) for flow in pp.flows]
+    np.testing.assert_array_equal(pp.step(u, 0.05, 4),
                                   np.minimum.reduce(cands))
 
 
@@ -299,7 +281,7 @@ def test_pcc_mode_flow_absorbs_half_factor():
                           modes=[{"sigma": 1.0 / math.sqrt(2.0)}],
                           u0=lambda X: np.sin(X[..., 0]), n_x=64)
     u = pp.initial_values()
-    out = pc_step(pp, u, 0.1, 64)
+    out = pp.step(u, 0.1, 64)
     np.testing.assert_allclose(out, math.exp(-0.05) * u, atol=2e-3)
 
 
@@ -318,15 +300,66 @@ def test_pcc_solve_sits_above_coupled_reference():
 def test_pcc_macro_must_divide_horizon():
     pp = pcc_problem(T=0.2)
     with pytest.raises(ConfigError):
-        pcc_solve(pp, 0.15, 4)
+        pp.solve(0.15, 4)
 
 
 def test_monotonicity_probe_on_flows():
     flow = SemigroupFlow(1, L2PI, 16, [{"sigma": 1.0, "b": 0.5}])
-    probe = semigroup_monotonicity_probe(lambda u: flow.apply(u, 0.1, 4), (16,),
-                                         trials=25, seed=3)
+    probe = probe_monotone(lambda u: flow.apply(u, 0.1, 4), (16,), trials=25, seed=3,
+                           slack=1e-9)
     assert probe.passed
-    bad = semigroup_monotonicity_probe(lambda u: -u, (16,), trials=10, seed=3)
+    bad = probe_monotone(lambda u: -u, (16,), trials=10, seed=3, slack=1e-9)
     assert not bad.passed
     assert bad.worst > 0.0
     assert "node" in bad.witness
+
+
+@pytest.mark.parametrize("make", [split_problem, pcc_problem])
+def test_solve_is_step_repeated_bit_for_bit(make):
+    sp = make(T=0.2, n_x=8)
+    u = sp.initial_values()
+    for _ in range(4):  # T/dt macro steps
+        u = sp.step(u, 0.05, 2)
+    np.testing.assert_array_equal(sp.solve(0.05, 2), u)
+
+
+@pytest.mark.parametrize("make, reference", [(split_problem, "split combined"),
+                                             (pcc_problem, "pcc coupled")])
+def test_flows_and_reference_are_built_once_at_construction(make, reference, monkeypatch):
+    built = []
+    flow_init = semigroup.SemigroupFlow.__init__
+    make_problem = semigroup.make_problem
+
+    def counted_flow(self, *args, **kwargs):
+        built.append("flow")
+        flow_init(self, *args, **kwargs)
+
+    def counted_problem(*args, **kwargs):
+        built.append(kwargs["label"])
+        return make_problem(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup.SemigroupFlow, "__init__", counted_flow)
+    monkeypatch.setattr(semigroup, "make_problem", counted_problem)
+    sp = make(T=0.1, n_x=8)
+    flows, ref = sp.flows, sp.reference_problem
+    assert built == ["flow", "flow", reference]
+    assert len(flows) == 2 and ref.label == reference
+    sp.reference(0.05)
+    np.testing.assert_array_equal(sp.initial_values(), np.sin(sp.grid.nodes()[..., 0]))
+    sp.solve(0.1, 2)
+    # only the flows' own per-(dt, m) problems are made after construction
+    assert built.count("flow") == 2 and built.count(reference) == 1
+    assert sp.flows is flows and sp.reference_problem is ref
+
+
+@pytest.mark.parametrize("cls, families", [
+    (SplitProblem, {"family1": [{"sigma": 1.0}], "family2": [{}]}),
+    (PCControlProblem, {"modes": [{"sigma": 0.6}, {"b": 0.5}]}),
+])
+@pytest.mark.parametrize("n_x, u0, reason", [
+    (2, 0.0, "n_x must be >= 3"),
+    (8, lambda X: X[..., 0], "u0 is not"),
+])
+def test_bad_grid_or_u0_fails_at_construction(cls, families, n_x, u0, reason):
+    with pytest.raises(ConfigError, match=reason):
+        cls(dim=1, period=L2PI, T=0.1, u0=u0, n_x=n_x, **families)
