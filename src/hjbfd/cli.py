@@ -38,7 +38,7 @@ from .config import (load_json, parse_matrix, parse_pcc, parse_problem,
 from .errors import ConfigError, HJBError, NumericalError, ProbeFailure
 from .grid import GridFunction, SpaceTimeGrid, csv_cell, write_csv
 from .harness import (SLOPE_TOLERANCE, ReferenceSolution, compare_bounds,
-                      run_refinement, write_rate_csv)
+                      run_refinement, study_levels, write_rate_csv)
 from .scheme import ThetaScheme
 from .semigroup import (PCControlProblem, SplitProblem, pcc_rate_experiment,
                         splitting_rate_experiment)
@@ -143,11 +143,9 @@ def cmd_solve(args) -> int:
 
 def cmd_rates(args) -> int:
     problem = parse_problem(load_json(args.config))
-    levels = sorted(_ints(args.levels, "--levels"))
-    if len(levels) < 2:
-        raise ConfigError("--levels needs at least two grid sizes")
-    ref_nx = args.ref_nx if args.ref_nx is not None else 2 * max(levels)
-    if min(levels[0], ref_nx) < 3:
+    levels = study_levels(_ints(args.levels, "--levels"), "--levels")
+    ref_nx = args.ref_nx if args.ref_nx is not None else 2 * levels[0]
+    if min(levels[-1], ref_nx) < 3:
         raise ConfigError(f"every level and the reference need n_x >= 3, got --levels "
                           f"{args.levels} and reference n_x={ref_nx}")
     for nx in levels:

@@ -1,8 +1,10 @@
 """Refinement studies, error norms, and log-log order fitting.
 
-Every rate study in the package goes through one path: `signed_errors`
-computes the sup norms of each level's signed error and `rate_report`
-sorts, fits and assembles the report.  Error orientation follows the
+Every rate study in the package runs one way.  `study_levels` sorts its
+levels by decreasing parameter and rejects fewer than two or a repeated
+one, before anything is solved; each level is then solved, and any
+numerical failure ends the study; `signed_errors` computes the sup norms of each level's signed error and `rate_report`
+fits and assembles the report.  Error orientation follows the
 two-sided rate statements: the signed error is d = u_ref - u_h, split into
 err_plus = |d^+|_0 (scheme below the reference) and err_minus = |d^-|_0
 (scheme above); err_total is the plain sup norm.  The switching study
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CFLError, ConfigError, NumericalError
+from .errors import ConfigError, NumericalError
 from .grid import GridFunction, SpaceTimeGrid, first_non_finite, write_csv
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "Verdict",
     "ReferenceSolution",
     "fit_order",
+    "study_levels",
     "signed_errors",
     "rate_report",
     "compare_bounds",
@@ -118,6 +121,22 @@ class RateReport:
                    for a, b in zip(self.err_total, self.err_total[1:]))
 
 
+def study_levels(levels, what: str, key=lambda level: level) -> list:
+    """The levels of a rate study sorted by decreasing key(level).
+
+    Every study calls this before it solves anything: with fewer than two
+    levels, or two with the same key, the log-log slope is undefined, so
+    either raises ConfigError.
+    """
+    levels = sorted(levels, key=key, reverse=True)
+    if len(levels) < 2:
+        raise ConfigError(f"{what} needs at least two levels, got {len(levels)}")
+    params = [key(lv) for lv in levels]
+    if len(set(params)) != len(params):
+        raise ConfigError(f"{what}: levels must be distinct, got {params}")
+    return levels
+
+
 def signed_errors(ref, u):
     """Sup norms (err_plus, err_minus, err_total) of the signed error d = ref - u.
 
@@ -191,9 +210,10 @@ class ReferenceSolution:
             raise ConfigError(f"unknown reference kind {kind!r}")
         self.kind = kind
 
-    def values_on(self, grid: SpaceTimeGrid, t: float) -> np.ndarray:
+    def values_on(self, grid: SpaceTimeGrid) -> np.ndarray:
+        """Reference values on the nodes of `grid` at its final time grid.T."""
         if self.kind == "exact":
-            return np.asarray(self.exact(t, grid.nodes()), dtype=float)
+            return np.asarray(self.exact(grid.T, grid.nodes()), dtype=float)
         fg = self.fine.grid
         if fg.dim != grid.dim or abs(fg.period - grid.period) > 1e-12 * grid.period:
             raise ConfigError("fine reference grid does not match the coarse grid domain")
@@ -208,45 +228,26 @@ class ReferenceSolution:
 
 
 def run_refinement(problem, scheme_options: dict, levels, reference: ReferenceSolution,
-                   exponent: float = 0.0, max_over_time: bool = False) -> RateReport:
-    """Solve `problem` at each (n_x, dt_target) level and fit error vs h.
+                   exponent: float = 0.0) -> RateReport:
+    """Solve `problem` at each (n_x, dt_target) level and fit the errors at
+    the final time T against h.
 
-    Levels are sorted by decreasing h.  Every level must satisfy the CFL
-    bound (a violation aborts the study); a level whose solve fails with
-    another NumericalError is recorded in the notes and skipped, and at
-    least two surviving levels are required.  Any other exception
-    propagates.  Errors are measured at the final time T (or, with
-    max_over_time, the worst level over all times, folded as the march
-    goes, so no level is kept).
+    Every level's grid is built first and the grids go through
+    `study_levels` on h, so a study with fewer than two levels or a
+    repeated h fails before any solve.  The levels are then solved by
+    decreasing h; a CFL violation or any other NumericalError ends the
+    study.
     """
     from .scheme import ThetaScheme  # local import to avoid a cycle
 
+    grids = study_levels([SpaceTimeGrid.build(problem.dim, problem.period, int(n_x), problem.T,
+                                              float(dt_target)) for n_x, dt_target in levels],
+                         "run_refinement", key=SpaceTimeGrid.h)
     rows = []
-    notes = []
-    for n_x, dt_target in levels:
-        grid = SpaceTimeGrid.build(problem.dim, problem.period, int(n_x), problem.T,
-                                   float(dt_target))
-        scheme = ThetaScheme(problem, grid, **scheme_options)
-        try:
-            if max_over_time:  # fold the worst error of each sign over one march
-                errs = None
-                for (u, _), t in zip(scheme.march(), grid.times()):
-                    e = signed_errors(reference.values_on(grid, t), u)
-                    errs = e if errs is None else tuple(map(max, errs, e))
-            else:
-                errs = signed_errors(reference.values_on(grid, grid.T),
-                                     scheme.solve().final.values)
-        except CFLError:
-            raise
-        except NumericalError as exc:  # record and continue with remaining levels
-            notes.append(f"level n_x={n_x} dt={dt_target!r} failed: {exc}")
-            continue
-        rows.append((grid.h(), grid.dx, grid.dt, *errs))
-
-    if len(rows) < 2:
-        raise ConfigError(
-            "refinement inconclusive: fewer than two levels solved; " + "; ".join(notes))
-    return rate_report("h", rows, exponent, notes)
+    for grid in grids:
+        u = ThetaScheme(problem, grid, **scheme_options).solve().final.values
+        rows.append((grid.h(), grid.dx, grid.dt, *signed_errors(reference.values_on(grid), u)))
+    return rate_report("h", rows, exponent)
 
 
 def write_rate_csv(report: RateReport, path, verdict: Verdict | None = None) -> None:

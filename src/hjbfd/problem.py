@@ -222,16 +222,18 @@ class HJBProblem:
     def _check_periodicity(self):
         rng = np.random.default_rng(12345)
         X = rng.uniform(0.0, self.period, size=(6, self.dim))
-        shift = np.zeros(self.dim)
-        shift[0] = self.period
         for name, fn in [("u0", lambda t, Y: self.u0_values(Y))] + [
             (f"f[{i}]", lambda t, Y, _i=i: self.coeffs.f(_i, t, Y)) for i in range(len(self.coeffs))
         ]:
             v0 = np.asarray(fn(0.0, X), dtype=float)
-            v1 = np.asarray(fn(0.0, X + shift), dtype=float)
             scale = 1.0 + float(np.max(np.abs(v0)))
-            if np.max(np.abs(v0 - v1)) > 1e-6 * scale:
-                raise ConfigError(f"problem: {name} is not {self.period}-periodic in x")
+            for axis in range(self.dim):
+                shift = np.zeros(self.dim)
+                shift[axis] = self.period
+                v1 = np.asarray(fn(0.0, X + shift), dtype=float)
+                if np.max(np.abs(v0 - v1)) > 1e-6 * scale:
+                    raise ConfigError(f"problem: {name} is not {self.period}-periodic "
+                                      f"in x_{axis + 1}")
 
     def u0_values(self, X: np.ndarray) -> np.ndarray:
         if callable(self.u0):

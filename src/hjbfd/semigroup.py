@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import SpaceTimeGrid, sup_norm
-from .harness import RateReport, rate_report, signed_errors
+from .harness import RateReport, rate_report, signed_errors, study_levels
 from .problem import CoefficientField, make_problem
 from .scheme import STUDY_TOL, ThetaScheme
 
@@ -103,26 +103,24 @@ class SemigroupFlow:
         self.label = label
         self._cache = {}
 
-    def _scheme(self, dt: float, m: int) -> ThetaScheme:
-        key = (float(dt), int(m))
-        sch = self._cache.get(key)
+    def _scheme(self, delta: float) -> ThetaScheme:
+        """The implicit scheme of one substep delta, built once per distinct
+        delta: every (dt, m) with dt/m == delta steps with the same bits."""
+        sch = self._cache.get(delta)
         if sch is None:
-            grid = SpaceTimeGrid.build(self.dim, self.period, self.n_x, float(dt),
-                                       float(dt) / int(m))
-            if grid.n_t != int(m):
-                raise ConfigError(f"flow substep count mismatch: {grid.n_t} != {m}")
-            problem = make_problem(self.dim, self.period, float(dt), self.controls,
+            grid = SpaceTimeGrid.build(self.dim, self.period, self.n_x, delta, delta)
+            problem = make_problem(self.dim, self.period, delta, self.controls,
                                    u0=0.0, label=self.label)
             sch = ThetaScheme(problem, grid, theta=1.0, builder=self.builder, tol=STUDY_TOL)
-            self._cache[key] = sch
+            self._cache[delta] = sch
         return sch
 
     def apply(self, values: np.ndarray, dt: float, m: int) -> np.ndarray:
         if not (dt > 0.0) or m < 1:
             raise ConfigError("flow apply needs dt > 0 and m >= 1")
-        sch = self._scheme(dt, m)
+        delta = float(dt) / int(m)
+        sch = self._scheme(delta)
         u = np.asarray(values, dtype=float).copy()
-        delta = sch.grid.dt
         for k in range(m):
             u, _ = sch.step(u, k * delta)
         return u
@@ -221,11 +219,9 @@ def _macro_count(T: float, dt: float, what: str) -> int:
 
 
 def _macro_steps(T: float, dt_list, what: str) -> list:
-    """The macro steps of a rate study, sorted descending; there must be at
-    least two, and each must divide the horizon T."""
-    dts = sorted((float(d) for d in dt_list), reverse=True)
-    if len(dts) < 2:
-        raise ConfigError(f"{what} needs at least two macro steps")
+    """The macro steps of a rate study through `study_levels`; each must
+    also divide the horizon T."""
+    dts = study_levels([float(d) for d in dt_list], what)
     for d in dts:
         _macro_count(T, d, what)
     return dts
@@ -290,9 +286,7 @@ def semigroup_rate_experiment(stepper, reference, dt_list, exponent: float,
     the signed errors reference - stepper(dt) are fitted log-log against
     dt (levels sorted descending).
     """
-    dts = sorted((float(d) for d in dt_list), reverse=True)
-    if len(dts) < 2:
-        raise ConfigError("semigroup_rate_experiment needs at least two macro steps")
+    dts = study_levels([float(d) for d in dt_list], "semigroup_rate_experiment")
     rows = [(d, dx, d, *signed_errors(reference, np.asarray(stepper(d), dtype=float)))
             for d in dts]
     return rate_report("dt", rows, exponent, notes or ())

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, SchemeError
 from .grid import GridFunction, SpaceTimeGrid, first_non_finite
-from .harness import RateReport, rate_report, signed_errors
+from .harness import RateReport, rate_report, signed_errors, study_levels
 from .problem import HJBProblem
 from .scheme import STUDY_TOL, ThetaScheme
 
@@ -179,9 +179,7 @@ def k_rate_experiment(base: HJBProblem, mode_controls: list, grid: SpaceTimeGrid
     Returns (report, solution at the smallest k), so a caller can check
     that solution without solving it again.
     """
-    ks = sorted((float(k) for k in k_list), reverse=True)
-    if len(ks) < 2:
-        raise ConfigError("k rate experiment needs at least two k values")
+    ks = study_levels([float(k) for k in k_list], "k rate experiment")
     u_ref = ThetaScheme(base, grid, theta, builder=builder).solve().final.values
     sol = switching_solve(SwitchingProblem(base=base, mode_controls=mode_controls, k=ks,
                                            grid=grid, theta=theta, builder=builder))

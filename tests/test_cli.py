@@ -226,13 +226,15 @@ def test_rates_prints_dropped_levels(tmp_path, capsys, monkeypatch):
         return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(ThetaScheme, "solve", failing_at_16)
+    out = tmp_path / "o"
     code = main(["rates", str(CONFIGS / "heat.json"), "--levels", "8,16,32",
-                 "--out", str(tmp_path / "o")])
-    assert code == 0
-    line = capsys.readouterr().out.strip()
-    assert line.startswith("rates: slope=")
-    assert "verdict=pass" in line
-    assert "level n_x=16" in line and "did not converge" in line
+                 "--out", str(out)])
+    # the failing level ends the study: no fit over the other two, no rates.csv
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: numerical: policy iteration did not converge\n"
+    assert not (out / "rates.csv").exists()
 
 
 def test_switching_quick_study(tmp_path, capsys):
@@ -448,8 +450,15 @@ def test_bad_input_exits_one_before_any_solve(argv, reason, tmp_path, capsys):
     ["pcc", str(CONFIGS / "pcc.json"), "--nx", "12", "--dt-list", "0.1,0.1"],
     ["switching", str(CONFIGS / "modes2.json"), "--nx", "16", "--k-list", "0.2,0.2"],
 ])
-def test_repeated_refinement_level_exits_one(argv, tmp_path, capsys):
-    # two equal levels leave the log-log slope undefined; no verdict is made
+def test_repeated_refinement_level_exits_one(argv, tmp_path, capsys, monkeypatch):
+    # two equal levels leave the log-log slope undefined: the study stops
+    # before its first scheme step, and no verdict is made
+    from hjbfd.scheme import ThetaScheme
+
+    def no_step(self, *args, **kwargs):
+        raise AssertionError("a scheme stepped before the levels were checked")
+
+    monkeypatch.setattr(ThetaScheme, "step", no_step)
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err

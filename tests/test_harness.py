@@ -128,7 +128,7 @@ def test_compare_bounds_verdicts():
 def test_reference_solution_exact():
     ref = ReferenceSolution("exact", exact=lambda t, X: t + X[..., 0])
     g = SpaceTimeGrid.build(dim=1, period=1.0, n_x=4, T=1.0, dt=0.5)
-    vals = ref.values_on(g, 1.0)
+    vals = ref.values_on(g)
     np.testing.assert_allclose(vals, 1.0 + np.arange(4) * 0.25)
 
 
@@ -137,15 +137,15 @@ def test_reference_solution_fine_restriction():
     fine = GridFunction(gf, np.arange(16.0))
     ref = ReferenceSolution("fine", fine=fine)
     gc = SpaceTimeGrid.build(dim=1, period=1.0, n_x=4, T=1.0, dt=0.5)
-    np.testing.assert_array_equal(ref.values_on(gc, 1.0), [0.0, 4.0, 8.0, 12.0])
+    np.testing.assert_array_equal(ref.values_on(gc), [0.0, 4.0, 8.0, 12.0])
     g6 = SpaceTimeGrid.build(dim=1, period=1.0, n_x=6, T=1.0, dt=0.5)
     with pytest.raises(ConfigError):
-        ref.values_on(g6, 1.0)  # 16/6 is not an integer
+        ref.values_on(g6)  # 16/6 is not an integer
     g12 = SpaceTimeGrid.build(dim=1, period=1.0, n_x=12, T=1.0, dt=0.5)
     with pytest.raises(ConfigError):
         # create a 12-point fine reference over a 4-point coarse grid:
         # ratio 3 is not a power of two
-        ReferenceSolution("fine", fine=GridFunction(g12, np.zeros(12))).values_on(gc, 1.0)
+        ReferenceSolution("fine", fine=GridFunction(g12, np.zeros(12))).values_on(gc)
     with pytest.raises(ConfigError):
         ReferenceSolution("exact")
     with pytest.raises(ConfigError):
@@ -189,13 +189,14 @@ def test_run_refinement_cfl_violation_aborts():
         run_refinement(pr, {"theta": 0.0}, heat_levels([16, 32], factor=4.0), ref)
 
 
-def test_run_refinement_needs_two_surviving_levels():
-    pr = make_problem(1, L2PI, 0.5, [{"sigma": 1.0}],
-                      u0=lambda X: np.sin(X[..., 0]))
-    ref = ReferenceSolution(
-        "exact", exact=lambda t, X: math.exp(-0.5 * t) * np.sin(X[..., 0]))
-    with pytest.raises(ConfigError, match="inconclusive"):
+def test_run_refinement_needs_two_surviving_levels(monkeypatch):
+    # one level, or two with the same h, is rejected before any solve
+    pr, ref = heat_study()
+    fail_at_level(monkeypatch, 16, AssertionError("solved before the levels were checked"))
+    with pytest.raises(ConfigError, match="at least two levels"):
         run_refinement(pr, {"theta": 0.0}, heat_levels([16]), ref)
+    with pytest.raises(ConfigError, match="must be distinct"):
+        run_refinement(pr, {"theta": 0.0}, heat_levels([32, 16, 16]), ref)
 
 
 def fail_at_level(monkeypatch, n_x, exc):
@@ -219,11 +220,11 @@ def heat_study():
 
 
 def test_run_refinement_drops_a_numerically_failed_level(monkeypatch):
+    # a level that fails numerically is not dropped: it ends the study
     pr, ref = heat_study()
     fail_at_level(monkeypatch, 16, SchemeError("policy iteration did not converge"))
-    rep = run_refinement(pr, {"theta": 0.0}, heat_levels([8, 16, 32]), ref)
-    assert len(rep.params) == 2
-    assert any("n_x=16" in n and "did not converge" in n for n in rep.notes)
+    with pytest.raises(SchemeError, match="did not converge"):
+        run_refinement(pr, {"theta": 0.0}, heat_levels([8, 16, 32]), ref)
 
 
 def test_run_refinement_propagates_non_numerical_errors(monkeypatch):
@@ -251,13 +252,13 @@ def test_signed_errors_reject_a_non_finite_error():
 
 
 def test_run_refinement_drops_a_level_with_a_non_finite_error():
-    # the reference is nan on the 16-node grid only, so that level has no error
+    # the reference is nan on the 16-node grid only: that level has no error,
+    # and the study raises instead of fitting the other two
     pr, ref = heat_study()
     nan_ref = ReferenceSolution(
         "exact", exact=lambda t, X: ref.exact(t, X) + (np.nan if len(X) == 16 else 0.0))
-    rep = run_refinement(pr, {"theta": 0.0}, heat_levels([8, 16, 32]), nan_ref)
-    assert len(rep.params) == 2
-    assert any("n_x=16" in n and "non-finite error" in n for n in rep.notes)
+    with pytest.raises(NumericalError, match="non-finite error"):
+        run_refinement(pr, {"theta": 0.0}, heat_levels([8, 16, 32]), nan_ref)
 
 
 def test_rate_report_sorts_rows_and_fits():
@@ -271,18 +272,6 @@ def test_rate_report_sorts_rows_and_fits():
     plus = rate_report("k", rows, 1.0, notes=["given"], fit_plus=True)
     assert plus.degenerate and plus.slope == 0.0
     assert plus.notes == ["given", "3 zero-error level(s) excluded"]
-
-
-def test_run_refinement_max_over_time():
-    pr = make_problem(1, L2PI, 0.5, [{"sigma": 1.0}],
-                      u0=lambda X: np.sin(X[..., 0]))
-    ref = ReferenceSolution(
-        "exact", exact=lambda t, X: math.exp(-0.5 * t) * np.sin(X[..., 0]))
-    rep_final = run_refinement(pr, {"theta": 0.0}, heat_levels([16, 32]), ref)
-    rep_max = run_refinement(pr, {"theta": 0.0}, heat_levels([16, 32]), ref,
-                             max_over_time=True)
-    for a, b in zip(rep_max.err_total, rep_final.err_total):
-        assert a >= b - 1e-15
 
 
 def test_write_rate_csv_layout_and_determinism(tmp_path):

@@ -100,8 +100,10 @@ def test_restrict_keeps_evaluators():
 
 
 def test_periodicity_check_rejects_linear_data():
-    with pytest.raises(ConfigError):
-        make_problem(1, L2PI, 1.0, [{"f": 0.0}], u0=lambda X: X[..., 0])
+    # the check shifts along every axis, so a u0 linear in x_2 only is caught too
+    for dim, axis in ((1, 0), (2, 1)):
+        with pytest.raises(ConfigError, match=f"u0 is not .*-periodic in x_{axis + 1}"):
+            make_problem(dim, L2PI, 1.0, [{}], u0=lambda X, _a=axis: X[..., _a])
 
 
 def test_decaying_wave_derivatives_match_finite_differences():

@@ -45,6 +45,26 @@ def test_heat_flow_matches_decay():
     np.testing.assert_allclose(out, math.exp(-0.05) * u, atol=2e-3)
 
 
+def test_flow_scheme_is_shared_by_every_dt_m_with_one_substep(monkeypatch):
+    # fl(0.1)/8 == fl(0.05)/4: both calls step with delta = 0.0125 through one scheme
+    built = []
+    scheme = semigroup.ThetaScheme
+
+    def counted(*args, **kwargs):
+        built.append(args[1].dt)
+        return scheme(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "ThetaScheme", counted)
+    flow = SemigroupFlow(1, L2PI, 32, [{"sigma": 1.0}, {"sigma": 0.5, "b": 0.3, "f": 0.2}])
+    u = np.sin(np.arange(32) * (L2PI / 32))
+    whole = flow.apply(u, 0.1, 8)
+    halves = flow.apply(flow.apply(u, 0.05, 4), 0.05, 4)
+    assert built == [0.0125]
+    np.testing.assert_array_equal(halves, whole)
+    fresh = SemigroupFlow(1, L2PI, 32, flow.controls)
+    np.testing.assert_array_equal(fresh.apply(u, 0.05, 4), flow.apply(u, 0.05, 4))
+
+
 def test_flow_fails_fast_on_non_finite_values():
     # split and pcc march through these flows: a nan must raise, not sweep
     flow = SemigroupFlow(1, L2PI, 8, [{"sigma": 1.0}])
@@ -347,7 +367,7 @@ def test_flows_and_reference_are_built_once_at_construction(make, reference, mon
     sp.reference(0.05)
     np.testing.assert_array_equal(sp.initial_values(), np.sin(sp.grid.nodes()[..., 0]))
     sp.solve(0.1, 2)
-    # only the flows' own per-(dt, m) problems are made after construction
+    # only the flows' own per-substep problems are made after construction
     assert built.count("flow") == 2 and built.count(reference) == 1
     assert sp.flows is flows and sp.reference_problem is ref
 
