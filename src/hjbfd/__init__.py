@@ -4,9 +4,8 @@ Bellman equations on the torus, with rate-verification tooling."""
 from .errors import (CFLError, ConfigError, HJBError, NumericalError,
                      ProbeFailure, SchemeError)
 from .grid import GridFunction, SpaceTimeGrid, sup_norm, write_csv
-from .problem import (CoefficientField, ControlSet, HJBProblem, ManufacturedProblem,
-                      SmoothFunction, decaying_wave, evaluate_F, evaluate_L, make_problem,
-                      manufacture)
+from .problem import (CoefficientField, HJBProblem, ManufacturedProblem, SmoothFunction,
+                      decaying_wave, evaluate_F, evaluate_L, make_problem, manufacture)
 from .stencil import (BZDecomposition, SpatialStencil, bz_decompose, bz_stencil,
                       check_diag_dominant, consistency_residual, kushner_stencil)
 from .scheme import (CFLReport, ComparisonConstants, ProbeResult, SolveResult,
@@ -27,9 +26,8 @@ __all__ = [
     "CFLError", "ConfigError", "HJBError", "NumericalError", "ProbeFailure",
     "SchemeError",
     "GridFunction", "SpaceTimeGrid", "sup_norm", "write_csv",
-    "CoefficientField", "ControlSet", "HJBProblem", "ManufacturedProblem",
-    "SmoothFunction", "decaying_wave", "evaluate_F", "evaluate_L", "make_problem",
-    "manufacture",
+    "CoefficientField", "HJBProblem", "ManufacturedProblem", "SmoothFunction",
+    "decaying_wave", "evaluate_F", "evaluate_L", "make_problem", "manufacture",
     "BZDecomposition", "SpatialStencil", "bz_decompose", "bz_stencil",
     "check_diag_dominant", "consistency_residual", "kushner_stencil",
     "CFLReport", "ComparisonConstants", "ProbeResult", "SolveResult", "StepReport",

@@ -214,7 +214,7 @@ def parse_switching(doc: dict):
     modes = doc.get("modes")
     if not isinstance(modes, list) or len(modes) < 2:
         raise ConfigError("switching: 'modes' must list at least two control-index lists")
-    n = problem.controls.count
+    n = len(problem.coeffs)
     parsed = []
     for i, mode in enumerate(modes):
         if not isinstance(mode, list) or not mode:

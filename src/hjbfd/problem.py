@@ -7,25 +7,26 @@ A problem is
     u(0,x) = u0(x),   x in [0, period)^dim,  t in (0, T],
 
 with a^alpha = (1/2) sigma^alpha (sigma^alpha)^T derived from sigma and
-never stored independently.  Coefficients are pure evaluators; constants
-are wrapped into vectorized callables at construction.  All evaluators
-are vectorized over a trailing point block: X has shape (*S, dim) and the
-pieces return
+never stored independently.  Each control's coefficients are stored as
+data: a constant as its value, anything else as a vectorized (t, X)
+evaluator, so whether a coefficient is constant is read off the value
+itself.  The evaluators of `CoefficientField` take a trailing point block
+X of shape (*S, dim) and return
 
     sigma -> (*S, dim, p)    b -> (*S, dim)    c, f -> (*S,)
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 
 __all__ = [
-    "ControlSet",
     "CoefficientField",
     "SpaceOnly",
     "HJBProblem",
@@ -41,25 +42,6 @@ __all__ = [
 RESIDUAL_POINTS = 1000  # sample points of ManufacturedProblem.residual_check
 
 
-@dataclass(frozen=True)
-class ControlSet:
-    """Finite control grid: an ordered tuple of labels."""
-
-    labels: tuple
-
-    def __post_init__(self):
-        if len(self.labels) < 1:
-            raise ConfigError("control set must contain at least one control")
-
-    @property
-    def count(self) -> int:
-        return len(self.labels)
-
-    @classmethod
-    def of_size(cls, n: int) -> "ControlSet":
-        return cls(tuple(f"a{i}" for i in range(n)))
-
-
 class SpaceOnly:
     """A scalar field g(X) that does not depend on t, as a (t, X) evaluator.
 
@@ -73,71 +55,27 @@ class SpaceOnly:
         return self.g(X)
 
 
-def _as_scalar_field(val, what: str):
-    """Normalize a scalar or callable(t, X)->(*S,) field; returns (fn, is_const)."""
-    if callable(val):
-        return val, False
-    v = float(val)
-
-    def fn(t, X, _v=v):
-        return np.full(np.shape(X)[:-1], _v)
-
-    return fn, True
+def _at(value, t, X):
+    """A stored coefficient at the points X (*S, dim): a callable is called
+    with (t, X), a constant is repeated over S into a fresh array."""
+    if callable(value):
+        return value(t, X)
+    return np.broadcast_to(value, np.shape(X)[:-1] + np.shape(value)).copy()
 
 
-def _as_vector_field(val, dim: int, what: str):
-    """Normalize drift input: scalar (replicated), length-dim vector, or callable."""
-    if callable(val):
-        return val, False
-    arr = np.asarray(val, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(dim, float(arr))
-    if arr.shape != (dim,):
-        raise ConfigError(f"{what}: expected scalar or length-{dim} vector, got shape {arr.shape}")
-
-    def fn(t, X, _a=arr):
-        return np.broadcast_to(_a, np.shape(X)[:-1] + (dim,)).copy()
-
-    return fn, True
-
-
-def _as_matrix_field(val, dim: int, what: str):
-    """Normalize sigma input: scalar s -> s*I, vector -> diag, matrix (dim,p), or callable."""
-    if callable(val):
-        return val, False
-    arr = np.asarray(val, dtype=float)
-    if arr.ndim == 0:
-        arr = float(arr) * np.eye(dim)
-    elif arr.ndim == 1:
-        if arr.shape != (dim,):
-            raise ConfigError(f"{what}: diagonal must have length {dim}, got {arr.shape}")
-        arr = np.diag(arr)
-    elif arr.ndim == 2:
-        if arr.shape[0] != dim:
-            raise ConfigError(f"{what}: expected {dim} rows, got shape {arr.shape}")
-    else:
-        raise ConfigError(f"{what}: expected scalar, vector, or matrix, got ndim {arr.ndim}")
-
-    def fn(t, X, _a=arr):
-        return np.broadcast_to(_a, np.shape(X)[:-1] + _a.shape).copy()
-
-    return fn, True
-
-
-@dataclass
+@dataclass(frozen=True)
 class _ControlCoeffs:
+    """One control's data.  A callable is a (t, X) evaluator; anything else
+    is a constant: sigma a (dim, p) array, b a (dim,) array, c and f floats."""
+
     sigma: object
     b: object
     c: object
     f: object
-    sigma_const: bool
-    b_const: bool
-    c_const: bool
-    f_static: bool  # f constant or SpaceOnly
 
 
 class CoefficientField:
-    """Per-control coefficient evaluators (sigma, b, c, f), all vectorized."""
+    """Per-control coefficients (sigma, b, c, f), evaluated vectorized."""
 
     def __init__(self, entries: list):
         if not entries:
@@ -146,30 +84,51 @@ class CoefficientField:
 
     @classmethod
     def from_specs(cls, specs: list, dim: int) -> "CoefficientField":
+        """Entries from dicts {sigma, b, c, f}; each value is a callable(t, X)
+        or a constant: sigma a scalar s (s I), a length-dim diagonal or a
+        (dim, p) matrix, b a scalar (repeated) or a length-dim vector, c and
+        f numbers.  A missing value is 0."""
         entries = []
         for i, spec in enumerate(specs):
-            sig, sig_c = _as_matrix_field(spec.get("sigma", 0.0), dim, f"control {i} sigma")
-            b, b_c = _as_vector_field(spec.get("b", 0.0), dim, f"control {i} b")
-            c, c_c = _as_scalar_field(spec.get("c", 0.0), f"control {i} c")
-            f, f_c = _as_scalar_field(spec.get("f", 0.0), f"control {i} f")
-            entries.append(_ControlCoeffs(sig, b, c, f, sig_c, b_c, c_c,
-                                          f_c or isinstance(f, SpaceOnly)))
+            sigma, b, c, f = (spec.get(k, 0.0) for k in ("sigma", "b", "c", "f"))
+            if not callable(sigma):
+                sigma = np.asarray(sigma, dtype=float)
+                if sigma.ndim == 0:
+                    sigma = float(sigma) * np.eye(dim)
+                elif sigma.shape == (dim,):
+                    sigma = np.diag(sigma)
+                if sigma.ndim != 2 or sigma.shape[0] != dim:
+                    raise ConfigError(f"control {i} sigma: expected a scalar, a length-{dim} "
+                                      f"diagonal or a matrix with {dim} rows, "
+                                      f"got shape {sigma.shape}")
+            if not callable(b):
+                b = np.asarray(b, dtype=float)
+                if b.ndim == 0:
+                    b = np.full(dim, float(b))
+                if b.shape != (dim,):
+                    raise ConfigError(f"control {i} b: expected scalar or length-{dim} vector, "
+                                      f"got shape {b.shape}")
+            c, f = (v if callable(v) else float(v) for v in (c, f))
+            entries.append(_ControlCoeffs(sigma, b, c, f))
         return cls(entries)
 
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __getitem__(self, i: int) -> _ControlCoeffs:
+        return self._entries[i]
+
     def sigma(self, i: int, t: float, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self._entries[i].sigma(t, X), dtype=float)
+        return np.asarray(_at(self._entries[i].sigma, t, X), dtype=float)
 
     def b(self, i: int, t: float, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self._entries[i].b(t, X), dtype=float)
+        return np.asarray(_at(self._entries[i].b, t, X), dtype=float)
 
     def c(self, i: int, t: float, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self._entries[i].c(t, X), dtype=float)
+        return np.asarray(_at(self._entries[i].c, t, X), dtype=float)
 
     def f(self, i: int, t: float, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self._entries[i].f(t, X), dtype=float)
+        return np.asarray(_at(self._entries[i].f, t, X), dtype=float)
 
     def ssq(self, i: int, t: float, X: np.ndarray) -> np.ndarray:
         """sigma sigma^T, shape (*S, dim, dim)."""
@@ -183,11 +142,12 @@ class CoefficientField:
     def stencil_static(self, i: int) -> bool:
         """True when sigma, b and c are constants (stencil reusable across times)."""
         e = self._entries[i]
-        return e.sigma_const and e.b_const and e.c_const
+        return not any(callable(v) for v in (e.sigma, e.b, e.c))
 
     def fully_static(self, i: int) -> bool:
         """True when no coefficient depends on t (f may still vary in space)."""
-        return self.stencil_static(i) and self._entries[i].f_static
+        f = self._entries[i].f
+        return self.stencil_static(i) and (not callable(f) or isinstance(f, SpaceOnly))
 
     def restrict(self, indices) -> "CoefficientField":
         return CoefficientField([self._entries[i] for i in indices])
@@ -195,10 +155,10 @@ class CoefficientField:
 
 @dataclass
 class HJBProblem:
-    """Problem data: control set, coefficients, initial data, horizon, period."""
+    """Problem data: coefficients (one entry per control), initial data,
+    horizon, period."""
 
     dim: int
-    controls: ControlSet
     coeffs: CoefficientField
     u0: object
     T: float
@@ -212,11 +172,6 @@ class HJBProblem:
             raise ConfigError("problem: horizon T must be positive")
         if not (self.period > 0.0):
             raise ConfigError("problem: period must be positive")
-        if self.controls.count != len(self.coeffs):
-            raise ConfigError(
-                f"problem: {self.controls.count} control labels but "
-                f"{len(self.coeffs)} coefficient entries"
-            )
         self._check_periodicity()
 
     def _check_periodicity(self):
@@ -241,25 +196,17 @@ class HJBProblem:
         return np.full(np.shape(X)[:-1], float(self.u0))
 
     def restrict(self, indices, label: str | None = None) -> "HJBProblem":
-        """Sub-problem over a subset of controls (shared evaluators)."""
+        """Sub-problem over a subset of controls (shared coefficients),
+        labelled `label|a2,a0` by default."""
         indices = list(indices)
-        labels = tuple(self.controls.labels[i] for i in indices)
-        return HJBProblem(
-            dim=self.dim,
-            controls=ControlSet(labels),
-            coeffs=self.coeffs.restrict(indices),
-            u0=self.u0,
-            T=self.T,
-            period=self.period,
-            label=label or f"{self.label}|{','.join(labels)}",
-        )
+        return dataclasses.replace(
+            self, coeffs=self.coeffs.restrict(indices),
+            label=label or f"{self.label}|{','.join(f'a{i}' for i in indices)}")
 
 
 def make_problem(dim, period, T, controls, u0, label="problem") -> HJBProblem:
-    """Assemble an HJBProblem from per-control dicts {sigma, b, c, f};
-    the controls are labelled a0, a1, ..."""
-    coeffs = CoefficientField.from_specs(controls, dim)
-    return HJBProblem(dim=dim, controls=ControlSet.of_size(len(controls)), coeffs=coeffs,
+    """Assemble an HJBProblem from per-control dicts {sigma, b, c, f}."""
+    return HJBProblem(dim=dim, coeffs=CoefficientField.from_specs(controls, dim),
                       u0=u0, T=T, period=period, label=label)
 
 
@@ -279,7 +226,7 @@ def evaluate_L(problem: HJBProblem, control: int, t: float, x, value: float,
 def evaluate_F(problem: HJBProblem, t: float, x, value: float, gradient, hessian) -> float:
     """Running sup over the control set of evaluate_L."""
     vals = [evaluate_L(problem, i, t, x, value, gradient, hessian)
-            for i in range(problem.controls.count)]
+            for i in range(len(problem.coeffs))]
     return float(max(vals))
 
 
@@ -370,9 +317,9 @@ def manufacture(dim, period, T, controls, exact: SmoothFunction,
     )
 
     def build_f(i, g_spec):
-        g_fn, _ = _as_scalar_field(0.0 if g_spec is None else g_spec, f"control {i} g")
+        g = g_spec if callable(g_spec) else float(0.0 if g_spec is None else g_spec)
 
-        def f(t, X, _i=i, _g=g_fn):
+        def f(t, X, _i=i, _g=g):
             Xa = np.asarray(X, dtype=float)
             a = base.a(_i, t, Xa)
             b = base.b(_i, t, Xa)
@@ -382,7 +329,7 @@ def manufacture(dim, period, T, controls, exact: SmoothFunction,
             H = np.asarray(exact.hess(t, Xa), dtype=float)
             ut = np.broadcast_to(np.asarray(exact.dt(t, Xa), dtype=float), r.shape)
             lin = -np.einsum("...ij,...ji->...", a, H) - np.einsum("...i,...i->...", b, p) - c * r
-            return lin + ut + _g(t, Xa)
+            return lin + ut + _at(_g, t, Xa)
 
         return f
 

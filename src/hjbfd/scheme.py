@@ -223,9 +223,9 @@ class ThetaScheme:
         self.forcing = forcing
         self._nodes = grid.nodes()
         self._coeffs_static = all(problem.coeffs.fully_static(i)
-                                  for i in range(problem.controls.count))
+                                  for i in range(len(problem.coeffs)))
         self._stencils_static = all(problem.coeffs.stencil_static(i)
-                                    for i in range(problem.controls.count))
+                                    for i in range(len(problem.coeffs)))
         self._static_ops = None
         self._static_weights = None
         self._carry = None  # (ops, u, G, P) of the last implicit step, see implicit_step
@@ -233,21 +233,19 @@ class ThetaScheme:
     # ----- operator assembly -------------------------------------------------
 
     def _build_stencil(self, i: int, t: float):
+        """Stencil of control i at time t: scalar weights when its sigma and b
+        are constants (evaluated at one node), per-node weights otherwise."""
         pr, g = self.problem, self.grid
-        X = self._nodes
-        ssq = pr.coeffs.ssq(i, t, X)
-        b = pr.coeffs.b(i, t, X)
-        # constant-coefficient fast path: collapse per-node arrays to scalars
-        flat_m = ssq.reshape(-1, pr.dim, pr.dim)
-        flat_b = b.reshape(-1, pr.dim)
-        uniform = bool(np.all(flat_m == flat_m[0]) and np.all(flat_b == flat_b[0]))
+        if callable(pr.coeffs[i].sigma) or callable(pr.coeffs[i].b):
+            if self.builder == "bz":
+                raise ConfigError("bz builder requires constant sigma and b")
+            return kushner_stencil(pr.coeffs.ssq(i, t, self._nodes),
+                                   pr.coeffs.b(i, t, self._nodes), g.dx)
+        X = self._nodes.reshape(-1, pr.dim)[:1]
+        ssq, b = pr.coeffs.ssq(i, t, X)[0], pr.coeffs.b(i, t, X)[0]
         if self.builder == "kushner":
-            if uniform:
-                return kushner_stencil(flat_m[0], flat_b[0], g.dx)
             return kushner_stencil(ssq, b, g.dx)
-        if not uniform:
-            raise ConfigError("bz builder requires space-independent sigma, b")
-        return bz_stencil(bz_decompose(flat_m[0], max_order=BZ_ORDER), flat_b[0], g.dx)
+        return bz_stencil(bz_decompose(ssq, max_order=BZ_ORDER), b, g.dx)
 
     def _weights_at(self, t: float):
         """Stacked stencil weights W, their offset sums csum and the neighbour
@@ -255,7 +253,7 @@ class ThetaScheme:
         if self._static_weights is not None:
             return self._static_weights
         g = self.grid
-        stencils = [self._build_stencil(i, t) for i in range(self.problem.controls.count)]
+        stencils = [self._build_stencil(i, t) for i in range(len(self.problem.coeffs))]
         offsets = sorted({off for st in stencils for off in st.entries})
         varies = any(np.ndim(w) != 0 for st in stencils for w in st.entries.values())
         W = np.zeros((len(stencils), len(offsets)) + (g.shape if varies else (1,) * g.dim))
@@ -275,7 +273,7 @@ class ThetaScheme:
         """Stacked discount rates c^alpha(t, .), shape (n_c, *grid)."""
         pr, g = self.problem, self.grid
         return np.stack([np.broadcast_to(pr.coeffs.c(i, t, self._nodes), g.shape)
-                         for i in range(pr.controls.count)])
+                         for i in range(len(pr.coeffs))])
 
     def _ops_at(self, t: float) -> _Ops:
         if self._static_ops is not None:
@@ -283,7 +281,7 @@ class ThetaScheme:
         pr, g = self.problem, self.grid
         W, csum, nbr = self._weights_at(t)
         f = np.stack([np.broadcast_to(pr.coeffs.f(i, t, self._nodes), g.shape)
-                      for i in range(pr.controls.count)])
+                      for i in range(len(pr.coeffs))])
         if self.forcing is not None:
             f = f + np.broadcast_to(np.asarray(self.forcing, dtype=float), g.shape)
         ops = _Ops(W, csum, nbr, self._c_at(t), f)
@@ -328,11 +326,12 @@ class ThetaScheme:
         ops.frozen[key] = system
         return system
 
-    def _policy_solve(self, ops: _Ops, P: np.ndarray, rhs: np.ndarray, inner_tol: float, t):
+    def _policy_solve(self, ops: _Ops, P: np.ndarray, rhs: np.ndarray, t):
         """Solve (1 + theta dt (sumC - c)) u - theta dt sum_beta C u(.+beta)
-        = rhs + theta dt f for the frozen policy, by Jacobi sweeps.  Returns
-        u and the number of sweeps."""
+        = rhs + theta dt f for the frozen policy, by Jacobi sweeps down to a
+        residual of 0.2 tol.  Returns u and the number of sweeps."""
         th_dt = self.theta * self.grid.dt
+        target = 0.2 * self.tol
         W_P, diag, th_f = self._frozen_system(ops, P)
         b_rhs = rhs + th_f
         u = rhs.copy()
@@ -340,20 +339,20 @@ class ThetaScheme:
             off = th_dt * np.einsum("o...,o...->...", W_P, u.reshape(-1)[ops.nbr])
             res = diag * u - off - b_rhs
             worst = np.abs(res).max()
-            if worst <= inner_tol:
+            if worst <= target:
                 return u, sweep
             if not math.isfinite(worst):  # no further sweep can bring it down
                 raise SchemeError(f"implicit step: non-finite Jacobi residual at t={t!r}, "
                                   f"node {first_non_finite(res)}")
             u = (b_rhs + off) / diag
         raise SchemeError(
-            f"implicit step: Jacobi sweeps failed to reach {inner_tol:.1e} "
+            f"implicit step: Jacobi sweeps failed to reach {target:.1e} "
             f"within {MAX_SWEEPS} sweeps"
         )
 
     # ----- stepping -----------------------------------------------------------
 
-    def implicit_step(self, rhs: np.ndarray, t: float, inner_tol: float | None = None):
+    def implicit_step(self, rhs: np.ndarray, t: float):
         """Solve u + theta dt G(t, u) = rhs by policy iteration.
 
         The returned u and its report's argmax are read-only.  When the
@@ -364,7 +363,6 @@ class ThetaScheme:
         result is bit-identical."""
         ops = self._ops_at(t)
         th_dt = self.theta * self.grid.dt
-        tol = self.tol if inner_tol is None else inner_tol
         u = rhs.copy()
         sweeps = 0
         carry, self._carry = self._carry, None
@@ -375,7 +373,7 @@ class ThetaScheme:
         for it in range(MAX_POLICY_ITERS + 1):
             r = u + th_dt * G - rhs
             res = np.abs(r).max()
-            if res <= tol:
+            if res <= self.tol:
                 u.flags.writeable = P.flags.writeable = False
                 if ops is self._static_ops:  # a rebuilt operator is never the next one
                     self._carry = (ops, u, G, P)
@@ -386,7 +384,7 @@ class ThetaScheme:
                                   f"node {first_non_finite(r)}")
             if it == MAX_POLICY_ITERS:
                 break
-            u, n = self._policy_solve(ops, P, rhs, 0.2 * tol, t)
+            u, n = self._policy_solve(ops, P, rhs, t)
             sweeps += n
             G, P = self._hamiltonian(ops, u)
             evals += 1
@@ -395,7 +393,7 @@ class ThetaScheme:
             f"iterations at t={t!r} (residual {res:.3e})"
         )
 
-    def step(self, u_prev: np.ndarray, t_prev: float, inner_tol: float | None = None):
+    def step(self, u_prev: np.ndarray, t_prev: float):
         """Advance one level from t_prev.  Returns (values, report).
 
         u_prev is one state of the grid's shape or a stack (B, *grid) of
@@ -416,10 +414,10 @@ class ThetaScheme:
                                 max_residual=0.0, hamiltonians=explicit, argmax=P)
             return rhs, report
         if rhs.ndim == self.grid.dim:
-            u, report = self.implicit_step(rhs, t_prev + dt, inner_tol=inner_tol)
+            u, report = self.implicit_step(rhs, t_prev + dt)
             report.hamiltonians += explicit
             return u, report
-        members = [self.implicit_step(r, t_prev + dt, inner_tol=inner_tol) for r in rhs]
+        members = [self.implicit_step(r, t_prev + dt) for r in rhs]
         reps = [rep for _, rep in members]
         return np.stack([u for u, _ in members]), StepReport(
             t=t_prev + dt, policy_iterations=max(r.policy_iterations for r in reps),
@@ -483,10 +481,12 @@ class ThetaScheme:
 
     def monotonicity_probe(self, trials: int = 100, seed: int = 0) -> ProbeResult:
         """Step random ordered pairs u <= v once; order must be preserved
-        nodewise up to MONOTONE_SLACK.  Implicit steps run with a tightened
-        inner tolerance so solver error cannot masquerade as a violation."""
-        inner = min(self.tol, 1e-13)
-        return probe_monotone(lambda u: self.step(u, 0.0, inner_tol=inner)[0],
+        nodewise up to MONOTONE_SLACK.  The pairs step through a twin scheme
+        with the tolerance tightened to at most 1e-13, so solver error cannot
+        masquerade as a violation."""
+        twin = ThetaScheme(self.problem, self.grid, self.theta, builder=self.builder,
+                           tol=min(self.tol, 1e-13), forcing=self.forcing)
+        return probe_monotone(lambda u: twin.step(u, 0.0)[0],
                               self.grid.shape, trials, seed, MONOTONE_SLACK)
 
     def comparison_bound_check(self, u_result: SolveResult, v_result: SolveResult,
@@ -520,7 +520,7 @@ class ThetaScheme:
         supf = 0.0
         times = [0.0] if self._coeffs_static else g.times()
         for t in times:
-            for i in range(pr.controls.count):
+            for i in range(len(pr.coeffs)):
                 supf = max(supf, float(np.max(np.abs(pr.coeffs.f(i, t, X)))))
         if self.forcing is not None:
             supf += float(np.max(np.abs(np.asarray(self.forcing, dtype=float))))

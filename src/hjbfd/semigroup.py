@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import SpaceTimeGrid, sup_norm
 from .harness import RateReport, rate_report, signed_errors, study_levels
-from .problem import CoefficientField, make_problem
+from .problem import CoefficientField, SpaceOnly, make_problem
 from .scheme import STUDY_TOL, ThetaScheme
 
 __all__ = [
@@ -52,22 +52,23 @@ REF_FACTOR = 16     # reference solves step at (finest step) / REF_FACTOR
 
 
 def _norm_family(entries, dim: int, what: str):
-    """Constant sigma (dim x p), b (dim,) and c of each entry, read through
-    `CoefficientField`; f is kept as given."""
+    """Each entry's coefficients as stored by `CoefficientField`: constant
+    sigma (dim x p), b (dim,) and c, and f a float or an evaluator."""
     if not entries:
         raise ConfigError(f"{what}: family needs at least one control")
     coeffs = CoefficientField.from_specs(entries, dim)
-    X0 = np.zeros((1, dim))
     out = []
-    for i, spec in enumerate(entries):
+    for i in range(len(coeffs)):
         if not coeffs.stencil_static(i):
             raise ConfigError(f"{what}[{i}]: semigroup families need constant sigma, b and c")
-        out.append({"sigma": coeffs.sigma(i, 0.0, X0)[0], "b": coeffs.b(i, 0.0, X0)[0],
-                    "c": float(coeffs.c(i, 0.0, X0)[0]), "f": spec.get("f", 0.0)})
+        e = coeffs[i]
+        out.append({"sigma": e.sigma, "b": e.b, "c": e.c, "f": e.f})
     return out
 
 
 def _sum_f(f1, f2):
+    """Source f1 + f2 of a combined control: a float when both pieces are
+    constants, a SpaceOnly when neither depends on t, else a (t, X) evaluator."""
     if not callable(f1) and not callable(f2):
         return float(f1) + float(f2)
 
@@ -80,6 +81,8 @@ def _sum_f(f1, f2):
                 out = out + float(piece)
         return out
 
+    if all(isinstance(p, SpaceOnly) or not callable(p) for p in (f1, f2)):
+        return SpaceOnly(lambda X: f(0.0, X))
     return f
 
 

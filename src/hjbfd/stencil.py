@@ -15,11 +15,16 @@ sigma^T (the problem module's diffusion) must pass sigma sigma^T =
 
 `kushner_stencil` implements the classical axis/corner coefficient table
 (single-axis correction sum |a_ij|/(4 dx^2)); it is exact for diagonal a
-and of positive type whenever a is diagonally dominant.  Cross-diffusion
-that needs a consistency-exact operator should go through the direction
-decomposition route (`bz_decompose` + `bz_stencil`, the scheme's 'bz'
-builder), which covers any a admitting a nonnegative integer-direction
-decomposition.
+and of positive type whenever a is diagonally dominant.  It is not
+consistent for cross diffusion: the corner pairs add |a_ij|/2 to the
+coefficients of w_ii and w_jj and the axis correction takes back only
+|a_ij|/4, so L_h w tends to (1/2) tr[a D^2 w] + (1/4) sum_i sum_{j != i}
+|a_ij| w_ii, an axis diffusion that does not vanish as dx -> 0 (a
+consistency residual of 0.03 at every dx on the first control of
+perfbench/inputs/rates_2d_seed0.json).  Cross-diffusion should go through
+the direction decomposition route (`bz_decompose` + `bz_stencil`, the
+scheme's 'bz' builder), which covers any a admitting a nonnegative
+integer-direction decomposition and is second-order consistent.
 """
 
 from __future__ import annotations
@@ -99,7 +104,8 @@ def kushner_stencil(a, b, dx: float) -> SpatialStencil:
         C(+-(e_i-e_j)) = a_ij^- / (2 dx^2)
 
     All weights are nonnegative iff they are; `check_diag_dominant(a)`
-    is a sufficient condition on the diffusion part.
+    is a sufficient condition on the diffusion part.  Consistent only for
+    diagonal a (see the module docstring).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:

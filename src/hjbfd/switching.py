@@ -68,7 +68,7 @@ class SwitchingProblem:
             raise ConfigError(f"switching cost k must be positive, got {self.k}")
         if len(self.mode_controls) < 2:
             raise ConfigError("switching system needs at least two modes")
-        n = self.base.controls.count
+        n = len(self.base.coeffs)
         seen = set()
         for mode in self.mode_controls:
             if not mode:

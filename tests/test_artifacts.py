@@ -12,10 +12,12 @@ If an output change is intended, record the new hashes and name the change.
 import hashlib
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import hjbfd
 from hjbfd.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,3 +98,12 @@ def test_tracer_targets_resolve():
             assert callable(cls.__dict__[meth])
         else:
             assert callable(getattr(mod, attr, None)), f"hjbfd.{module}.{attr} is missing"
+
+
+@pytest.mark.parametrize("module", ["hjbfd"] + sorted(
+    f"hjbfd.{m.name}" for m in pkgutil.iter_modules(hjbfd.__path__)))
+def test_exported_names_resolve(module):
+    """A name left in an `__all__` after its definition went fails here."""
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names undefined {missing}"

@@ -111,7 +111,7 @@ def test_builtin_source_is_evaluated_once_per_solve(monkeypatch):
     from hjbfd import CoefficientField, SpaceTimeGrid, ThetaScheme
 
     problem = parse_problem(load_json(CONFIGS / "twocontrol.json"))
-    assert all(problem.coeffs.fully_static(i) for i in range(problem.controls.count))
+    assert all(problem.coeffs.fully_static(i) for i in range(len(problem.coeffs)))
     calls = []
     f = CoefficientField.f
     monkeypatch.setattr(CoefficientField, "f",
@@ -214,7 +214,7 @@ def test_rates_floor_failure_exits_two(tmp_path, capsys):
     assert "rate check failed" in out.err
 
 
-def test_rates_prints_dropped_levels(tmp_path, capsys, monkeypatch):
+def test_rates_a_failed_level_ends_the_study(tmp_path, capsys, monkeypatch):
     from hjbfd.errors import SchemeError
     from hjbfd.scheme import ThetaScheme
 

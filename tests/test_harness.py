@@ -189,7 +189,7 @@ def test_run_refinement_cfl_violation_aborts():
         run_refinement(pr, {"theta": 0.0}, heat_levels([16, 32], factor=4.0), ref)
 
 
-def test_run_refinement_needs_two_surviving_levels(monkeypatch):
+def test_run_refinement_checks_its_levels_before_any_solve(monkeypatch):
     # one level, or two with the same h, is rejected before any solve
     pr, ref = heat_study()
     fail_at_level(monkeypatch, 16, AssertionError("solved before the levels were checked"))
@@ -219,7 +219,7 @@ def heat_study():
     return pr, ref
 
 
-def test_run_refinement_drops_a_numerically_failed_level(monkeypatch):
+def test_run_refinement_a_numerically_failed_level_ends_the_study(monkeypatch):
     # a level that fails numerically is not dropped: it ends the study
     pr, ref = heat_study()
     fail_at_level(monkeypatch, 16, SchemeError("policy iteration did not converge"))
@@ -251,7 +251,7 @@ def test_signed_errors_reject_a_non_finite_error():
             signed_errors(ref, u)
 
 
-def test_run_refinement_drops_a_level_with_a_non_finite_error():
+def test_run_refinement_a_non_finite_error_ends_the_study():
     # the reference is nan on the 16-node grid only: that level has no error,
     # and the study raises instead of fitting the other two
     pr, ref = heat_study()

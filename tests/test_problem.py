@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hjbfd import (
-    ControlSet,
     decaying_wave,
     evaluate_F,
     evaluate_L,
@@ -17,14 +16,6 @@ from hjbfd.errors import ConfigError
 from hjbfd.problem import SpaceOnly
 
 L2PI = 2 * np.pi
-
-
-def test_control_set_of_size():
-    cs = ControlSet.of_size(3)
-    assert cs.count == 3
-    assert len(cs.labels) == 3
-    with pytest.raises(ConfigError):
-        ControlSet(())
 
 
 def test_evaluate_L_zero_order():
@@ -93,7 +84,8 @@ def test_coefficient_static_flags():
 def test_restrict_keeps_evaluators():
     pr = make_problem(1, L2PI, 1.0, [{"f": 1.0}, {"f": 2.0}, {"f": 3.0}], u0=0.0)
     sub = pr.restrict([2, 0])
-    assert sub.controls.count == 2
+    assert len(sub.coeffs) == 2
+    assert sub.label == "problem|a2,a0"
     X = np.zeros((1, 1))
     assert float(sub.coeffs.f(0, 0.0, X)[0]) == 3.0
     assert float(sub.coeffs.f(1, 0.0, X)[0]) == 1.0

@@ -150,6 +150,24 @@ def test_space_varying_weights_match_constant_coefficients(theta):
         np.testing.assert_allclose(u_got, u_want, rtol=0.0, atol=1e-13)
 
 
+def test_weights_are_per_node_only_for_a_callable_sigma_or_b():
+    # the weight layout is read off sigma and b alone: a callable sigma gets
+    # per-node weights even when its values are constant, while constant sigma
+    # and b keep scalar weights next to a (t, x)-dependent c
+    g = exact_grid(8, 0.1, 0.01)
+    per_node = make_problem(1, L2PI, 0.1, [{"sigma": const_field(np.eye(1), (1, 1))}], u0=0.0)
+    assert ThetaScheme(per_node, g, theta=0.0)._weights_at(0.0)[0].shape[2:] == g.shape
+    with pytest.raises(ConfigError, match="bz builder requires constant sigma and b"):
+        ThetaScheme(per_node, g, theta=0.0, builder="bz").cfl_check()
+    scalar = make_problem(1, L2PI, 0.1, [{"sigma": 1.0, "b": 0.5,
+                                           "c": lambda t, X: -t * np.cos(X[..., 0]) ** 2}],
+                          u0=0.0)
+    assert not scalar.coeffs.stencil_static(0)
+    sch = ThetaScheme(scalar, g, theta=0.0)
+    assert sch._weights_at(0.0)[0].shape[2:] == (1,)
+    assert sch._ops_at(0.05).Wmat is not None
+
+
 def roll_operator(sig, drift, g, u):
     """Kushner 1D operator sum_+- C(+-1)(x) (u(x +- dx) - u(x)), built with np.roll."""
     diff = sig ** 2 / (2 * g.dx ** 2)
@@ -273,7 +291,7 @@ def test_implicit_explicit_gap_richardson():
         g = exact_grid(24, 1.0, dt)
         u0 = np.sin(g.nodes()[..., 0])
         ue, _ = ThetaScheme(pr, g, theta=0.0).step(u0, 0.0)
-        ui, _ = ThetaScheme(pr, g, theta=1.0).step(u0, 0.0, inner_tol=1e-14)
+        ui, _ = ThetaScheme(pr, g, theta=1.0, tol=1e-14).step(u0, 0.0)
         gaps.append(sup_norm(ue - ui))
     assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.05)
 
@@ -421,7 +439,7 @@ def test_jacobi_sweeps_fail_fast_on_a_non_finite_residual():
     rhs[0] = np.inf
     with pytest.raises(SchemeError,
                        match=r"non-finite Jacobi residual at t=0\.1, node \(0,\)"):
-        sch._policy_solve(ops, np.zeros(8, dtype=np.intp), rhs, 1e-12, 0.1)
+        sch._policy_solve(ops, np.zeros(8, dtype=np.intp), rhs, 0.1)
 
 
 def test_manufactured_two_control_convergence():

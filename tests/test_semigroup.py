@@ -17,6 +17,7 @@ from hjbfd import (
 )
 import hjbfd.semigroup as semigroup
 from hjbfd.errors import ConfigError, NumericalError, SchemeError
+from hjbfd.problem import SpaceOnly
 from hjbfd.scheme import probe_monotone
 
 L2PI = 2 * np.pi
@@ -109,7 +110,7 @@ def split_problem(T=0.2, n_x=16):
 def test_combined_problem_adds_generators():
     sp = split_problem()
     pr = sp.reference_problem
-    assert pr.controls.count == 4
+    assert len(pr.coeffs) == 4
     X = np.zeros((1, 1))
     # product control (i, j) sums the squared diffusions of the factors
     ssqs = sorted(float(pr.coeffs.ssq(i, 0.0, X)[0, 0, 0]) for i in range(4))
@@ -117,6 +118,21 @@ def test_combined_problem_adds_generators():
     np.testing.assert_allclose(ssqs, expect, atol=1e-12)
     fs = sorted(float(pr.coeffs.f(i, 0.0, X)[0]) for i in range(4))
     assert fs == [0.0, 0.0, 0.2, 0.2]
+
+
+
+def test_combined_source_is_static_when_its_pieces_are():
+    # a space-only source in one family keeps every combined control of the
+    # reference static, so its solve builds one operator; a (t, x) source does not
+    wave = SpaceOnly(lambda X: 0.1 * np.sin(X[..., 0]))
+    families = dict(family1=[{"sigma": 1.0, "f": wave}], family2=[{"sigma": 0.5}, {"f": 0.2}])
+    pr = SplitProblem(dim=1, period=L2PI, T=0.2, u0=0.0, n_x=16, **families).reference_problem
+    assert all(pr.coeffs.fully_static(i) for i in range(len(pr.coeffs)))
+    X = np.linspace(0.0, L2PI, 7)[:, None]
+    np.testing.assert_array_equal(pr.coeffs.f(1, 0.3, X), wave(0.0, X) + 0.2)
+    families["family1"] = [{"sigma": 1.0, "f": lambda t, X: t * np.sin(X[..., 0])}]
+    pr = SplitProblem(dim=1, period=L2PI, T=0.2, u0=0.0, n_x=16, **families).reference_problem
+    assert not any(pr.coeffs.fully_static(i) for i in range(len(pr.coeffs)))
 
 
 def test_splitting_with_zero_family_equals_single_flow():
