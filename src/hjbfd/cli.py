@@ -48,8 +48,7 @@ from .switching import k_rate_experiment
 __all__ = ["main"]
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+_DT_LIST = (0.1, 0.05, 0.025, 0.0125)  # default macro steps of split and pcc
 
 
 def _floats(text: str, what: str) -> list:
@@ -135,10 +134,37 @@ def cmd_solve(args) -> int:
     final.to_csv(sol_path)
     _write_solution_plot(sol_path, grid.dim)
     print(f"solve ok: label={problem.label} n_x={grid.n_x} n_t={grid.n_t} "
-          f"dt={_fmt(grid.dt)} theta={_fmt(args.theta)} "
-          f"sup|u(T)|={_fmt(np.max(np.abs(final.values)))} "
+          f"dt={csv_cell(grid.dt)} theta={csv_cell(args.theta)} "
+          f"sup|u(T)|={csv_cell(np.max(np.abs(final.values)))} "
           f"max_policy_iters={iters}")
     return 0
+
+
+def _finish_study(args, name: str, report, extra=(), guards=()) -> int:
+    """The end of every rate study: judge `report` against its own exponent,
+    write <name>.csv and <name>.gp, print the one summary line (the `extra`
+    (key, value) pairs go between errors and verdict), then raise the first
+    failed (failed, message) guard, else a failed verdict."""
+    verdict = compare_bounds(report, report.exponent)
+    write_rate_csv(report, os.path.join(_outdir(args), f"{name}.csv"), verdict)
+    print(f"{name}: slope={csv_cell(report.slope)} r2={csv_cell(report.r2)} "
+          f"floor={csv_cell(report.exponent - SLOPE_TOLERANCE)} "
+          f"errors={[csv_cell(e) for e in report.err_total]} "
+          + "".join(f"{key}={csv_cell(value)} " for key, value in extra)
+          + f"verdict={'pass' if verdict.passed else 'fail'} notes={report.notes!r}")
+    for failed, message in guards:
+        if failed:
+            raise NumericalError(message)
+    if not verdict.passed:
+        raise NumericalError(f"{name}: rate check failed: {verdict.reason}")
+    return 0
+
+
+def _study_list(flag, what: str, doc_list, default) -> list:
+    """A study's parameter list: the flag's, else the document's, else `default`."""
+    if flag is not None:
+        return _floats(flag, what)
+    return list(doc_list if doc_list is not None else default)
 
 
 def cmd_rates(args) -> int:
@@ -154,97 +180,48 @@ def cmd_rates(args) -> int:
                 f"reference n_x={ref_nx} must be a power-of-2 multiple of level n_x={nx}")
     ref_grid = _grid_for(problem, ref_nx, None, args.cfl_factor)
     ref_scheme = ThetaScheme(problem, ref_grid, theta=args.theta, builder=args.builder)
-    reference = ReferenceSolution("fine", fine=ref_scheme.solve(force=args.force).final)
+    reference = ReferenceSolution("fine", fine=ref_scheme.solve().final)
     dx_levels = [(nx, args.cfl_factor * (problem.period / nx) ** 2) for nx in levels]
     report = run_refinement(problem, {"theta": args.theta, "builder": args.builder},
                             dx_levels, reference, exponent=args.exponent)
-    verdict = compare_bounds(report, args.exponent)
-    out = _outdir(args)
-    write_rate_csv(report, os.path.join(out, "rates.csv"), verdict)
-    print(f"rates: slope={_fmt(report.slope)} r2={_fmt(report.r2)} "
-          f"floor={_fmt(args.exponent - SLOPE_TOLERANCE)} "
-          f"errors={[_fmt(e) for e in report.err_total]} "
-          f"verdict={'pass' if verdict.passed else 'fail'} notes={report.notes!r}")
-    if not verdict.passed:
-        raise NumericalError(f"rate check failed: {verdict.reason}")
-    return 0
+    return _finish_study(args, "rates", report)
 
 
 def cmd_switching(args) -> int:
     problem, modes, k_doc = parse_switching(load_json(args.config))
-    if args.k_list is not None:
-        k_list = _floats(args.k_list, "--k-list")
-    elif k_doc is not None:
-        k_list = k_doc
-    else:
-        k_list = [0.4, 0.2, 0.1, 0.05]
+    k_list = _study_list(args.k_list, "--k-list", k_doc, (0.4, 0.2, 0.1, 0.05))
     grid = _grid_for(problem, args.nx, args.dt, args.cfl_factor)
     report, finest = k_rate_experiment(problem, modes, grid, k_list, theta=args.theta,
                                        builder=args.builder)
-    verdict = compare_bounds(report, report.exponent)
-    out = _outdir(args)
-    write_rate_csv(report, os.path.join(out, "switching.csv"), verdict)
-
     band = finest.coupling_band_violation()
     scale = 1.0 + float(np.max(np.abs(finest.final)))
     one_sided = max(report.err_minus)
-    print(f"switching: slope={_fmt(report.slope)} floor={_fmt(report.exponent - SLOPE_TOLERANCE)} "
-          f"one_sided_violation={_fmt(one_sided)} band_violation={_fmt(band)} "
-          f"verdict={'pass' if verdict.passed else 'fail'}")
-    if one_sided > 1e-6 * scale:
-        raise NumericalError(f"one-sided bound violated: {one_sided!r} > 1e-6*{scale!r}")
-    if band > 1e-9 * scale:
-        raise NumericalError(f"coupling band exceeded: violation {band!r}")
-    if not verdict.passed:
-        raise NumericalError(f"switching rate check failed: {verdict.reason}")
-    return 0
-
-
-def _dt_levels(args, doc_list, default) -> list:
-    if args.dt_list is not None:
-        return _floats(args.dt_list, "--dt-list")
-    if doc_list is not None:
-        return doc_list
-    return list(default)
+    return _finish_study(
+        args, "switching", report,
+        extra=[("one_sided_violation", one_sided), ("band_violation", band)],
+        guards=[(one_sided > 1e-6 * scale,
+                 f"one-sided bound violated: {one_sided!r} > 1e-6*{scale!r}"),
+                (band > 1e-9 * scale, f"coupling band exceeded: violation {band!r}")])
 
 
 def cmd_split(args) -> int:
-    dim, period, T, fam1, fam2, u0, doc_dts = parse_split(load_json(args.config))
-    dts = _dt_levels(args, doc_dts, (0.1, 0.05, 0.025, 0.0125))
-    sp = SplitProblem(dim=dim, period=period, T=T, family1=fam1, family2=fam2,
-                      u0=u0, n_x=args.nx, builder=args.builder)
+    fields, doc_dts = parse_split(load_json(args.config))
+    sp = SplitProblem(**fields, n_x=args.nx, builder=args.builder)
+    dts = _study_list(args.dt_list, "--dt-list", doc_dts, _DT_LIST)
     report = splitting_rate_experiment(sp, dts, m=args.inner, exponent=args.exponent)
-    verdict = compare_bounds(report, report.exponent)
-    out = _outdir(args)
-    write_rate_csv(report, os.path.join(out, "split.csv"), verdict)
-    print(f"split: slope={_fmt(report.slope)} floor={_fmt(report.exponent - SLOPE_TOLERANCE)} "
-          f"errors={[_fmt(e) for e in report.err_total]} "
-          f"verdict={'pass' if verdict.passed else 'fail'} notes={report.notes!r}")
-    if not verdict.passed:
-        raise NumericalError(f"splitting rate check failed: {verdict.reason}")
-    return 0
+    return _finish_study(args, "split", report)
 
 
 def cmd_pcc(args) -> int:
-    dim, period, T, modes, u0, doc_dts = parse_pcc(load_json(args.config))
-    dts = _dt_levels(args, doc_dts, (0.1, 0.05, 0.025, 0.0125))
-    pp = PCControlProblem(dim=dim, period=period, T=T, modes=modes, u0=u0,
-                          n_x=args.nx, builder=args.builder)
-    report = pcc_rate_experiment(pp, dts, min_inner=args.min_inner,
-                                 exponent=args.exponent)
-    verdict = compare_bounds(report, report.exponent)
-    out = _outdir(args)
-    write_rate_csv(report, os.path.join(out, "pcc.csv"), verdict)
-    scale = 1.0 + float(np.max(np.abs(pp.initial_values())))
+    fields, doc_dts = parse_pcc(load_json(args.config))
+    pp = PCControlProblem(**fields, n_x=args.nx, builder=args.builder)
+    dts = _study_list(args.dt_list, "--dt-list", doc_dts, _DT_LIST)
+    report = pcc_rate_experiment(pp, dts, min_inner=args.min_inner, exponent=args.exponent)
     one_sided = max(report.err_plus)
-    print(f"pcc: slope={_fmt(report.slope)} floor={_fmt(report.exponent - SLOPE_TOLERANCE)} "
-          f"one_sided_violation={_fmt(one_sided)} "
-          f"verdict={'pass' if verdict.passed else 'fail'}")
-    if one_sided > 1e-6 * scale:
-        raise NumericalError(f"one-sided bound violated: {one_sided!r} > 1e-6*{scale!r}")
-    if not verdict.passed:
-        raise NumericalError(f"pcc rate check failed: {verdict.reason}")
-    return 0
+    scale = 1.0 + float(np.max(np.abs(pp.initial_values())))
+    return _finish_study(args, "pcc", report, extra=[("one_sided_violation", one_sided)],
+                         guards=[(one_sided > 1e-6 * scale,
+                                  f"one-sided bound violated: {one_sided!r} > 1e-6*{scale!r}")])
 
 
 def cmd_decompose(args) -> int:
@@ -256,7 +233,7 @@ def cmd_decompose(args) -> int:
                 dec.weights)])
     scale = max(1.0, float(np.max(np.abs(a))))
     resid = dec.residual_norm
-    print(f"decompose: directions={len(dec.weights)} residual={_fmt(resid)} "
+    print(f"decompose: directions={len(dec.weights)} residual={csv_cell(resid)} "
           f"max_order={max_order}")
     if resid > 1e-12 * scale:
         raise NumericalError(
@@ -278,7 +255,7 @@ def cmd_probe(args) -> int:
 
     mono = scheme.monotonicity_probe(trials=args.trials, seed=args.seed)
     print(f"probe monotonicity: {'pass' if mono.passed else 'FAIL'} "
-          f"worst={_fmt(mono.worst)} checked={mono.checked}")
+          f"worst={csv_cell(mono.worst)} checked={mono.checked}")
     if not mono.passed:
         raise ProbeFailure(f"monotonicity: worst violation {mono.worst!r} ({mono.witness})",
                            witness=mono.witness)
@@ -299,7 +276,7 @@ def cmd_probe(args) -> int:
     checks.append(("a-priori bound", scheme.apriori_bounds_check(u_result)))
     for name, res in checks:
         print(f"probe {name}: {'pass' if res.passed else 'FAIL'} "
-              f"worst={_fmt(res.worst)} checked={res.checked}")
+              f"worst={csv_cell(res.worst)} checked={res.checked}")
         if not res.passed:
             raise ProbeFailure(f"{name}: worst excess {res.worst!r} ({res.witness})",
                                witness=res.witness)
@@ -366,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
              nx=64, theta=1.0, dt=True, cfl=True, force=True)
 
     p = _command(sub, "rates", "refinement study against a fine-grid reference", cmd_rates,
-                 theta=0.0, cfl=True, force=True)
+                 theta=0.0, cfl=True)
     p.add_argument("--levels", default="16,32,64",
                    help="comma-separated n_x levels (default: 16,32,64)")
     p.add_argument("--ref-nx", dest="ref_nx", type=int, default=None,
@@ -379,17 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", dest="k_list", default=None,
                    help="comma-separated switching costs (default: 0.4,0.2,0.1,0.05)")
 
+    dt_help = f"comma-separated macro steps (default: {','.join(map(str, _DT_LIST))})"
     p = _command(sub, "split", "operator-splitting macro-step study", cmd_split, nx=48)
-    p.add_argument("--dt-list", dest="dt_list", default=None,
-                   help="comma-separated macro steps (default: 0.1,0.05,0.025,0.0125)")
+    p.add_argument("--dt-list", dest="dt_list", default=None, help=dt_help)
     p.add_argument("--inner", type=int, default=None,
                    help="inner substeps per macro step (default: calibrated)")
     p.add_argument("--exponent", type=_finite, default=1.0 / 13.0,
                    help="rate exponent lower bound (default: 1/13)")
 
     p = _command(sub, "pcc", "piecewise-constant-control macro-step study", cmd_pcc, nx=48)
-    p.add_argument("--dt-list", dest="dt_list", default=None,
-                   help="comma-separated macro steps (default: 0.1,0.05,0.025,0.0125)")
+    p.add_argument("--dt-list", dest="dt_list", default=None, help=dt_help)
     p.add_argument("--min-inner", dest="min_inner", type=int, default=16,
                    help="inner steps at the finest level (default: 16)")
     p.add_argument("--exponent", type=_finite, default=0.1,

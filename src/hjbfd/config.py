@@ -253,20 +253,21 @@ def _dt_list(doc, what):
 
 
 def parse_split(doc: dict):
-    """Returns (dim, period, horizon, family1, family2, u0, dt_list or None)."""
+    """Returns (SplitProblem keyword dict without n_x and builder, dt_list or None)."""
     dim, period, horizon, u0 = _problem_fields(doc, "split", ("family1", "family2", "dt_list"))
-    fam1 = _family(doc, "family1", dim, period, "split")
-    fam2 = _family(doc, "family2", dim, period, "split")
-    return dim, period, horizon, fam1, fam2, u0, _dt_list(doc, "split")
+    return (dict(dim=dim, period=period, T=horizon, u0=u0,
+                 family1=_family(doc, "family1", dim, period, "split"),
+                 family2=_family(doc, "family2", dim, period, "split")),
+            _dt_list(doc, "split"))
 
 
 def parse_pcc(doc: dict):
-    """Returns (dim, period, horizon, modes, u0, dt_list or None)."""
+    """Returns (PCControlProblem keyword dict without n_x and builder, dt_list or None)."""
     dim, period, horizon, u0 = _problem_fields(doc, "pcc", ("modes", "dt_list"))
     modes = _family(doc, "modes", dim, period, "pcc")
     if len(modes) < 2:
         raise ConfigError("pcc: 'modes' needs at least two entries")
-    return dim, period, horizon, modes, u0, _dt_list(doc, "pcc")
+    return dict(dim=dim, period=period, T=horizon, u0=u0, modes=modes), _dt_list(doc, "pcc")
 
 
 def parse_matrix(doc: dict):

@@ -136,8 +136,10 @@ class SolveResult:
 
     def levels(self):
         """Yield u at t_0, ..., t_{n_t} by marching again; the march is
-        deterministic, so the replay is bit-identical to the solve."""
-        return (u for u, _ in self.scheme.march(check_cfl=False))
+        deterministic, so the replay is bit-identical to the solve.  The
+        replay is forced: the solve already passed, or was forced past, the
+        step-size check."""
+        return (u for u, _ in self.scheme.march(force=True))
 
 
 @dataclass
@@ -428,12 +430,11 @@ class ThetaScheme:
     def initial_values(self) -> np.ndarray:
         return self.problem.u0_values(self._nodes)
 
-    def march(self, check_cfl: bool = True, force: bool = False):
+    def march(self, force: bool = False):
         """Yield (u, report) at every level from u0 to T, u0 first with report
         None.  Raises CFLError unless forced; fails fast on NaN.  Each u is a
         fresh array that later steps do not touch."""
-        if check_cfl:
-            self.cfl_guard(force)
+        self.cfl_guard(force)
         g = self.grid
         u = GridFunction(g, self.initial_values()).values  # rejects non-finite u0
         yield u, None
@@ -444,10 +445,10 @@ class ThetaScheme:
                 raise SchemeError(f"non-finite value at t={rep.t!r}, node {bad}")
             yield u, rep
 
-    def solve(self, check_cfl: bool = True, force: bool = False) -> SolveResult:
+    def solve(self, force: bool = False) -> SolveResult:
         """Fold the march into its last level and largest policy-iteration count."""
         iters = 0
-        for u, rep in self.march(check_cfl, force):
+        for u, rep in self.march(force):
             if rep is not None:
                 iters = max(iters, rep.policy_iterations)
         return SolveResult(self, GridFunction(self.grid, u), iters)

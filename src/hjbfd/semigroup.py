@@ -304,6 +304,8 @@ def splitting_rate_experiment(sp: SplitProblem, dt_list, m: int | None = None,
     step so the inner error is at most 1% of the splitting error.
     """
     dts = _macro_steps(sp.T, dt_list, "splitting_rate_experiment")
+    if m is not None and m < 1:
+        raise ConfigError(f"splitting_rate_experiment needs m >= 1, got {m}")
     ref = sp.reference(dts[-1] / REF_FACTOR)
     notes = [f"reference dt={dts[-1] / REF_FACTOR!r}"]
     finest = []  # calibration's run at dts[-1] and the chosen m, when it made one

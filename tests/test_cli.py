@@ -205,13 +205,45 @@ def test_solve_cfl_violation_writes_nothing(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: numerical: CFL violated")
 
 
-def test_rates_floor_failure_exits_two(tmp_path, capsys):
-    code = main(["rates", str(CONFIGS / "heat.json"), "--levels", "8,16",
-                 "--exponent", "5.0", "--out", str(tmp_path / "o")])
-    assert code == 2
-    out = capsys.readouterr()
-    assert "verdict=fail" in out.out
-    assert "rate check failed" in out.err
+# the small study jobs of acceptance check 11, and the keys of each one's summary line
+STUDY_JOBS = {
+    "rates": ["rates", str(CONFIGS / "heat.json"), "--levels", "8,16"],
+    "switching": ["switching", str(CONFIGS / "modes2.json"), "--nx", "24",
+                  "--k-list", "0.2,0.1"],
+    "split": ["split", str(CONFIGS / "split.json"), "--nx", "12", "--dt-list", "0.1,0.05",
+              "--inner", "2"],
+    "pcc": ["pcc", str(CONFIGS / "pcc.json"), "--nx", "12", "--dt-list", "0.1,0.05",
+            "--min-inner", "4"],
+}
+EXTRA_KEYS = {"rates": [], "switching": ["one_sided_violation", "band_violation"],
+              "split": [], "pcc": ["one_sided_violation"]}
+
+
+@pytest.mark.parametrize("command", sorted(STUDY_JOBS))
+def test_study_summary_line_has_the_shared_keys(command, tmp_path, capsys):
+    assert main(STUDY_JOBS[command] + ["--out", str(tmp_path / "o")]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    head, notes = line.split(" notes=", 1)  # a note may hold "key=value" text itself
+    assert head.startswith(f"{command}: ")
+    keys = re.findall(r" (\w+)=", head)
+    assert keys == ["slope", "r2", "floor", "errors", *EXTRA_KEYS[command], "verdict"]
+    assert notes.startswith("[") and notes.endswith("]")
+
+
+def test_pcc_summary_line_shows_its_notes(tmp_path, capsys):
+    assert main(STUDY_JOBS["pcc"] + ["--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert "common inner step delta=" in out and "one-sided: err_plus is" in out
+
+
+@pytest.mark.parametrize("command", ["rates", "split", "pcc"])
+def test_floor_failure_exits_two(command, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(STUDY_JOBS[command] + ["--exponent", "5.0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "verdict=fail" in captured.out
+    assert captured.err.startswith(f"error: numerical: {command}: rate check failed: ")
+    assert (out / f"{command}.csv").read_text().splitlines()[-1].endswith(",fail")
 
 
 def test_rates_a_failed_level_ends_the_study(tmp_path, capsys, monkeypatch):
@@ -362,8 +394,7 @@ def test_every_subcommand_documents_itself(capsys):
 
 HELP_FLAGS = {
     "solve": {"out", "nx", "dt", "cfl-factor", "theta", "builder", "force"},
-    "rates": {"out", "theta", "builder", "cfl-factor", "force", "levels", "ref-nx",
-              "exponent"},
+    "rates": {"out", "theta", "builder", "cfl-factor", "levels", "ref-nx", "exponent"},
     "switching": {"out", "nx", "dt", "cfl-factor", "theta", "builder", "k-list"},
     "split": {"out", "nx", "builder", "dt-list", "inner", "exponent"},
     "pcc": {"out", "nx", "builder", "dt-list", "min-inner", "exponent"},
@@ -392,10 +423,22 @@ def test_help_lists_exactly_the_flags_read(command, capsys):
     ["rates", str(CONFIGS / "heat.json"), "--levels", "8,16", "--dt", "0.01"],
     ["solve", str(CONFIGS / "heat.json"), "--nx", "8", "--seed", "1"],
     ["decompose", str(CONFIGS / "matrix.json"), "--builder", "bz"],
+    ["rates", str(CONFIGS / "heat.json"), "--levels", "8,16", "--cfl-factor", "1.2", "--force"],
 ])
 def test_removed_flags_exit_one(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error: config: unrecognized arguments: --")
+
+
+@pytest.fixture
+def no_scheme_step(monkeypatch):
+    """Make any ThetaScheme.step fail: the input must be rejected before a solve."""
+    from hjbfd.scheme import ThetaScheme
+
+    def no_step(self, *args, **kwargs):
+        raise AssertionError("a scheme stepped before the input was checked")
+
+    monkeypatch.setattr(ThetaScheme, "step", no_step)
 
 
 def _heat_with(tmp_path, name, text):
@@ -428,8 +471,10 @@ def _heat_with(tmp_path, name, text):
     (["rates", "{heat}", "--levels", "0,16"], "need n_x >= 3"),
     (["rates", "{heat}", "--levels", "8,16", "--ref-nx", "0"], "need n_x >= 3"),
     (["solve", "{heat}", "--nx", "0"], "n_x must be >= 3"),
+    (["split", str(CONFIGS / "split.json"), "--nx", "12", "--dt-list", "0.1,0.05",
+      "--inner", "0"], "needs m >= 1, got 0"),
 ])
-def test_bad_input_exits_one_before_any_solve(argv, reason, tmp_path, capsys):
+def test_bad_input_exits_one_before_any_solve(argv, reason, tmp_path, capsys, no_scheme_step):
     files = {"heat": str(CONFIGS / "heat.json"),
              "nan": _heat_with(tmp_path, "nan", '"sigma": NaN'),
              "inf": _heat_with(tmp_path, "inf", '"sigma": -Infinity'),
@@ -450,15 +495,9 @@ def test_bad_input_exits_one_before_any_solve(argv, reason, tmp_path, capsys):
     ["pcc", str(CONFIGS / "pcc.json"), "--nx", "12", "--dt-list", "0.1,0.1"],
     ["switching", str(CONFIGS / "modes2.json"), "--nx", "16", "--k-list", "0.2,0.2"],
 ])
-def test_repeated_refinement_level_exits_one(argv, tmp_path, capsys, monkeypatch):
+def test_repeated_refinement_level_exits_one(argv, tmp_path, capsys, no_scheme_step):
     # two equal levels leave the log-log slope undefined: the study stops
     # before its first scheme step, and no verdict is made
-    from hjbfd.scheme import ThetaScheme
-
-    def no_step(self, *args, **kwargs):
-        raise AssertionError("a scheme stepped before the levels were checked")
-
-    monkeypatch.setattr(ThetaScheme, "step", no_step)
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err

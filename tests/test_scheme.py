@@ -71,7 +71,6 @@ def test_solve_raises_cfl_error_unless_forced():
     sch = ThetaScheme(pr, exact_grid(16, 1.0, 0.02, period=1.6), theta=0.0)
     with pytest.raises(CFLError):
         sch.solve()
-    sch.solve(check_cfl=False)
     sch.solve(force=True)
 
 
