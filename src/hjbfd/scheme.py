@@ -190,16 +190,16 @@ class _Ops:
         self.stacks = {}
 
     def stack_index(self, size: int):
-        """Flat neighbour index (n_o, size) and flat node index (size,) of a
-        stack of size // N states, N the node count; built once per size."""
-        index = self.stacks.get(size)
-        if index is None:
+        """Flat neighbour index (n_o, size) of a stack of size // N states,
+        N the node count; built once per size."""
+        nbr = self.stacks.get(size)
+        if nbr is None:
             n_o, N = len(self.nbr), self.c[0].size
             nbr = self.nbr.reshape(n_o, N)  # a view when size == N
             if size != N:
                 nbr = (nbr[:, None] + np.arange(0, size, N)[:, None]).reshape(n_o, size)
-            index = self.stacks[size] = (nbr, np.arange(size))
-        return index
+            self.stacks[size] = nbr
+        return nbr
 
 
 class ThetaScheme:
@@ -293,9 +293,14 @@ class ThetaScheme:
 
     def _hamiltonian(self, ops: _Ops, u: np.ndarray):
         """G(s, u) = max_alpha(-L_h u - c u - f) and its argmax field, for
-        one state of the grid's shape or a stack of B states (B, *grid)."""
-        nbr, node = ops.stack_index(u.size)
-        nb = u.reshape(-1)[nbr]                                              # (n_o, B N)
+        one state of the grid's shape or a stack of B states (B, *grid).
+
+        The max is one running selection over the controls: control k
+        replaces the best so far where its value is larger or NaN.  A tie,
+        -0.0 against +0.0 included, goes to the lowest index, and G holds
+        the chosen value's own bits; a NaN is selected, so it reaches the
+        callers' non-finite checks."""
+        nb = u.reshape(-1)[ops.stack_index(u.size)]                          # (n_o, B N)
         stack = (-1,) + self.grid.shape                                      # (B, *grid)
         if ops.Wmat is None:
             Lu = np.einsum("co...,ob...->cb...", ops.W, nb.reshape((len(nb),) + stack))
@@ -305,9 +310,14 @@ class ThetaScheme:
         vals = np.negative(Lu, out=Lu)  # -Lu - c u - f, one temporary fewer
         vals -= ops.c * u
         vals -= ops.f
-        P = vals.argmax(axis=0)
-        G = vals.reshape(len(vals), -1)[P.ravel(), node].reshape(u.shape)
-        return G, P.reshape(u.shape)
+        G, P = vals[0], np.zeros(vals.shape[1:], np.intp)
+        for k in range(1, len(vals)):
+            v = vals[k]
+            better = v > G
+            better |= v != v
+            G = np.where(better, v, G)
+            P = np.where(better, k, P)
+        return G.reshape(u.shape), P.reshape(u.shape)
 
     def _frozen_system(self, ops: _Ops, P: np.ndarray):
         """(W_P, diag, theta dt f_P) of the frozen policy P, from the operator's
@@ -400,10 +410,11 @@ class ThetaScheme:
 
         u_prev is one state of the grid's shape or a stack (B, *grid) of
         states, each advanced bit for bit as if alone: the explicit part
-        takes the whole stack in one gather, one contraction and one argmax,
-        the implicit part solves member by member.  A stack's report holds
-        the largest iteration count and residual, the summed sweeps and the
-        stacked argmax."""
+        takes the whole stack in one gather, one contraction and one running
+        max over the controls (ties to the lowest index, NaN selected; see
+        _hamiltonian), the implicit part solves member by member.  A stack's
+        report holds the largest iteration count and residual, the summed
+        sweeps and the stacked argmax."""
         dt = self.grid.dt
         if self.theta < 1.0:
             ops = self._ops_at(t_prev)

@@ -5,6 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hjbfd import (
     ComparisonConstants,
@@ -16,7 +19,7 @@ from hjbfd import (
     sup_norm,
 )
 from hjbfd.errors import CFLError, ConfigError, SchemeError
-from hjbfd.scheme import FROZEN_POLICIES
+from hjbfd.scheme import FROZEN_POLICIES, _Ops
 
 L2PI = 2 * np.pi
 
@@ -430,6 +433,23 @@ def test_nan_source_fails_fast_in_the_implicit_step(theta):
         sch.solve()
 
 
+@pytest.mark.parametrize("theta, message", [
+    (0.0, r"non-finite value at t=0\.03, node \(0,\)"),
+    (1.0, r"implicit step: non-finite residual at t=0\.02"),
+])
+def test_nan_in_a_later_control_fails_fast(theta, message):
+    # control 1's source turns nan at t > 0.015 while control 0 stays finite:
+    # the max over controls must select the nan, not keep control 0's value
+    def f(t, X):
+        return np.where(t > 0.015, np.nan, np.zeros(np.shape(X)[:-1]))
+
+    pr = make_problem(1, L2PI, 0.05, [{"sigma": 0.5, "f": -1.0}, {"sigma": 0.5, "f": f}],
+                      u0=0.0)
+    sch = ThetaScheme(pr, exact_grid(8, 0.05, 0.01), theta=theta)
+    with pytest.raises(SchemeError, match=message):
+        sch.solve()
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")  # inf - inf
 def test_jacobi_sweeps_fail_fast_on_a_non_finite_residual():
     sch = ThetaScheme(heat_problem(), exact_grid(8, 1.0, 0.1), theta=1.0)
@@ -559,6 +579,15 @@ def reference_hamiltonian(ops, u):
     return np.take_along_axis(vals, P[None], axis=0)[0], P
 
 
+def assert_same_selection(result, expected):
+    """G and P of `result` equal those of `expected` bit for bit (so -0.0
+    differs from +0.0), and P keeps argmax's integer type."""
+    (G, P), (G_ref, P_ref) = result, expected
+    assert P.dtype == P_ref.dtype == np.intp
+    np.testing.assert_array_equal(P, P_ref)
+    np.testing.assert_array_equal(G.view(np.int64), G_ref.view(np.int64))
+
+
 @pytest.mark.parametrize("case", sorted(FROZEN_CASES))
 def test_hamiltonian_selects_like_take_along_axis(case):
     sch = frozen_case_scheme(case, 1.0)
@@ -566,10 +595,7 @@ def test_hamiltonian_selects_like_take_along_axis(case):
     rng = np.random.default_rng(3)
     for _ in range(3):
         u = rng.standard_normal(sch.grid.shape)
-        G, P = sch._hamiltonian(ops, u)
-        G_ref, P_ref = reference_hamiltonian(ops, u)
-        np.testing.assert_array_equal(P, P_ref)
-        np.testing.assert_array_equal(G, G_ref)
+        assert_same_selection(sch._hamiltonian(ops, u), reference_hamiltonian(ops, u))
 
 
 def test_hamiltonian_ties_go_to_the_lowest_index():
@@ -580,10 +606,48 @@ def test_hamiltonian_ties_go_to_the_lowest_index():
     ops = sch._ops_at(0.0)
     u = np.zeros(sch.grid.shape)
     G, P = sch._hamiltonian(ops, u)
-    G_ref, P_ref = reference_hamiltonian(ops, u)
     assert np.all(P == 1)
-    np.testing.assert_array_equal(P, P_ref)
-    np.testing.assert_array_equal(G, G_ref)
+    assert_same_selection((G, P), reference_hamiltonian(ops, u))
+
+
+@pytest.mark.parametrize("f0, f1, negative", [(0.0, -0.0, True), (-0.0, 0.0, False)])
+def test_hamiltonian_signed_zero_ties_go_to_the_lowest_index(f0, f1, negative):
+    # at u = 0 a control's value is -0.0 - f: f = 0.0 gives -0.0 and
+    # f = -0.0 gives +0.0, which compare equal, so control 0 keeps its sign
+    pr = make_problem(1, L2PI, 1.0, [{"sigma": 0.5, "f": f0}, {"sigma": 0.5, "f": f1}], u0=0.0)
+    sch = ThetaScheme(pr, exact_grid(8, 1.0, 0.01), theta=1.0)
+    ops = sch._ops_at(0.0)
+    u = np.zeros(sch.grid.shape)
+    G, P = sch._hamiltonian(ops, u)
+    assert np.all(P == 0) and np.all(G == 0.0)
+    assert np.all(np.signbit(G) == negative)
+    assert_same_selection((G, P), reference_hamiltonian(ops, u))
+
+
+TIE_VALUES = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_hamiltonian_selection_bits_match_argmax_property(data):
+    # a hand-built operator on 4 nodes whose entries come from a few dyadic
+    # values, so that controls tie exactly (signed zeros included); each
+    # member of a stack must select like np.argmax and take_along_axis on
+    # its own
+    n_c = data.draw(st.integers(1, 4), label="n_c")
+    B = data.draw(st.sampled_from([1, 3]), label="B")
+    grid = (1,) if data.draw(st.booleans(), label="constant weights") else (4,)
+    values = st.sampled_from(TIE_VALUES)
+    W = np.abs(data.draw(arrays(float, (n_c, 2) + grid, elements=values), label="W"))
+    c, f = (data.draw(arrays(float, (n_c, 4), elements=values), label=name) for name in "cf")
+    u = data.draw(arrays(float, (B, 4), elements=values), label="u")
+    sch = ThetaScheme(heat_problem(), exact_grid(4, 1.0, 0.01), theta=1.0)
+    idx = np.arange(4)
+    ops = _Ops(W, W.sum(axis=1), np.stack([np.roll(idx, -1), np.roll(idx, 1)]), c, f)
+    G, P = sch._hamiltonian(ops, u if B > 1 else u[0])
+    for b in range(B):
+        assert_same_selection((G.reshape(B, 4)[b], P.reshape(B, 4)[b]),
+                              reference_hamiltonian(ops, u[b]))
 
 
 def counted_take_along_axis(monkeypatch):
