@@ -2,7 +2,9 @@
 
 The golden hashes were recorded from the six jobs of acceptance check 11,
 plus two solves: a 2D run, whose x_1,x_2 columns no other job writes, and
-the benchmark's 128-node two-control trajectory.  Check 11 only compares a
+the benchmark's 128-node two-control trajectory, plus a switching study
+with three modes, whose config the test writes, as every bundled switching
+config has two.  Check 11 only compares a
 rerun against a rerun, and the benchmark's drift check compares numbers, so
 a writer change that altered every file the same way, or wrote 1e-05 as
 1.0e-05, would pass both; these hashes catch that.
@@ -11,6 +13,7 @@ If an output change is intended, record the new hashes and name the change.
 
 import hashlib
 import importlib
+import json
 import importlib.util
 import pkgutil
 from pathlib import Path
@@ -36,6 +39,17 @@ JOBS = {
     "solve_2d": ["solve", str(ROOT / "perfbench" / "inputs" / "rates_2d_seed0.json"),
                  "--nx", "8"],
     "solve_twocontrol": ["solve", str(CONFIGS / "twocontrol.json"), "--nx", "128"],
+    "switching_3modes": ["switching", "modes3.json", "--nx", "24", "--k-list", "0.2,0.1"],
+}
+
+# configs a job names by file name only: the test writes them next to its output
+WRITTEN_CONFIGS = {
+    "modes3.json": {
+        "dim": 1, "period": 6.283185307179586, "horizon": 0.5,
+        "controls": [{"sigma": 0.8, "b": 0.7}, {"sigma": 0.8, "b": -0.7},
+                     {"sigma": 1.1, "f": 0.3}],
+        "u0": {"name": "sin_sum"}, "modes": [[0], [1], [2]], "label": "three-mode",
+    },
 }
 
 GOLDEN = {
@@ -67,14 +81,23 @@ GOLDEN = {
         "solution.csv": "c44e20fb6b10d470fc671506767f43d565a1716c5cc7e1d9e3e7f1979e89c60f",
         "trajectory.csv": "9dcef7f648e9d7c8582573fa433dab0020cf5b3ab901d7f5dcd004fdf11a9f8f",
     },
+    "switching_3modes": {
+        "switching.csv": "38537672c9f48173e5497b8b719a6028add1f391988c11c1edf5d9101bc5a865",
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_csv_bytes_match_golden_hashes(name, tmp_path):
-    assert main(JOBS[name] + ["--out", str(tmp_path)]) == 0
+    argv = list(JOBS[name])
+    if argv[1] in WRITTEN_CONFIGS:
+        config = tmp_path / argv[1]
+        config.write_text(json.dumps(WRITTEN_CONFIGS[argv[1]]))
+        argv[1] = str(config)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(tmp_path.glob("*.csv"))}
+           for p in sorted(out.glob("*.csv"))}
     assert got == GOLDEN[name]
 
 
