@@ -14,9 +14,11 @@ Each subcommand accepts only the flags it reads.  Exit codes: 0 success,
 1 bad configuration or usage (unknown flag, malformed or non-finite
 number, out-of-range count), 2 numerical failure (CFL violation,
 divergence, rate below its floor), 3 probe failure.  Errors print exactly
-one line on stderr of the form "error: <kind>: <reason>".  Commands run
-with numpy's floating-point warnings off: an overflow or nan is reported
-by the solvers' own finiteness checks, as that one line.
+one line on stderr of the form "error: <kind>: <reason>".  A stdout closed
+by its reader (`hjbfd probe ... | head -1`) is such an error, exit 1, as
+the command could not finish.  Commands run with numpy's floating-point
+warnings off: an overflow or nan is reported by the solvers' own
+finiteness checks, as that one line.
 
 Outputs are deterministic: identical configs and flags give byte-identical
 CSV files and gnuplot scripts (floats via repr, no timestamps).
@@ -99,7 +101,7 @@ def _write_trajectory(grid, levels, path) -> tuple:
             last[0] = u
             if rep is not None:
                 last[1] = max(last[1], rep.policy_iterations)
-            yield (csv_cell(t), *coords, u.reshape(-1).tolist())
+            yield (csv_cell(t), *coords, u.reshape(-1))
 
     write_csv(path, ["t"] + [f"x_{i + 1}" for i in range(grid.dim)] + ["value"], blocks())
     return tuple(last)
@@ -390,7 +392,23 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         with np.errstate(all="ignore"):
-            return args.fn(args)
+            code = args.fn(args)
+        if sys.stdout is not None:  # None when the process started without one
+            sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the output still buffered goes to the null device, so that the
+        # flush at interpreter exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (OSError, ValueError):  # stdout is not a file, as under a capture
+            pass
+        finally:
+            os.close(devnull)
+        print("error: config: standard output was closed before the command finished",
+              file=sys.stderr)
+        return 1
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ environment data, so identical runs give byte-identical files.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -67,13 +68,20 @@ class SpaceTimeGrid:
 
         The actual step is T/ceil(T/dt) <= dt, so the horizon is hit
         exactly and the step never exceeds the requested one (the latter
-        keeps CFL margins valid).
+        keeps CFL margins valid).  A period whose dx^2 underflows or
+        overflows, and a step too small to count to T, are rejected before
+        any stencil divides by them.
         """
+        dx = period / n_x
+        if not (sys.float_info.min <= dx * dx < math.inf):
+            raise ConfigError(f"grid: period {period!r} over n_x={n_x} gives dx^2 = "
+                              f"{dx * dx!r}, not a positive normal float")
         if dt <= 0.0 or T <= 0.0:
             raise ConfigError("grid: dt and T must be positive")
+        if not math.isfinite(T / dt):
+            raise ConfigError(f"grid: time step {dt!r} is too small for horizon {T!r}")
         n_t = max(1, math.ceil(T / dt - 1e-12))
-        return cls(dim=dim, period=period, n_x=n_x, dx=period / n_x,
-                   n_t=n_t, dt=T / n_t, T=T)
+        return cls(dim=dim, period=period, n_x=n_x, dx=dx, n_t=n_t, dt=T / n_t, T=T)
 
     @property
     def shape(self) -> tuple:
@@ -125,7 +133,7 @@ class GridFunction:
         """Write node rows as x_1,...,x_N,value (deterministic formatting)."""
         g = self.grid
         write_csv(path, [f"x_{i + 1}" for i in range(g.dim)] + ["value"],
-                  [(*g.nodes().reshape(-1, g.dim).T.tolist(), self.values.reshape(-1).tolist())])
+                  [(*g.nodes().reshape(-1, g.dim).T, self.values.reshape(-1))])
 
 
 def csv_cell(x) -> str:
@@ -134,13 +142,23 @@ def csv_cell(x) -> str:
     return x if isinstance(x, str) else repr(float(x))
 
 
+def _cells(col) -> list:
+    """The cells of one sequence column: a numpy array converted to float as
+    a whole, then each value through repr, else each entry through `csv_cell`."""
+    if isinstance(col, np.ndarray):
+        return list(map(repr, np.asarray(col, dtype=float).tolist()))
+    return list(map(csv_cell, col))
+
+
 def write_csv(path, header, blocks) -> None:
     """Write one CSV file: the header names, then the rows of each block.
 
     This is the only place the package opens a CSV file.  A block is a
     sequence of columns that share rows.  A str column is one cell,
-    repeated on every row of the block; any other column is a sequence of
-    cells, each written as `csv_cell` writes it.  A block needs at least one
+    repeated on every row of the block; a numpy array column is converted
+    to float as a whole and each cell written with repr; any other column
+    is a sequence of cells, each written as `csv_cell` writes it.  Both give
+    a number the same cell.  A block needs at least one
     sequence column, and its sequence columns have equal lengths.  Blocks
     are written one at a time, so a generator of blocks streams; a caller
     that repeats a number across blocks formats it once with `csv_cell`.
@@ -148,7 +166,7 @@ def write_csv(path, header, blocks) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
-            cols = [c if isinstance(c, str) else list(map(csv_cell, c)) for c in block]
+            cols = [c if isinstance(c, str) else _cells(c) for c in block]
             lengths = {len(c) for c in cols if not isinstance(c, str)}
             if len(lengths) != 1:
                 raise ValueError(f"write_csv: a block needs sequence columns of one length, "

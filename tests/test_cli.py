@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import hjbfd.cli as cli
 from hjbfd.cli import main
 from hjbfd.config import (load_json, parse_matrix, parse_pcc, parse_problem,
                           parse_split, parse_switching)
@@ -131,6 +133,21 @@ def test_malformed_problem_field_exits_one(old, new, reason, tmp_path, capsys):
     assert main(["solve", str(cfg), "--nx", "8", "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config: ") and reason in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("period, flags", [
+    (1e-300, ["--theta", "1", "--dt", "0.5"]),  # dx^2 underflows to 0
+    (1e-160, ["--theta", "0"]),                 # dx^2 and the CFL step are subnormal
+])
+def test_underflowing_period_exits_one(period, flags, tmp_path, capsys):
+    doc = load_json(str(CONFIGS / "heat.json"))
+    doc["period"] = period
+    argv = ["solve", write_config(tmp_path, doc), "--nx", "8", *flags]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: grid: period ") and "not a positive normal float" in err
     assert err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
@@ -511,6 +528,47 @@ def test_console_script_help_smoke():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "solve" in proc.stdout and "decompose" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", str(CONFIGS / "heat.json"), "--nx", "8", "--trials", "5"],
+    ["solve", str(CONFIGS / "heat.json"), "--nx", "8"],
+])
+def test_closed_stdout_ends_in_one_error_line(argv, tmp_path):
+    # the read end of stdout is closed before the command starts, so its
+    # first write fails, buffered or not: one error line and exit 1
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hjbfd.cli", *argv,
+                               "--out", str(tmp_path / "o")], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ("error: config: standard output was closed before the "
+                           "command finished\n")
+    assert proc.returncode == 1
+
+
+def test_closed_stdout_in_process_is_one_error_line(monkeypatch, capsys):
+    # under a capture stdout has no descriptor to point at the null device
+    def closed(*args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "parse_matrix", closed)
+    assert main(["decompose", str(CONFIGS / "matrix.json")]) == 1
+    assert capsys.readouterr().err == ("error: config: standard output was closed before "
+                                       "the command finished\n")
+
+
+def test_no_stdout_at_all_is_not_an_error(tmp_path):
+    # started with descriptor 1 closed, Python has no sys.stdout and print
+    # writes nothing; the command still runs and succeeds
+    proc = subprocess.run([sys.executable, "-m", "hjbfd.cli", "solve",
+                           str(CONFIGS / "heat.json"), "--nx", "8", "--out", str(tmp_path / "o")],
+                          stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "o" / "solution.csv").exists()
 
 
 def test_overflow_prints_one_error_line_and_no_warnings(tmp_path):

@@ -1,6 +1,7 @@
 """Grid construction, norms, and CSV output."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ def test_build_rejects_bad_inputs():
         SpaceTimeGrid.build(dim=1, period=1.0, n_x=8, T=1.0, dt=-0.1)
     with pytest.raises(ConfigError):
         SpaceTimeGrid.build(dim=1, period=-1.0, n_x=8, T=1.0, dt=0.1)
+
+
+@pytest.mark.parametrize("period, dt, reason", [
+    (1e-300, 0.5, "dx^2 = 0.0, not a positive normal float"),       # underflows to 0
+    (1e-160, 1e-300, "dx^2 = 1.6e-322, not a positive normal float"),  # subnormal
+    (1e300, 0.5, "dx^2 = inf, not a positive normal float"),
+    (1.0, 1e-320, "time step 1e-320 is too small for horizon 1.0"),  # T/dt is inf
+])
+def test_build_rejects_a_grid_no_stencil_can_divide_by(period, dt, reason):
+    with pytest.raises(ConfigError, match=re.escape(reason)):
+        SpaceTimeGrid.build(dim=1, period=period, n_x=8, T=1.0, dt=dt)
 
 
 def test_direct_constructor_checks_products():
@@ -128,6 +140,10 @@ def test_write_csv_matches_a_cell_by_cell_reference(tmp_path):
         ("0.5", edge[::-1], [str(i) for i in range(len(edge))]),
         ([f'"{i} 0"' for i in range(3)], [1.5, -2.0, 1e-300], np.array([7.0, 8.0, 9.0])),
         ("label", [], []),                                   # a block of no rows
+        # numpy columns are formatted as a whole: an int array, and a float
+        # array of the cells whose repr is easiest to get wrong
+        ("arrays", np.arange(-2, 4),
+         np.array([-0.0, 5e-324, 1e16, 1e-05, float("nan"), float("inf")])),
     ]
     path = tmp_path / "blocks.csv"
     write_csv(path, ["a", "b", "c"], iter(blocks))
@@ -135,6 +151,9 @@ def test_write_csv_matches_a_cell_by_cell_reference(tmp_path):
     assert text == "a,b,c\n" + "".join(row for block in blocks for row in reference_rows(block))
     assert text.splitlines()[1:6] == ["0.5,-0.0,0.0", "0.5,5e-324,1.0", "0.5,1e+16,2.0",
                                       "0.5,1e-05,3.0", "0.5,nan,4.0"]
+    assert text.splitlines()[-6:] == ["arrays,-2.0,-0.0", "arrays,-1.0,5e-324",
+                                      "arrays,0.0,1e+16", "arrays,1.0,1e-05",
+                                      "arrays,2.0,nan", "arrays,3.0,inf"]
 
 
 def test_write_csv_rejects_a_block_without_rows_to_share(tmp_path):
