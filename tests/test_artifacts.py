@@ -2,19 +2,19 @@
 
 The golden hashes were recorded from the six jobs of acceptance check 11,
 plus two solves: a 2D run, whose x_1,x_2 columns no other job writes, and
-the benchmark's 128-node two-control trajectory, plus a switching study
-with three modes, whose config the test writes, as every bundled switching
-config has two.  Check 11 only compares a
-rerun against a rerun, and the benchmark's drift check compares numbers, so
-a writer change that altered every file the same way, or wrote 1e-05 as
-1.0e-05, would pass both; these hashes catch that.
+the benchmark's 128-node two-control trajectory, and from a switching
+study with three modes, whose config the test writes, as every bundled
+switching config has two.  Check 11 only compares a rerun against a rerun,
+and the benchmark's drift check compares numbers, so a writer change that
+altered every file the same way, or wrote 1e-05 as 1.0e-05, would pass
+both; these hashes catch that.
 If an output change is intended, record the new hashes and name the change.
 """
 
 import hashlib
 import importlib
-import json
 import importlib.util
+import json
 import pkgutil
 from pathlib import Path
 
@@ -42,7 +42,7 @@ JOBS = {
     "switching_3modes": ["switching", "modes3.json", "--nx", "24", "--k-list", "0.2,0.1"],
 }
 
-# configs a job names by file name only: the test writes them next to its output
+# configs a job names by file name only: the test writes them into its output directory
 WRITTEN_CONFIGS = {
     "modes3.json": {
         "dim": 1, "period": 6.283185307179586, "horizon": 0.5,
@@ -94,10 +94,9 @@ def test_csv_bytes_match_golden_hashes(name, tmp_path):
         config = tmp_path / argv[1]
         config.write_text(json.dumps(WRITTEN_CONFIGS[argv[1]]))
         argv[1] = str(config)
-    out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv + ["--out", str(tmp_path)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(out.glob("*.csv"))}
+           for p in sorted(tmp_path.glob("*.csv"))}
     assert got == GOLDEN[name]
 
 
