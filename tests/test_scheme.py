@@ -385,6 +385,8 @@ def test_comparison_bound_forced_difference():
     # claiming equal forcing makes the same gap a violation
     bad = sch_v.comparison_bound_check(v_res, u_res, 0.0, 0.0)
     assert not bad.passed
+    # pinned: the largest gap is at t = 0.5, a Jacobi tolerance short of 0.5
+    assert bad.worst == 0.4999999997006999
 
 
 def test_apriori_bound_source_growth():
