@@ -8,8 +8,7 @@ from .problem import (CoefficientField, HJBProblem, ManufacturedProblem, SmoothF
                       decaying_wave, evaluate_F, evaluate_L, make_problem, manufacture)
 from .stencil import (BZDecomposition, SpatialStencil, bz_decompose, bz_stencil,
                       check_diag_dominant, consistency_residual, kushner_stencil)
-from .scheme import (CFLReport, ComparisonConstants, ProbeResult, SolveResult,
-                     StepReport, ThetaScheme)
+from .scheme import CFLReport, ProbeResult, StepReport, ThetaScheme
 from .switching import (SwitchingProblem, SwitchingSolution, k_rate_experiment,
                         switching_solve, switching_step)
 from .semigroup import (PCControlProblem, SemigroupFlow, SemigroupProblem, SplitCheck,
@@ -30,8 +29,7 @@ __all__ = [
     "decaying_wave", "evaluate_F", "evaluate_L", "make_problem", "manufacture",
     "BZDecomposition", "SpatialStencil", "bz_decompose", "bz_stencil",
     "check_diag_dominant", "consistency_residual", "kushner_stencil",
-    "CFLReport", "ComparisonConstants", "ProbeResult", "SolveResult", "StepReport",
-    "ThetaScheme",
+    "CFLReport", "ProbeResult", "StepReport", "ThetaScheme",
     "SwitchingProblem", "SwitchingSolution", "k_rate_experiment", "switching_solve",
     "switching_step",
     "PCControlProblem", "SemigroupFlow", "SemigroupProblem", "SplitCheck", "SplitProblem",

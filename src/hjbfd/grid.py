@@ -78,8 +78,9 @@ class SpaceTimeGrid:
                               f"{dx * dx!r}, not a positive normal float")
         if dt <= 0.0 or T <= 0.0:
             raise ConfigError("grid: dt and T must be positive")
-        if not math.isfinite(T / dt):
-            raise ConfigError(f"grid: time step {dt!r} is too small for horizon {T!r}")
+        if not T / dt <= sys.maxsize:  # also catches an infinite T/dt
+            raise ConfigError(f"grid: time step {dt!r} is too small for horizon {T!r}: "
+                              f"more than {sys.maxsize} levels")
         n_t = max(1, math.ceil(T / dt - 1e-12))
         return cls(dim=dim, period=period, n_x=n_x, dx=dx, n_t=n_t, dt=T / n_t, T=T)
 

@@ -245,7 +245,7 @@ def run_refinement(problem, scheme_options: dict, levels, reference: ReferenceSo
                          "run_refinement", key=SpaceTimeGrid.h)
     rows = []
     for grid in grids:
-        u = ThetaScheme(problem, grid, **scheme_options).solve().final.values
+        u = ThetaScheme(problem, grid, **scheme_options).solve().values
         rows.append((grid.h(), grid.dx, grid.dt, *signed_errors(reference.values_on(grid), u)))
     return rate_report("h", rows, exponent)
 

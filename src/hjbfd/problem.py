@@ -29,6 +29,7 @@ from .errors import ConfigError
 __all__ = [
     "CoefficientField",
     "SpaceOnly",
+    "sum_sources",
     "HJBProblem",
     "SmoothFunction",
     "ManufacturedProblem",
@@ -53,6 +54,28 @@ class SpaceOnly:
 
     def __call__(self, t, X):
         return self.g(X)
+
+
+def sum_sources(f1, f2):
+    """The sum f1 + f2 of two stored sources (each a constant or a (t, X)
+    evaluator): a float when both are constants, a SpaceOnly when neither
+    depends on t, else a (t, X) evaluator.  A splitting's combined control
+    and the probe's forced problem both add sources this way."""
+    if not callable(f1) and not callable(f2):
+        return float(f1) + float(f2)
+
+    def f(t, X):
+        out = 0.0
+        for piece in (f1, f2):
+            if callable(piece):
+                out = out + np.asarray(piece(t, X), dtype=float)
+            else:
+                out = out + float(piece)
+        return out
+
+    if all(isinstance(p, SpaceOnly) or not callable(p) for p in (f1, f2)):
+        return SpaceOnly(lambda X: f(0.0, X))
+    return f
 
 
 def _at(value, t, X):

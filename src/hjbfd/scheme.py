@@ -23,12 +23,12 @@ implicit step returns its level read-only and keeps the Hamiltonian it last
 evaluated there, which the next theta = 1 step from that level reuses.
 
 `ThetaScheme.march` is the only time loop: it yields each level as it is
-computed and keeps none.  `solve` folds it into the final level and the
-largest policy-iteration count, so memory does not grow with n_t; a caller
-that needs every level walks `march()` or replays `SolveResult.levels()`.
+computed and keeps none.  `solve` returns its last level, so memory does
+not grow with n_t; a caller that needs every level walks `march()`.
 
 Probes (monotonicity, comparison bound, a-priori bound) are first-class
-operations so CI can assert structure, not just convergence.
+operations so CI can assert structure, not just convergence.  The bound
+checks march the schemes they compare, level n at time n dt.
 """
 
 from __future__ import annotations
@@ -45,11 +45,9 @@ from .stencil import bz_decompose, bz_stencil, kushner_stencil
 
 __all__ = [
     "ThetaScheme",
-    "ComparisonConstants",
     "StepReport",
     "CFLReport",
     "ProbeResult",
-    "SolveResult",
 ]
 
 MAX_SWEEPS = 1_000_000  # Jacobi sweeps allowed per frozen-policy solve
@@ -90,7 +88,6 @@ class CFLReport:
     worst_implicit: float
     dt: float
     theta: float
-    note: str = ""
 
 
 @dataclass
@@ -123,40 +120,6 @@ def probe_monotone(step_fn, shape, trials: int, seed: int, slack: float) -> Prob
             witness = (f"trial {trial}: step(v) - step(u) = {gap:.3e} at node "
                        f"{tuple(int(k) for k in node)}")
     return ProbeResult(passed=worst <= slack, checked=trials, worst=worst, witness=witness)
-
-
-@dataclass
-class SolveResult:
-    """What a solve keeps: the final level and the largest policy-iteration
-    count.  `levels()` replays the march, so no level is stored."""
-
-    scheme: "ThetaScheme" = field(repr=False)
-    final: GridFunction
-    max_policy_iters: int
-
-    def levels(self):
-        """Yield u at t_0, ..., t_{n_t} by marching again; the march is
-        deterministic, so the replay is bit-identical to the solve.  The
-        replay is forced: the solve already passed, or was forced past, the
-        step-size check."""
-        return (u for u, _ in self.scheme.march(force=True))
-
-
-@dataclass
-class ComparisonConstants:
-    """lam = sup (c^alpha)^+ over controls/nodes/levels; mu = lam + 1."""
-
-    lam: float
-
-    @property
-    def mu(self) -> float:
-        return self.lam + 1.0
-
-    @classmethod
-    def for_scheme(cls, scheme: "ThetaScheme") -> "ComparisonConstants":
-        times = [0.0] if scheme._stencils_static else scheme.grid.times()
-        lam = max(float(np.max(np.maximum(scheme._c_at(t), 0.0))) for t in times)
-        return cls(lam=lam)
 
 
 class _Ops:
@@ -206,7 +169,7 @@ class ThetaScheme:
     """Theta-method scheme for an HJBProblem on a SpaceTimeGrid."""
 
     def __init__(self, problem: HJBProblem, grid: SpaceTimeGrid, theta: float,
-                 builder: str = "kushner", tol: float = 1e-10, forcing=None):
+                 builder: str = "kushner", tol: float = 1e-10):
         if not (0.0 <= theta <= 1.0):
             raise ConfigError(f"theta must lie in [0, 1], got {theta}")
         if builder not in ("kushner", "bz"):
@@ -222,7 +185,6 @@ class ThetaScheme:
         self.theta = float(theta)
         self.builder = builder
         self.tol = float(tol)
-        self.forcing = forcing
         self._nodes = grid.nodes()
         self._coeffs_static = all(problem.coeffs.fully_static(i)
                                   for i in range(len(problem.coeffs)))
@@ -284,8 +246,6 @@ class ThetaScheme:
         W, csum, nbr = self._weights_at(t)
         f = np.stack([np.broadcast_to(pr.coeffs.f(i, t, self._nodes), g.shape)
                       for i in range(len(pr.coeffs))])
-        if self.forcing is not None:
-            f = f + np.broadcast_to(np.asarray(self.forcing, dtype=float), g.shape)
         ops = _Ops(W, csum, nbr, self._c_at(t), f)
         if self._coeffs_static:
             self._static_ops = ops
@@ -456,13 +416,11 @@ class ThetaScheme:
                 raise SchemeError(f"non-finite value at t={rep.t!r}, node {bad}")
             yield u, rep
 
-    def solve(self, force: bool = False) -> SolveResult:
-        """Fold the march into its last level and largest policy-iteration count."""
-        iters = 0
-        for u, rep in self.march(force):
-            if rep is not None:
-                iters = max(iters, rep.policy_iterations)
-        return SolveResult(self, GridFunction(self.grid, u), iters)
+    def solve(self, force: bool = False) -> GridFunction:
+        """The last level of the march."""
+        for u, _ in self.march(force):
+            pass
+        return GridFunction(self.grid, u)
 
     # ----- checks and probes --------------------------------------------------
 
@@ -497,22 +455,32 @@ class ThetaScheme:
         with the tolerance tightened to at most 1e-13, so solver error cannot
         masquerade as a violation."""
         twin = ThetaScheme(self.problem, self.grid, self.theta, builder=self.builder,
-                           tol=min(self.tol, 1e-13), forcing=self.forcing)
+                           tol=min(self.tol, 1e-13))
         return probe_monotone(lambda u: twin.step(u, 0.0)[0],
                               self.grid.shape, trials, seed, MONOTONE_SLACK)
 
-    def comparison_bound_check(self, u_result: SolveResult, v_result: SolveResult,
-                               g1, g2) -> ProbeResult:
-        """Check u - v <= e^{mu t} |(u(0)-v(0))^+| + 2 t e^{mu t} |(g1-g2)^+|
-        at every time level, with mu = sup (c^alpha)^+ + 1.  Both solves are
-        replayed in lockstep."""
-        mu = ComparisonConstants.for_scheme(self).mu
+    def _lam(self) -> float:
+        """sup (c^alpha)^+ over controls, nodes and levels."""
+        times = [0.0] if self._stencils_static else self.grid.times()
+        return max(float(np.max(np.maximum(self._c_at(t), 0.0))) for t in times)
+
+    def comparison_bound_check(self, other: "ThetaScheme", g1, g2,
+                               force: bool = False) -> ProbeResult:
+        """March this scheme (u) and `other` (v) in lockstep and check
+        u - v <= e^{mu t} |(u(0)-v(0))^+| + 2 t e^{mu t} |(g1-g2)^+|
+        at every level, with mu = sup (c^alpha)^+ + 1 of this scheme."""
+        if other.grid != self.grid:
+            raise ConfigError("comparison bound check: the two schemes are on different grids")
+        g = self.grid
+        mu = self._lam() + 1.0
         gdiff = np.asarray(g1, dtype=float) - np.asarray(g2, dtype=float)
         gplus = float(np.max(np.maximum(gdiff, 0.0)))
         worst = -math.inf
         witness = ""
-        for t, u, v in zip(self.grid.times(), u_result.levels(), v_result.levels(), strict=True):
-            if t == 0.0:
+        levels = zip(self.march(force), other.march(force), strict=True)
+        for n, ((u, _), (v, _)) in enumerate(levels):
+            t = n * g.dt
+            if n == 0:
                 d0 = float(np.max(np.maximum(u - v, 0.0)))
             lhs = float(np.max(u - v))
             bound = math.exp(mu * t) * d0 + 2.0 * t * math.exp(mu * t) * gplus
@@ -520,27 +488,24 @@ class ThetaScheme:
             if excess > worst:
                 worst = excess
                 witness = f"t={t!r}: max(u-v)={lhs!r} vs bound {bound!r}"
-        return ProbeResult(passed=worst <= COMPARISON_SLACK, checked=self.grid.n_t + 1,
+        return ProbeResult(passed=worst <= COMPARISON_SLACK, checked=g.n_t + 1,
                            worst=worst, witness=witness)
 
-    def apriori_bounds_check(self, result: SolveResult) -> ProbeResult:
-        """Check |u(t)|_0 <= e^{lam t} (|u0|_0 + t sup|f|) (1 + APRIORI_SLACK)
-        at every level of a replay of the solve."""
+    def apriori_bounds_check(self, force: bool = False) -> ProbeResult:
+        """March the scheme and check |u(t)|_0 <= e^{lam t} (|u0|_0 + t sup|f|)
+        (1 + APRIORI_SLACK) at every level."""
         pr, g = self.problem, self.grid
-        lam = ComparisonConstants.for_scheme(self).lam
-        X = self._nodes
+        lam = self._lam()
         supf = 0.0
-        times = [0.0] if self._coeffs_static else g.times()
-        for t in times:
+        for n in [0] if self._coeffs_static else range(g.n_t + 1):
             for i in range(len(pr.coeffs)):
-                supf = max(supf, float(np.max(np.abs(pr.coeffs.f(i, t, X)))))
-        if self.forcing is not None:
-            supf += float(np.max(np.abs(np.asarray(self.forcing, dtype=float))))
+                supf = max(supf, float(np.max(np.abs(pr.coeffs.f(i, n * g.dt, self._nodes)))))
         worst = -math.inf
         witness = ""
-        for t, u in zip(g.times(), result.levels(), strict=True):
+        for n, (u, _) in enumerate(self.march(force)):
+            t = n * g.dt
             lhs = float(np.max(np.abs(u)))
-            if t == 0.0:
+            if n == 0:
                 u0 = lhs
             bound = math.exp(lam * t) * (u0 + t * supf) * (1.0 + APRIORI_SLACK)
             if lhs - bound > worst:

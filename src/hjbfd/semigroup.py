@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import SpaceTimeGrid, sup_norm
 from .harness import RateReport, rate_report, signed_errors, study_levels
-from .problem import CoefficientField, SpaceOnly, make_problem
+from .problem import CoefficientField, make_problem, sum_sources
 from .scheme import STUDY_TOL, ThetaScheme
 
 __all__ = [
@@ -64,26 +64,6 @@ def _norm_family(entries, dim: int, what: str):
         e = coeffs[i]
         out.append({"sigma": e.sigma, "b": e.b, "c": e.c, "f": e.f})
     return out
-
-
-def _sum_f(f1, f2):
-    """Source f1 + f2 of a combined control: a float when both pieces are
-    constants, a SpaceOnly when neither depends on t, else a (t, X) evaluator."""
-    if not callable(f1) and not callable(f2):
-        return float(f1) + float(f2)
-
-    def f(t, X):
-        out = 0.0
-        for piece in (f1, f2):
-            if callable(piece):
-                out = out + np.asarray(piece(t, X), dtype=float)
-            else:
-                out = out + float(piece)
-        return out
-
-    if all(isinstance(p, SpaceOnly) or not callable(p) for p in (f1, f2)):
-        return SpaceOnly(lambda X: f(0.0, X))
-    return f
 
 
 class SemigroupFlow:
@@ -168,7 +148,7 @@ class SemigroupProblem:
         grid = SpaceTimeGrid.build(self.dim, self.period, self.n_x, self.T, dt)
         scheme = ThetaScheme(self.reference_problem, grid, theta=1.0, builder=self.builder,
                              tol=STUDY_TOL)
-        return scheme.solve().final.values
+        return scheme.solve().values
 
     def solve(self, dt: float, m: int) -> np.ndarray:
         """March the scheme from u0 to T with macro step dt, each flow taking
@@ -204,7 +184,7 @@ class SplitProblem(SemigroupProblem):
                     "sigma": np.hstack([e1["sigma"], e2["sigma"]]),
                     "b": e1["b"] + e2["b"],
                     "c": e1["c"] + e2["c"],
-                    "f": _sum_f(e1["f"], e2["f"]),
+                    "f": sum_sources(e1["f"], e2["f"]),
                 })
         return [("family1", fam1), ("family2", fam2)], ("combined", combined)
 

@@ -188,10 +188,10 @@ def k_rate_experiment(base: HJBProblem, mode_controls: list, grid: SpaceTimeGrid
 
     All costs are solved in one march (a 1-D k) and compared at the final
     time against the scalar solve with the union control set on the same
-    grid and time step.  The errors go through the harness's rate path with
-    the mode values in the reference's place, so the orientation is
-    v - u_ref, the opposite of the other studies: err_plus(k) =
-    max_i |(v_i - u_ref)^+|_0 is the switched value above the reference,
+    grid, time step and tolerance (STUDY_TOL).  The errors go through the
+    harness's rate path with the mode values in the reference's place, so
+    the orientation is v - u_ref, the opposite of the other studies:
+    err_plus(k) = max_i |(v_i - u_ref)^+|_0 is the switched value above the reference,
     and err_minus(k) = max_i |(v_i - u_ref)^-|_0 is the one-sided violation
     that stays at grid tolerance.  The slope of err_plus vs k is fitted
     log-log; identical errors across all k flag the report degenerate.
@@ -200,7 +200,7 @@ def k_rate_experiment(base: HJBProblem, mode_controls: list, grid: SpaceTimeGrid
     that solution without solving it again.
     """
     ks = study_levels([float(k) for k in k_list], "k rate experiment")
-    u_ref = ThetaScheme(base, grid, theta, builder=builder).solve().final.values
+    u_ref = ThetaScheme(base, grid, theta, builder=builder, tol=STUDY_TOL).solve().values
     sol = switching_solve(SwitchingProblem(base=base, mode_controls=mode_controls, k=ks,
                                            grid=grid, theta=theta, builder=builder))
     rows = [(k, grid.dx, grid.dt, *signed_errors(sol.final[:, j], u_ref))

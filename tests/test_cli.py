@@ -490,6 +490,8 @@ def _heat_with(tmp_path, name, text):
     (["solve", "{heat}", "--nx", "0"], "n_x must be >= 3"),
     (["split", str(CONFIGS / "split.json"), "--nx", "12", "--dt-list", "0.1,0.05",
       "--inner", "0"], "needs m >= 1, got 0"),
+    (["solve", "{heat}", "--dt", "1e-300", "--nx", "8"],
+     "grid: time step 1e-300 is too small for horizon 1.0"),
 ])
 def test_bad_input_exits_one_before_any_solve(argv, reason, tmp_path, capsys, no_scheme_step):
     files = {"heat": str(CONFIGS / "heat.json"),

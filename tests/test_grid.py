@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -65,10 +66,18 @@ def test_build_rejects_bad_inputs():
     (1e-160, 1e-300, "dx^2 = 1.6e-322, not a positive normal float"),  # subnormal
     (1e300, 0.5, "dx^2 = inf, not a positive normal float"),
     (1.0, 1e-320, "time step 1e-320 is too small for horizon 1.0"),  # T/dt is inf
+    (1.0, 1e-300, "time step 1e-300 is too small for horizon 1.0: more than"),  # finite
 ])
 def test_build_rejects_a_grid_no_stencil_can_divide_by(period, dt, reason):
     with pytest.raises(ConfigError, match=re.escape(reason)):
         SpaceTimeGrid.build(dim=1, period=period, n_x=8, T=1.0, dt=dt)
+
+
+def test_build_counts_levels_up_to_sys_maxsize():
+    # building a grid allocates nothing per level, so the bound can be probed
+    assert SpaceTimeGrid.build(dim=1, period=1.0, n_x=8, T=1.0, dt=2.0 ** -62).n_t == 2 ** 62
+    with pytest.raises(ConfigError, match=f"more than {sys.maxsize} levels"):
+        SpaceTimeGrid.build(dim=1, period=1.0, n_x=8, T=1.0, dt=2.0 ** -63)
 
 
 def test_direct_constructor_checks_products():

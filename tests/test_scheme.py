@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hjbfd import (
-    ComparisonConstants,
     SpaceTimeGrid,
     ThetaScheme,
     decaying_wave,
@@ -18,6 +17,7 @@ from hjbfd import (
     manufacture,
     sup_norm,
 )
+from hjbfd.cli import _forced_problem
 from hjbfd.errors import CFLError, ConfigError, SchemeError
 from hjbfd.scheme import FROZEN_POLICIES, _Ops
 
@@ -79,6 +79,8 @@ def test_solve_raises_cfl_error_unless_forced():
 
 @pytest.mark.parametrize("theta", [0.0, 1.0])
 def test_levels_replay_the_march_bit_for_bit(theta):
+    # the bound checks march again: a second march, and the solve, give the
+    # first march's levels bit for bit
     pr = make_problem(1, L2PI, 0.1, [{"sigma": 1.0, "b": 0.3}, {"sigma": 0.6, "f": 0.2}],
                       u0=lambda X: np.sin(X[..., 0]))
     g = exact_grid(16, 0.1, 0.005)
@@ -86,13 +88,11 @@ def test_levels_replay_the_march_bit_for_bit(theta):
     marched = [(u.copy(), rep) for u, rep in sch.march()]
     assert len(marched) == g.n_t + 1 and marched[0][1] is None
     assert [rep.t for _, rep in marched[1:]] == pytest.approx(g.times()[1:].tolist())
-    res = sch.solve()
-    replayed = list(res.levels())
+    replayed = [u for u, _ in sch.march()]
     assert len(replayed) == g.n_t + 1
     for (u, _), v in zip(marched, replayed):
         np.testing.assert_array_equal(v, u)
-    np.testing.assert_array_equal(res.final.values, marched[-1][0])
-    assert res.max_policy_iters == max(rep.policy_iterations for _, rep in marched[1:])
+    np.testing.assert_array_equal(sch.solve().values, marched[-1][0])
 
 
 def test_solve_memory_does_not_grow_with_time_steps():
@@ -211,14 +211,14 @@ def test_source_only_problem_all_theta():
         g = exact_grid(16, 1.0, 0.1)
         res = ThetaScheme(pr, g, theta=theta).solve()
         expect = np.cos(g.nodes()[..., 0]) + 1.0
-        np.testing.assert_allclose(res.final.values, expect, atol=1e-9)
+        np.testing.assert_allclose(res.values, expect, atol=1e-9)
 
 
 def test_sup_of_negated_sources_freezes_zero_control():
     # f in {0, 2} from u0 = 0: G = max(0, -2) = 0, so u stays 0
     pr = make_problem(1, L2PI, 1.0, [{"f": 0.0}, {"f": 2.0}], u0=0.0)
     sch = ThetaScheme(pr, exact_grid(16, 1.0, 0.1), theta=0.0)
-    np.testing.assert_allclose(sch.solve().final.values, 0.0, atol=1e-14)
+    np.testing.assert_allclose(sch.solve().values, 0.0, atol=1e-14)
     # argmax reports the lowest maximizing index
     assert all(np.all(rep.argmax == 0) for _, rep in list(sch.march())[1:])
 
@@ -255,14 +255,14 @@ def test_implicit_linear_problem_one_policy_iteration():
 def test_implicit_source_only():
     pr = make_problem(1, L2PI, 1.0, [{"f": 1.0}], u0=0.0)
     res = ThetaScheme(pr, exact_grid(16, 1.0, 0.25), theta=1.0).solve()
-    np.testing.assert_allclose(res.final.values, 1.0, atol=1e-9)
+    np.testing.assert_allclose(res.values, 1.0, atol=1e-9)
 
 
 def test_zero_problem_stays_zero():
     pr = make_problem(1, L2PI, 1.0, [{}], u0=0.0)
     for theta in (0.0, 1.0):
         res = ThetaScheme(pr, exact_grid(16, 1.0, 0.25), theta=theta).solve()
-        assert sup_norm(res.final) == 0.0
+        assert sup_norm(res) == 0.0
 
 
 def test_stationary_balance_fixed_point_every_theta():
@@ -271,7 +271,7 @@ def test_stationary_balance_fixed_point_every_theta():
     pr = make_problem(1, L2PI, 1.0, [{"sigma": 1.0, "c": 1.0, "f": -2.0}], u0=2.0)
     for theta in (0.0, 0.5, 1.0):
         res = ThetaScheme(pr, exact_grid(16, 1.0, 0.05), theta=theta).solve()
-        np.testing.assert_allclose(res.final.values, 2.0, atol=1e-9)
+        np.testing.assert_allclose(res.values, 2.0, atol=1e-9)
 
 
 def test_heat_solution_error_decreases():
@@ -280,7 +280,7 @@ def test_heat_solution_error_decreases():
         g = exact_grid(n_x, 0.5, (L2PI / n_x) ** 2 * 0.4)
         res = ThetaScheme(heat_problem(T=0.5), g, theta=0.0).solve()
         exact = math.exp(-0.25) * np.sin(g.nodes()[..., 0])
-        errs.append(sup_norm(res.final.values - exact))
+        errs.append(sup_norm(res.values - exact))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.2 * errs[0]
 
@@ -304,7 +304,7 @@ def test_bz_builder_matches_axis_builder_for_diagonal_diffusion():
     g = exact_grid(32, 0.5, 0.01)
     res_k = ThetaScheme(pr, g, theta=1.0, builder="kushner").solve()
     res_b = ThetaScheme(pr, g, theta=1.0, builder="bz").solve()
-    np.testing.assert_allclose(res_k.final.values, res_b.final.values, atol=1e-9)
+    np.testing.assert_allclose(res_k.values, res_b.values, atol=1e-9)
 
 
 def test_bz_builder_cross_diffusion_monotone():
@@ -349,9 +349,11 @@ def test_monotonicity_probe_catches_cfl_violation():
 def test_comparison_constants():
     pr = make_problem(1, L2PI, 1.0, [{"c": -3.0}, {"c": 2.0}], u0=0.0)
     sch = ThetaScheme(pr, exact_grid(16, 1.0, 0.1), theta=1.0)
-    cc = ComparisonConstants.for_scheme(sch)
-    assert cc.lam == 2.0
-    assert cc.mu == 3.0
+    assert sch._lam() == 2.0
+    # a c that grows in t is read at every level, the last one included
+    rising = make_problem(1, L2PI, 1.0, [{"c": lambda t, X: 3.0 * t + 0.0 * X[..., 0]}],
+                          u0=0.0)
+    assert ThetaScheme(rising, exact_grid(16, 1.0, 0.1), theta=1.0)._lam() == 3.0
 
 
 def test_comparison_bound_shifted_data():
@@ -361,40 +363,60 @@ def test_comparison_bound_shifted_data():
     pr_v = make_problem(1, L2PI, 0.5, [{"sigma": 1.0}],
                         u0=lambda X: np.sin(X[..., 0]) - 0.3)
     sch_v = ThetaScheme(pr_v, g, theta=1.0)
-    u_res, v_res = sch_u.solve(), sch_v.solve()
     # u - v = 0.3 <= e^{mu t} * 0.3 at every level
-    check = sch_u.comparison_bound_check(u_res, v_res, 0.0, 0.0)
+    check = sch_u.comparison_bound_check(sch_v, 0.0, 0.0)
     assert check.passed
     # the reverse order has no positive initial gap and must also pass
-    assert sch_u.comparison_bound_check(v_res, u_res, 0.0, 0.0).passed
+    assert sch_v.comparison_bound_check(sch_u, 0.0, 0.0).passed
+
+
+def test_comparison_bound_needs_one_grid():
+    pr = heat_problem(T=0.5)
+    sch = ThetaScheme(pr, exact_grid(32, 0.5, 0.01), theta=1.0)
+    for other in (exact_grid(16, 0.5, 0.01), exact_grid(32, 0.5, 0.005)):
+        with pytest.raises(ConfigError, match="different grids"):
+            sch.comparison_bound_check(ThetaScheme(pr, other, theta=1.0), 0.0, 0.0)
 
 
 def test_comparison_bound_forced_difference():
-    # forcing adds a constant to every source: v = u + t exactly when c = 0
+    # a source larger by 1 everywhere: v = u + t exactly when c = 0
     pr = heat_problem(T=0.5)
     g = exact_grid(32, 0.5, 0.01)
-    u_res = ThetaScheme(pr, g, theta=1.0).solve()
-    sch_v = ThetaScheme(pr, g, theta=1.0, forcing=1.0)
-    v_res = sch_v.solve()
-    t_grid = g.times()
-    gap = [sup_norm(v - u - t) for t, v, u in zip(t_grid, v_res.levels(), u_res.levels())]
-    assert max(gap) <= 1e-8
+    sch_u = ThetaScheme(pr, g, theta=1.0)
+    sch_v = ThetaScheme(_forced_problem(pr, 1.0), g, theta=1.0)
+    gap = [sup_norm(v - u - n * g.dt)
+           for n, ((v, _), (u, _)) in enumerate(zip(sch_v.march(), sch_u.march()))]
+    assert len(gap) == g.n_t + 1 and max(gap) <= 1e-8
     # v - u = t is inside the two-sided forcing bound 2 t e^{mu t}
-    check = sch_v.comparison_bound_check(v_res, u_res, 1.0, 0.0)
+    check = sch_v.comparison_bound_check(sch_u, 1.0, 0.0)
     assert check.passed
     # claiming equal forcing makes the same gap a violation
-    bad = sch_v.comparison_bound_check(v_res, u_res, 0.0, 0.0)
+    bad = sch_v.comparison_bound_check(sch_u, 0.0, 0.0)
     assert not bad.passed
     # pinned: the largest gap is at t = 0.5, a Jacobi tolerance short of 0.5
     assert bad.worst == 0.4999999997006999
+
+
+def test_a_failing_check_reports_python_floats():
+    # witnesses and the worst excess print as plain numbers, not numpy reprs
+    pr = heat_problem(T=0.5)
+    g = exact_grid(32, 0.5, 0.01)
+    bad = ThetaScheme(_forced_problem(pr, 1.0), g, theta=1.0).comparison_bound_check(
+        ThetaScheme(pr, g, theta=1.0), 0.0, 0.0)
+    assert bad.witness == "t=0.5: max(u-v)=0.4999999997006999 vs bound 0.0"
+    # two implicit steps of 0.25 with c = 1 amplify by 1/0.75^2 > 1.05 e^{0.5}
+    growth = make_problem(1, L2PI, 0.5, [{"c": 1.0}], u0=1.0)
+    off = ThetaScheme(growth, exact_grid(16, 0.5, 0.25), theta=1.0).apriori_bounds_check()
+    assert not off.passed
+    for res in (bad, off):
+        assert "np." not in res.witness and "np." not in repr(res.worst)
 
 
 def test_apriori_bound_source_growth():
     # u0 = 0, f = 1: |u(t)| = t, bound (0 + t) * 1.05
     pr = make_problem(1, L2PI, 1.0, [{"f": 1.0}], u0=0.0)
     sch = ThetaScheme(pr, exact_grid(16, 1.0, 0.1), theta=0.0)
-    res = sch.solve()
-    check = sch.apriori_bounds_check(res)
+    check = sch.apriori_bounds_check()
     assert check.passed
     assert check.worst == 0.0
 
@@ -405,9 +427,8 @@ def test_apriori_bound_exponential_growth():
     pr = make_problem(1, L2PI, 0.5, [{"c": 1.0}], u0=1.0)
     for theta in (0.0, 1.0):
         sch = ThetaScheme(pr, exact_grid(16, 0.5, 0.01), theta=theta)
-        res = sch.solve()
-        assert sup_norm(res.final) == pytest.approx(math.exp(0.5), rel=0.01)
-        assert sch.apriori_bounds_check(res).passed
+        assert sup_norm(sch.solve()) == pytest.approx(math.exp(0.5), rel=0.01)
+        assert sch.apriori_bounds_check().passed
 
 
 def test_nan_in_source_fails_fast():
@@ -473,7 +494,7 @@ def test_manufactured_two_control_convergence():
     for n_x in (16, 32, 64):
         g = exact_grid(n_x, 0.5, 0.4 * (L2PI / n_x) ** 2)
         res = ThetaScheme(mp.problem, g, theta=0.0).solve()
-        errs.append(sup_norm(res.final.values - mp.exact_values(0.5, g.nodes())))
+        errs.append(sup_norm(res.values - mp.exact_values(0.5, g.nodes())))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.2 * errs[0]
 
@@ -770,4 +791,4 @@ def test_an_implicit_level_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         rep.argmax[0] = 1
     with pytest.raises(ValueError, match="read-only"):
-        sch.solve().final.values += 1.0
+        sch.solve().values += 1.0

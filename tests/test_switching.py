@@ -1,6 +1,7 @@
 """Obstacle-coupled switching systems and the cost-decay experiment."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,15 +15,19 @@ from hjbfd import (
     ThetaScheme,
     k_rate_experiment,
     make_problem,
+    signed_errors,
     sup_norm,
     switching_solve,
     switching_step,
 )
 import hjbfd.switching as switching
+from hjbfd.config import load_json, parse_switching
 from hjbfd.errors import CFLError, ConfigError, SchemeError
+from hjbfd.scheme import STUDY_TOL
 from hjbfd.switching import obstacle_projection
 
 L2PI = 2 * np.pi
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def two_mode_base(T=0.5):
@@ -61,7 +66,7 @@ def test_identical_modes_stay_equal_and_degenerate():
     sol = switching_solve(sp)
     ref = ThetaScheme(base, g, theta=0.0).solve()
     for i in range(2):
-        np.testing.assert_allclose(sol.final[i], ref.final.values, atol=1e-12)
+        np.testing.assert_allclose(sol.final[i], ref.values, atol=1e-12)
     rep, _ = k_rate_experiment(base, [[0], [0]], g, [0.4, 0.2, 0.1])
     assert rep.degenerate
 
@@ -76,7 +81,7 @@ def test_large_cost_decouples_modes():
     sol = switching_solve(sp)
     for i, mode in enumerate([[0], [1]]):
         solo = ThetaScheme(base.restrict(mode), g, theta=0.0).solve()
-        np.testing.assert_allclose(sol.final[i], solo.final.values, atol=1e-12)
+        np.testing.assert_allclose(sol.final[i], solo.values, atol=1e-12)
 
 
 def test_one_step_obstacle_activation_exact():
@@ -108,7 +113,7 @@ def test_switching_dominates_scalar_solution():
     sp = SwitchingProblem(base=base, mode_controls=[[0], [1]], k=0.1, grid=g)
     sol = switching_solve(sp)
     for i in range(2):
-        assert float(np.min(sol.final[i] - ref.final.values)) >= -1e-10
+        assert float(np.min(sol.final[i] - ref.values)) >= -1e-10
 
 
 def test_switching_gap_monotone_in_k():
@@ -119,7 +124,7 @@ def test_switching_gap_monotone_in_k():
     for k in (0.4, 0.2, 0.1):
         sp = SwitchingProblem(base=base, mode_controls=[[0], [1]], k=k, grid=g)
         sol = switching_solve(sp)
-        gaps.append(max(sup_norm(v - ref.final.values) for v in sol.final))
+        gaps.append(max(sup_norm(v - ref.values) for v in sol.final))
     assert gaps[0] >= gaps[1] >= gaps[2]
     # halving k cuts the gap by at least 2^{1/3} up to a 10 percent margin
     assert gaps[0] / gaps[1] >= 2.0 ** (1.0 / 3.0) * 0.9
@@ -151,6 +156,20 @@ def test_k_rate_experiment_hands_back_the_smallest_k_solution():
     assert finest.final.shape == (2,) + g.shape
     assert finest.coupling_band_violation() == again.coupling_band_violation() <= 1e-12
     assert rep.params == [0.4, 0.2, 0.1]
+
+
+def test_k_study_reference_uses_the_study_tolerance():
+    # the reference is solved at STUDY_TOL like the modes; at theta = 1 the
+    # default tolerance would move it by about 6e-10
+    base, modes, k_list = parse_switching(load_json(CONFIGS / "modes2.json"))
+    g = SpaceTimeGrid.build(1, base.period, 32, base.T, 0.01)
+    rep, _ = k_rate_experiment(base, modes, g, k_list, theta=1.0)
+    u_ref = ThetaScheme(base, g, 1.0, tol=STUDY_TOL).solve().values
+    assert not np.array_equal(u_ref, ThetaScheme(base, g, 1.0).solve().values)
+    sol = switching_solve(SwitchingProblem(base=base, mode_controls=modes, k=rep.params,
+                                           grid=g, theta=1.0))
+    rows = [signed_errors(sol.final[:, j], u_ref) for j in range(len(rep.params))]
+    assert [list(r) for r in zip(*rows)] == [rep.err_plus, rep.err_minus, rep.err_total]
 
 
 def test_band_violation_is_folded_over_every_level():
