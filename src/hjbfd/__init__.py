@@ -5,7 +5,7 @@ from .errors import (CFLError, ConfigError, HJBError, NumericalError,
                      ProbeFailure, SchemeError)
 from .grid import GridFunction, SpaceTimeGrid, sup_norm, write_csv
 from .problem import (CoefficientField, HJBProblem, ManufacturedProblem, SmoothFunction,
-                      decaying_wave, evaluate_F, evaluate_L, make_problem, manufacture)
+                      decaying_wave, make_problem, manufacture)
 from .stencil import (BZDecomposition, SpatialStencil, bz_decompose, bz_stencil,
                       check_diag_dominant, consistency_residual, kushner_stencil)
 from .scheme import CFLReport, ProbeResult, StepReport, ThetaScheme
@@ -26,7 +26,7 @@ __all__ = [
     "SchemeError",
     "GridFunction", "SpaceTimeGrid", "sup_norm", "write_csv",
     "CoefficientField", "HJBProblem", "ManufacturedProblem", "SmoothFunction",
-    "decaying_wave", "evaluate_F", "evaluate_L", "make_problem", "manufacture",
+    "decaying_wave", "make_problem", "manufacture",
     "BZDecomposition", "SpatialStencil", "bz_decompose", "bz_stencil",
     "check_diag_dominant", "consistency_residual", "kushner_stencil",
     "CFLReport", "ProbeResult", "StepReport", "ThetaScheme",

@@ -34,14 +34,9 @@ __all__ = [
     "SmoothFunction",
     "ManufacturedProblem",
     "make_problem",
-    "evaluate_L",
-    "evaluate_F",
     "manufacture",
     "decaying_wave",
 ]
-
-RESIDUAL_POINTS = 1000  # sample points of ManufacturedProblem.residual_check
-
 
 class SpaceOnly:
     """A scalar field g(X) that does not depend on t, as a (t, X) evaluator.
@@ -60,7 +55,7 @@ def sum_sources(f1, f2):
     """The sum f1 + f2 of two stored sources (each a constant or a (t, X)
     evaluator): a float when both are constants, a SpaceOnly when neither
     depends on t, else a (t, X) evaluator.  A splitting's combined control
-    and the probe's forced problem both add sources this way."""
+    and the comparison check's shifted data both add sources this way."""
     if not callable(f1) and not callable(f2):
         return float(f1) + float(f2)
 
@@ -233,26 +228,6 @@ def make_problem(dim, period, T, controls, u0, label="problem") -> HJBProblem:
                       u0=u0, T=T, period=period, label=label)
 
 
-def evaluate_L(problem: HJBProblem, control: int, t: float, x, value: float,
-               gradient, hessian) -> float:
-    """Linear operator value -tr[a X] - b.p - c r - f at one point."""
-    X = np.asarray(x, dtype=float).reshape(1, problem.dim)
-    a = problem.coeffs.a(control, t, X)[0]
-    b = problem.coeffs.b(control, t, X)[0]
-    c = float(problem.coeffs.c(control, t, X)[0])
-    f = float(problem.coeffs.f(control, t, X)[0])
-    p = np.zeros(problem.dim) if gradient is None else np.asarray(gradient, dtype=float)
-    H = np.zeros((problem.dim, problem.dim)) if hessian is None else np.asarray(hessian, dtype=float)
-    return float(-np.trace(a @ H) - b @ p - c * float(value) - f)
-
-
-def evaluate_F(problem: HJBProblem, t: float, x, value: float, gradient, hessian) -> float:
-    """Running sup over the control set of evaluate_L."""
-    vals = [evaluate_L(problem, i, t, x, value, gradient, hessian)
-            for i in range(len(problem.coeffs))]
-    return float(max(vals))
-
-
 @dataclass
 class SmoothFunction:
     """A smooth space-time function with analytic derivatives.
@@ -305,23 +280,6 @@ class ManufacturedProblem:
 
     def exact_values(self, t: float, X: np.ndarray) -> np.ndarray:
         return np.asarray(self.exact.value(t, X), dtype=float)
-
-    def residual_check(self) -> float:
-        """Max |u*_t + F(t,x,u*,Du*,D^2u*)| over RESIDUAL_POINTS random
-        sample points, drawn with seed 0."""
-        rng = np.random.default_rng(0)
-        pr = self.problem
-        worst = 0.0
-        t_samples = rng.uniform(0.0, pr.T, size=RESIDUAL_POINTS)
-        X = rng.uniform(0.0, pr.period, size=(RESIDUAL_POINTS, pr.dim))
-        for t, x in zip(t_samples, X):
-            Xp = x.reshape(1, pr.dim)
-            r = float(self.exact.value(t, Xp)[0])
-            p = np.asarray(self.exact.grad(t, Xp))[0]
-            H = np.asarray(self.exact.hess(t, Xp))[0]
-            ut = float(np.asarray(self.exact.dt(t, Xp)).reshape(-1)[0])
-            worst = max(worst, abs(ut + evaluate_F(pr, t, x, r, p, H)))
-        return worst
 
 
 def manufacture(dim, period, T, controls, exact: SmoothFunction,

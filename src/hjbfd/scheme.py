@@ -28,11 +28,14 @@ not grow with n_t; a caller that needs every level walks `march()`.
 
 Probes (monotonicity, comparison bound, a-priori bound) are first-class
 operations so CI can assert structure, not just convergence.  The bound
-checks march the schemes they compare, level n at time n dt.
+checks march their own schemes, level n at time n dt: the comparison check
+runs this scheme on its data and on data shifted by du0 and df, the one
+pair the discrete comparison principle covers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +43,7 @@ import numpy as np
 
 from .errors import CFLError, ConfigError, SchemeError
 from .grid import GridFunction, SpaceTimeGrid, first_non_finite
-from .problem import HJBProblem
+from .problem import CoefficientField, HJBProblem, sum_sources
 from .stencil import bz_decompose, bz_stencil, kushner_stencil
 
 __all__ = [
@@ -213,7 +216,8 @@ class ThetaScheme:
 
     def _weights_at(self, t: float):
         """Stacked stencil weights W, their offset sums csum and the neighbour
-        index nbr at time t (built once when the stencils are static)."""
+        index nbr at time t (built once when every sigma and b is a constant,
+        which is when every stencil has scalar weights)."""
         if self._static_weights is not None:
             return self._static_weights
         g = self.grid
@@ -229,7 +233,7 @@ class ThetaScheme:
         nbr = np.array([np.roll(idx, tuple(-c for c in off), axis=axes) for off in offsets],
                        dtype=np.intp).reshape((len(offsets),) + g.shape)
         packed = (W, W.sum(axis=1), nbr)
-        if self._stencils_static:
+        if not varies:
             self._static_weights = packed
         return packed
 
@@ -449,13 +453,30 @@ class ThetaScheme:
         return CFLReport(ok=ok, worst_explicit=worst_e, worst_implicit=worst_i,
                          dt=g.dt, theta=self.theta)
 
+    def _twin(self, du0: float = 0.0, df: float = 0.0, tol: float | None = None):
+        """This scheme's grid, theta and builder on its problem with u0 + du0
+        and every control's f + df, at tolerance `tol` (default this
+        scheme's); a zero shift leaves its datum untouched."""
+        pr = self.problem
+        if du0 != 0.0:
+            def u0(X, _p=pr, _s=du0):
+                return _p.u0_values(np.asarray(X, dtype=float)) + _s
+
+            pr = dataclasses.replace(pr, u0=u0)
+        if df != 0.0:
+            coeffs = pr.coeffs
+            pr = dataclasses.replace(pr, coeffs=CoefficientField(
+                [dataclasses.replace(coeffs[i], f=sum_sources(coeffs[i].f, df))
+                 for i in range(len(coeffs))]))
+        return ThetaScheme(pr, self.grid, self.theta, builder=self.builder,
+                           tol=self.tol if tol is None else tol)
+
     def monotonicity_probe(self, trials: int = 100, seed: int = 0) -> ProbeResult:
         """Step random ordered pairs u <= v once; order must be preserved
         nodewise up to MONOTONE_SLACK.  The pairs step through a twin scheme
         with the tolerance tightened to at most 1e-13, so solver error cannot
         masquerade as a violation."""
-        twin = ThetaScheme(self.problem, self.grid, self.theta, builder=self.builder,
-                           tol=min(self.tol, 1e-13))
+        twin = self._twin(tol=min(self.tol, 1e-13))
         return probe_monotone(lambda u: twin.step(u, 0.0)[0],
                               self.grid.shape, trials, seed, MONOTONE_SLACK)
 
@@ -464,26 +485,24 @@ class ThetaScheme:
         times = [0.0] if self._stencils_static else self.grid.times()
         return max(float(np.max(np.maximum(self._c_at(t), 0.0))) for t in times)
 
-    def comparison_bound_check(self, other: "ThetaScheme", g1, g2,
+    def comparison_bound_check(self, *, du0: float = 0.0, df: float = 0.0,
                                force: bool = False) -> ProbeResult:
-        """March this scheme (u) and `other` (v) in lockstep and check
-        u - v <= e^{mu t} |(u(0)-v(0))^+| + 2 t e^{mu t} |(g1-g2)^+|
-        at every level, with mu = sup (c^alpha)^+ + 1 of this scheme."""
-        if other.grid != self.grid:
-            raise ConfigError("comparison bound check: the two schemes are on different grids")
+        """March this scheme (u) and its twin on u0 + du0 and f + df (v) in
+        lockstep and check
+        u - v <= e^{mu t} max(u(0)-v(0))^+ + 2 t e^{mu t} (-df)^+
+        at every level, with mu = sup (c^alpha)^+ + 1."""
         g = self.grid
         mu = self._lam() + 1.0
-        gdiff = np.asarray(g1, dtype=float) - np.asarray(g2, dtype=float)
-        gplus = float(np.max(np.maximum(gdiff, 0.0)))
+        fplus = max(0.0, -df)
         worst = -math.inf
         witness = ""
-        levels = zip(self.march(force), other.march(force), strict=True)
+        levels = zip(self.march(force), self._twin(du0, df).march(force))
         for n, ((u, _), (v, _)) in enumerate(levels):
             t = n * g.dt
             if n == 0:
                 d0 = float(np.max(np.maximum(u - v, 0.0)))
             lhs = float(np.max(u - v))
-            bound = math.exp(mu * t) * d0 + 2.0 * t * math.exp(mu * t) * gplus
+            bound = math.exp(mu * t) * d0 + 2.0 * t * math.exp(mu * t) * fplus
             excess = lhs - bound
             if excess > worst:
                 worst = excess

@@ -1,5 +1,6 @@
 """Theta-method stepping, CFL checks, policy iteration, probes and bounds."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hjbfd import (
+    CFLReport,
+    CoefficientField,
     SpaceTimeGrid,
     ThetaScheme,
     decaying_wave,
@@ -17,9 +20,9 @@ from hjbfd import (
     manufacture,
     sup_norm,
 )
-from hjbfd.cli import _forced_problem
 from hjbfd.errors import CFLError, ConfigError, SchemeError
-from hjbfd.scheme import FROZEN_POLICIES, _Ops
+from hjbfd.problem import SpaceOnly, sum_sources
+from hjbfd.scheme import COMPARISON_SLACK, FROZEN_POLICIES, _Ops
 
 L2PI = 2 * np.pi
 
@@ -168,6 +171,23 @@ def test_weights_are_per_node_only_for_a_callable_sigma_or_b():
     sch = ThetaScheme(scalar, g, theta=0.0)
     assert sch._weights_at(0.0)[0].shape[2:] == (1,)
     assert sch._ops_at(0.05).Wmat is not None
+
+
+def test_stencils_are_built_once_when_only_c_depends_on_t(monkeypatch):
+    # the weights depend on sigma and b alone, so a c(t) reuses them at every
+    # level; the CFL check still reads c at every level
+    pr = make_problem(1, L2PI, 1.0, [{"sigma": 1.0, "c": lambda t, X: 0.1 * t + 0.0 * X[..., 0]}],
+                      u0=lambda X: np.sin(X[..., 0]))
+    g = exact_grid(32, 1.0, 0.01)
+    sch = ThetaScheme(pr, g, theta=1.0)
+    built = []
+    build = sch._build_stencil
+    monkeypatch.setattr(sch, "_build_stencil", lambda i, t: built.append(t) or build(i, t))
+    sch.solve()
+    assert sch.cfl_check() == CFLReport(ok=True, worst_explicit=0.0,
+                                        worst_implicit=float.fromhex("-0x1.089559f101d23p-2"),
+                                        dt=g.dt, theta=1.0)
+    assert built == [0.0]
 
 
 def roll_operator(sig, drift, g, u):
@@ -357,25 +377,11 @@ def test_comparison_constants():
 
 
 def test_comparison_bound_shifted_data():
-    pr = heat_problem(T=0.5)
-    g = exact_grid(32, 0.5, 0.01)
-    sch_u = ThetaScheme(pr, g, theta=1.0)
-    pr_v = make_problem(1, L2PI, 0.5, [{"sigma": 1.0}],
-                        u0=lambda X: np.sin(X[..., 0]) - 0.3)
-    sch_v = ThetaScheme(pr_v, g, theta=1.0)
+    sch = ThetaScheme(heat_problem(T=0.5), exact_grid(32, 0.5, 0.01), theta=1.0)
     # u - v = 0.3 <= e^{mu t} * 0.3 at every level
-    check = sch_u.comparison_bound_check(sch_v, 0.0, 0.0)
-    assert check.passed
-    # the reverse order has no positive initial gap and must also pass
-    assert sch_v.comparison_bound_check(sch_u, 0.0, 0.0).passed
-
-
-def test_comparison_bound_needs_one_grid():
-    pr = heat_problem(T=0.5)
-    sch = ThetaScheme(pr, exact_grid(32, 0.5, 0.01), theta=1.0)
-    for other in (exact_grid(16, 0.5, 0.01), exact_grid(32, 0.5, 0.005)):
-        with pytest.raises(ConfigError, match="different grids"):
-            sch.comparison_bound_check(ThetaScheme(pr, other, theta=1.0), 0.0, 0.0)
+    assert sch.comparison_bound_check(du0=-0.3).passed
+    # raised data has no positive initial gap and must also pass
+    assert sch.comparison_bound_check(du0=0.3).passed
 
 
 def test_comparison_bound_forced_difference():
@@ -383,27 +389,112 @@ def test_comparison_bound_forced_difference():
     pr = heat_problem(T=0.5)
     g = exact_grid(32, 0.5, 0.01)
     sch_u = ThetaScheme(pr, g, theta=1.0)
-    sch_v = ThetaScheme(_forced_problem(pr, 1.0), g, theta=1.0)
+    sch_v = ThetaScheme(make_problem(1, L2PI, 0.5, [{"sigma": 1.0, "f": 1.0}],
+                                     u0=lambda X: np.sin(X[..., 0])), g, theta=1.0)
     gap = [sup_norm(v - u - n * g.dt)
            for n, ((v, _), (u, _)) in enumerate(zip(sch_v.march(), sch_u.march()))]
     assert len(gap) == g.n_t + 1 and max(gap) <= 1e-8
-    # v - u = t is inside the two-sided forcing bound 2 t e^{mu t}
-    check = sch_v.comparison_bound_check(sch_u, 1.0, 0.0)
-    assert check.passed
-    # claiming equal forcing makes the same gap a violation
-    bad = sch_v.comparison_bound_check(sch_u, 0.0, 0.0)
-    assert not bad.passed
-    # pinned: the largest gap is at t = 0.5, a Jacobi tolerance short of 0.5
-    assert bad.worst == 0.4999999997006999
+    # u - v = -t and, for the lowered source, u - v = t <= 2 t e^{mu t}
+    assert sch_u.comparison_bound_check(df=1.0).passed
+    assert sch_u.comparison_bound_check(df=-1.0).passed
+
+
+def two_scheme_check(sch_u, sch_v, g1, g2, force):
+    """The comparison check as two schemes and two declared source levels:
+    u - v <= e^{mu t} max(u(0)-v(0))^+ + 2 t e^{mu t} (g1-g2)^+ at every level.
+    Returns (passed, worst as hex, witness, checked)."""
+    g = sch_u.grid
+    mu = sch_u._lam() + 1.0
+    gplus = float(np.max(np.maximum(np.asarray(g1, dtype=float) - np.asarray(g2, dtype=float),
+                                    0.0)))
+    worst, witness = -math.inf, ""
+    for n, ((u, _), (v, _)) in enumerate(zip(sch_u.march(force), sch_v.march(force))):
+        t = n * g.dt
+        if n == 0:
+            d0 = float(np.max(np.maximum(u - v, 0.0)))
+        lhs = float(np.max(u - v))
+        bound = math.exp(mu * t) * d0 + 2.0 * t * math.exp(mu * t) * gplus
+        if lhs - bound > worst:
+            worst = lhs - bound
+            witness = f"t={t!r}: max(u-v)={lhs!r} vs bound {bound!r}"
+    return worst <= COMPARISON_SLACK, float.hex(worst), witness, g.n_t + 1
+
+
+def shifted_problem(pr, du0, df):
+    """`pr` with u0 + du0 and every control's f + df."""
+    if du0 != 0.0:
+        def u0(X, _p=pr, _s=du0):
+            return _p.u0_values(np.asarray(X, dtype=float)) + _s
+
+        pr = dataclasses.replace(pr, u0=u0)
+    if df != 0.0:
+        pr = dataclasses.replace(pr, coeffs=CoefficientField(
+            [dataclasses.replace(pr.coeffs[i], f=sum_sources(pr.coeffs[i].f, df))
+             for i in range(len(pr.coeffs))]))
+    return pr
+
+
+def check_against_two_schemes(sch, du0, df, force):
+    """sch's comparison check on (du0, df), asserted bit for bit equal to
+    the two-scheme formula on the same pair of data sets."""
+    got = sch.comparison_bound_check(du0=du0, df=df, force=force)
+    twin = ThetaScheme(shifted_problem(sch.problem, du0, df), sch.grid, theta=sch.theta)
+    assert (got.passed, float.hex(got.worst), got.witness, got.checked) == two_scheme_check(
+        sch, twin, 0.0, df, force), (sch.theta, sch.grid.n_x, sch.grid.dt, du0, df)
+    return got
+
+
+COMPARISON_PROBLEMS = {
+    "heat": heat_problem(T=0.5),
+    "two controls": make_problem(1, L2PI, 0.5,
+                                 [{"sigma": 0.8, "c": 0.5}, {"sigma": 0.5, "b": 0.3}],
+                                 u0=lambda X: np.sin(X[..., 0])),
+    "(t, x) source": make_problem(
+        1, L2PI, 0.5,
+        [{"sigma": 0.9, "b": -0.2, "f": lambda t, X: t * np.cos(X[..., 0])},
+         {"sigma": 0.6, "c": 0.3, "f": SpaceOnly(lambda X: 0.5 * np.sin(2 * X[..., 0]))}],
+        u0=lambda X: np.cos(X[..., 0])),
+    "negative c": make_problem(1, L2PI, 0.5, [{"sigma": 1.0, "c": -0.7}],
+                               u0=lambda X: np.sin(X[..., 0])),
+}
+PROBE_DATA = ((0.0, 1.0), (0.0, -1.0), (-0.3, 0.0))  # (du0, df) of hjbfd probe's checks
+
+
+@pytest.mark.parametrize("name", sorted(COMPARISON_PROBLEMS))
+def test_comparison_check_matches_the_two_scheme_formula(name):
+    # every theta, two grids and a step on either side of the explicit CFL
+    # limit (forced), for the probe's three data sets
+    pr = COMPARISON_PROBLEMS[name]
+    for theta in (0.0, 0.5, 1.0):
+        for n_x in (16, 32):
+            for factor in (0.4, 3.0):
+                sch = ThetaScheme(pr, exact_grid(n_x, pr.T, factor * (L2PI / n_x) ** 2),
+                                  theta=theta)
+                for du0, df in PROBE_DATA:
+                    check_against_two_schemes(sch, du0, df, force=True)
+
+
+def test_failing_comparison_checks_match_the_two_scheme_formula():
+    # a passing check's worst excess is its t = 0 value; one implicit step of
+    # 0.5 with c = 1.8 fails the lowered source and the lowered u0, so the
+    # source term of the bound shows in the worst excess too
+    pr = make_problem(1, L2PI, 0.5, [{"sigma": 1.0, "c": 1.8}], u0=lambda X: np.sin(X[..., 0]))
+    sch = ThetaScheme(pr, exact_grid(16, 0.5, 0.5), theta=1.0)
+    passed = [check_against_two_schemes(sch, du0, df, force=False).passed
+              for du0, df in PROBE_DATA]
+    assert passed == [True, False, False]
 
 
 def test_a_failing_check_reports_python_floats():
-    # witnesses and the worst excess print as plain numbers, not numpy reprs
-    pr = heat_problem(T=0.5)
-    g = exact_grid(32, 0.5, 0.01)
-    bad = ThetaScheme(_forced_problem(pr, 1.0), g, theta=1.0).comparison_bound_check(
-        ThetaScheme(pr, g, theta=1.0), 0.0, 0.0)
-    assert bad.witness == "t=0.5: max(u-v)=0.4999999997006999 vs bound 0.0"
+    # witnesses and the worst excess print as plain numbers, not numpy reprs;
+    # one implicit step of 0.5 with c = 1.8 amplifies the gap 0.3 tenfold,
+    # past its continuous bound 0.3 e^{(1.8 + 1) 0.5}
+    growth = make_problem(1, L2PI, 0.5, [{"c": 1.8}], u0=1.0)
+    bad = ThetaScheme(growth, exact_grid(16, 0.5, 0.5), theta=1.0).comparison_bound_check(
+        du0=-0.3)
+    assert not bad.passed
+    assert bad.worst == 1.7834400099465983
+    assert bad.witness == "t=0.5: max(u-v)=3.000000000000001 vs bound 1.2165599900534025"
     # two implicit steps of 0.25 with c = 1 amplify by 1/0.75^2 > 1.05 e^{0.5}
     growth = make_problem(1, L2PI, 0.5, [{"c": 1.0}], u0=1.0)
     off = ThetaScheme(growth, exact_grid(16, 0.5, 0.25), theta=1.0).apriori_bounds_check()
