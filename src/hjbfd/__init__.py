@@ -6,8 +6,8 @@ from .errors import (CFLError, ConfigError, HJBError, NumericalError,
 from .grid import GridFunction, SpaceTimeGrid, sup_norm, write_csv
 from .problem import (CoefficientField, HJBProblem, ManufacturedProblem, SmoothFunction,
                       decaying_wave, make_problem, manufacture)
-from .stencil import (BZDecomposition, SpatialStencil, bz_decompose, bz_stencil,
-                      check_diag_dominant, consistency_residual, kushner_stencil)
+from .stencil import (BZDecomposition, bz_decompose, bz_stencil, check_diag_dominant,
+                      consistency_residual, kushner_stencil)
 from .scheme import CFLReport, ProbeResult, StepReport, ThetaScheme
 from .switching import (SwitchingProblem, SwitchingSolution, k_rate_experiment,
                         switching_solve, switching_step)
@@ -27,8 +27,8 @@ __all__ = [
     "GridFunction", "SpaceTimeGrid", "sup_norm", "write_csv",
     "CoefficientField", "HJBProblem", "ManufacturedProblem", "SmoothFunction",
     "decaying_wave", "make_problem", "manufacture",
-    "BZDecomposition", "SpatialStencil", "bz_decompose", "bz_stencil",
-    "check_diag_dominant", "consistency_residual", "kushner_stencil",
+    "BZDecomposition", "bz_decompose", "bz_stencil", "check_diag_dominant",
+    "consistency_residual", "kushner_stencil",
     "CFLReport", "ProbeResult", "StepReport", "ThetaScheme",
     "SwitchingProblem", "SwitchingSolution", "k_rate_experiment", "switching_solve",
     "switching_step",

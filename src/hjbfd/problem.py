@@ -158,7 +158,9 @@ class CoefficientField:
         return 0.5 * self.ssq(i, t, X)
 
     def stencil_static(self, i: int) -> bool:
-        """True when sigma, b and c are constants (stencil reusable across times)."""
+        """True when sigma, b and c are constants, so that every time level has
+        the same weights and c: the scheme's level scan then reads one level.
+        (The scheme reuses the weights whenever sigma and b are constants.)"""
         e = self._entries[i]
         return not any(callable(v) for v in (e.sigma, e.b, e.c))
 

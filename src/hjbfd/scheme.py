@@ -191,17 +191,16 @@ class ThetaScheme:
         self._nodes = grid.nodes()
         self._coeffs_static = all(problem.coeffs.fully_static(i)
                                   for i in range(len(problem.coeffs)))
-        self._stencils_static = all(problem.coeffs.stencil_static(i)
-                                    for i in range(len(problem.coeffs)))
         self._static_ops = None
         self._static_weights = None
         self._carry = None  # (ops, u, G, P) of the last implicit step, see implicit_step
+        self._scan = None   # (worst explicit lhs, worst implicit lhs, lam), see _level_scan
 
     # ----- operator assembly -------------------------------------------------
 
     def _build_stencil(self, i: int, t: float):
-        """Stencil of control i at time t: scalar weights when its sigma and b
-        are constants (evaluated at one node), per-node weights otherwise."""
+        """Weight rows of control i at time t: scalar weights when its sigma and
+        b are constants (evaluated at one node), per-node weights otherwise."""
         pr, g = self.problem, self.grid
         if callable(pr.coeffs[i].sigma) or callable(pr.coeffs[i].b):
             if self.builder == "bz":
@@ -217,17 +216,22 @@ class ThetaScheme:
     def _weights_at(self, t: float):
         """Stacked stencil weights W, their offset sums csum and the neighbour
         index nbr at time t (built once when every sigma and b is a constant,
-        which is when every stencil has scalar weights)."""
+        which is when every stencil has scalar weights).  The offsets are the
+        union of the controls' rows in lexicographic order; W is per node only
+        when some control has a per-node row."""
         if self._static_weights is not None:
             return self._static_weights
         g = self.grid
-        stencils = [self._build_stencil(i, t) for i in range(len(self.problem.coeffs))]
-        offsets = sorted({off for st in stencils for off in st.entries})
-        varies = any(np.ndim(w) != 0 for st in stencils for w in st.entries.values())
-        W = np.zeros((len(stencils), len(offsets)) + (g.shape if varies else (1,) * g.dim))
-        for k, st in enumerate(stencils):
-            for o, off in enumerate(offsets):
-                W[k, o] = st.weight(off)
+        rows = [self._build_stencil(i, t) for i in range(len(self.problem.coeffs))]
+        keys = [[tuple(off) for off in offs.tolist()] for offs, _ in rows]
+        offsets = sorted(set().union(*keys))
+        position = {off: o for o, off in enumerate(offsets)}
+        varies = any(w.ndim > 1 and len(w) for _, w in rows)
+        W = np.zeros((len(rows), len(offsets)) + (g.shape if varies else (1,) * g.dim))
+        for k, ((_, w), ks) in enumerate(zip(rows, keys)):
+            if ks:  # scalar rows broadcast over the nodes
+                at = [position[off] for off in ks]
+                W[k, at] = w.reshape(len(w), *w.shape[1:] or (1,) * g.dim)
         idx = np.arange(g.n_nodes).reshape(g.shape)
         axes = tuple(range(g.dim))
         nbr = np.array([np.roll(idx, tuple(-c for c in off), axis=axes) for off in offsets],
@@ -436,19 +440,31 @@ class ThetaScheme:
                 f"CFL violated: explicit lhs {rep.worst_explicit:.6g}, "
                 f"implicit lhs {rep.worst_implicit:.6g} (must be <= 1)", rep)
 
+    def _level_scan(self):
+        """(worst explicit CFL lhs, worst implicit CFL lhs, lam) over every
+        node, control and time level (a single level when sigma, b and c are
+        constant), with lam = sup (c^alpha)^+.  Only the weights and c are
+        read, never the source, so the scan is made once per scheme and its
+        twins inherit it."""
+        if self._scan is None:
+            pr, g = self.problem, self.grid
+            worst_e = worst_i = lam = -math.inf
+            static = all(pr.coeffs.stencil_static(i) for i in range(len(pr.coeffs)))
+            for t in [0.0] if static else g.times():
+                csum, c = self._weights_at(t)[1], self._c_at(t)
+                lhs_e = g.dt * (1.0 - self.theta) * (-c + csum)
+                lhs_i = g.dt * self.theta * (c - csum)
+                worst_e = max(worst_e, float(np.max(lhs_e)))
+                worst_i = max(worst_i, float(np.max(lhs_i)))
+                lam = max(lam, float(np.max(np.maximum(c, 0.0))))
+            self._scan = (worst_e, worst_i, lam)
+        return self._scan
+
     def cfl_check(self) -> CFLReport:
-        """Report-only check of both step-size conditions at every node,
-        control and time level (single level when sigma, b and c are
-        constant).  Only the weights and c are read, never the source."""
+        """Report-only check of both step-size conditions, read off the
+        level scan."""
         g = self.grid
-        worst_e = -math.inf
-        worst_i = -math.inf
-        for t in [0.0] if self._stencils_static else g.times():
-            csum, c = self._weights_at(t)[1], self._c_at(t)
-            lhs_e = g.dt * (1.0 - self.theta) * (-c + csum)
-            lhs_i = g.dt * self.theta * (c - csum)
-            worst_e = max(worst_e, float(np.max(lhs_e)))
-            worst_i = max(worst_i, float(np.max(lhs_i)))
+        worst_e, worst_i, _ = self._level_scan()
         ok = worst_e <= 1.0 + 1e-12 and worst_i <= 1.0 + 1e-12
         return CFLReport(ok=ok, worst_explicit=worst_e, worst_implicit=worst_i,
                          dt=g.dt, theta=self.theta)
@@ -456,7 +472,9 @@ class ThetaScheme:
     def _twin(self, du0: float = 0.0, df: float = 0.0, tol: float | None = None):
         """This scheme's grid, theta and builder on its problem with u0 + du0
         and every control's f + df, at tolerance `tol` (default this
-        scheme's); a zero shift leaves its datum untouched."""
+        scheme's); a zero shift leaves its datum untouched.  Neither shift
+        reaches the weights or c, so the twin inherits this scheme's level
+        scan."""
         pr = self.problem
         if du0 != 0.0:
             def u0(X, _p=pr, _s=du0):
@@ -468,8 +486,10 @@ class ThetaScheme:
             pr = dataclasses.replace(pr, coeffs=CoefficientField(
                 [dataclasses.replace(coeffs[i], f=sum_sources(coeffs[i].f, df))
                  for i in range(len(coeffs))]))
-        return ThetaScheme(pr, self.grid, self.theta, builder=self.builder,
+        twin = ThetaScheme(pr, self.grid, self.theta, builder=self.builder,
                            tol=self.tol if tol is None else tol)
+        twin._scan = self._scan
+        return twin
 
     def monotonicity_probe(self, trials: int = 100, seed: int = 0) -> ProbeResult:
         """Step random ordered pairs u <= v once; order must be preserved
@@ -480,19 +500,14 @@ class ThetaScheme:
         return probe_monotone(lambda u: twin.step(u, 0.0)[0],
                               self.grid.shape, trials, seed, MONOTONE_SLACK)
 
-    def _lam(self) -> float:
-        """sup (c^alpha)^+ over controls, nodes and levels."""
-        times = [0.0] if self._stencils_static else self.grid.times()
-        return max(float(np.max(np.maximum(self._c_at(t), 0.0))) for t in times)
-
     def comparison_bound_check(self, *, du0: float = 0.0, df: float = 0.0,
                                force: bool = False) -> ProbeResult:
         """March this scheme (u) and its twin on u0 + du0 and f + df (v) in
         lockstep and check
         u - v <= e^{mu t} max(u(0)-v(0))^+ + 2 t e^{mu t} (-df)^+
-        at every level, with mu = sup (c^alpha)^+ + 1."""
+        at every level, with mu = lam + 1 (lam = sup (c^alpha)^+, see _level_scan)."""
         g = self.grid
-        mu = self._lam() + 1.0
+        mu = self._level_scan()[2] + 1.0
         fplus = max(0.0, -df)
         worst = -math.inf
         witness = ""
@@ -514,7 +529,7 @@ class ThetaScheme:
         """March the scheme and check |u(t)|_0 <= e^{lam t} (|u0|_0 + t sup|f|)
         (1 + APRIORI_SLACK) at every level."""
         pr, g = self.problem, self.grid
-        lam = self._lam()
+        lam = self._level_scan()[2]
         supf = 0.0
         for n in [0] if self._coeffs_static else range(g.n_t + 1):
             for i in range(len(pr.coeffs)):

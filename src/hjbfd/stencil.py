@@ -2,7 +2,13 @@
 
 A stencil is a map offset beta in Z^dim -> weight C(beta) >= 0 (units
 1/time); the implied center weight is -sum C(beta), so applying it to w
-yields sum_beta C(beta) (w(x + beta dx) - w(x)).
+yields sum_beta C(beta) (w(x + beta dx) - w(x)).  The builders return it
+as weight rows `(offsets, weights)`: the nonzero offsets as an (n_o, dim)
+intp array in lexicographic order, and their weights as an (n_o,) array,
+or (n_o, *nodes) when a or b varies per node.  A row is dropped only when
+its weights are all zero (a NaN row stays).  The scheme scatters these
+rows into the weight array it steps with, and `consistency_residual`
+applies the same rows.
 
 Matrix convention used by the builders: the matrix argument is in the
 sigma sigma^T normalization, i.e. the generated operator approximates
@@ -30,14 +36,13 @@ integer-direction decomposition and is second-order consistent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 
 __all__ = [
-    "SpatialStencil",
     "BZDecomposition",
     "kushner_stencil",
     "check_diag_dominant",
@@ -50,54 +55,32 @@ TOL = 1e-12                # dominance slack, NNLS stationarity, largest accepte
 MAX_NNLS_CYCLES = 20000    # safety cap on the active-set iterations of bz_decompose
 
 
-@dataclass
-class SpatialStencil:
-    """Offset -> weight map.  Weights may be scalars or per-node arrays."""
-
-    dim: int
-    dx: float
-    entries: dict = field(default_factory=dict)
-
-    def weight(self, offset) -> object:
-        return self.entries.get(tuple(offset), 0.0)
-
-    def add(self, offset, w) -> None:
-        off = tuple(int(o) for o in offset)
-        if len(off) != self.dim:
-            raise ConfigError(f"stencil: offset {off} has wrong dimension")
-        if all(o == 0 for o in off):
-            raise ConfigError("stencil: zero offset is implied, not stored")
-        cur = self.entries.get(off)
-        self.entries[off] = w if cur is None else cur + w
-
-    def prune(self) -> "SpatialStencil":
-        """Drop identically-zero entries."""
-        self.entries = {k: v for k, v in self.entries.items() if np.any(np.asarray(v) != 0.0)}
-        return self
-
-    def total_weight(self):
-        """sum_beta C(beta); scalar or per-node array."""
-        tot = 0.0
-        for w in self.entries.values():
-            tot = tot + w
-        return tot
-
-    @property
-    def is_positive(self) -> bool:
-        return all(np.all(np.asarray(w) >= 0.0) for w in self.entries.values())
-
-
 def _unit(dim: int, i: int, sign: int = 1) -> tuple:
     off = [0] * dim
     off[i] = sign
     return tuple(off)
 
 
-def kushner_stencil(a, b, dx: float) -> SpatialStencil:
-    """Axis/corner weights for (1/2) tr[a D^2] + b.D with upwind drift.
+def _cell(offset, r: int) -> tuple:
+    """Index of `offset` in a lattice of side 2r + 1 centred on offset 0."""
+    return tuple(int(o) + r for o in offset)
+
+
+def _rows(lattice: np.ndarray, r: int, dim: int):
+    """Weight rows of a (2r+1,)*dim lattice of weights indexed by offset + r
+    (node axes trailing): the offsets with a nonzero weight, in
+    lexicographic order (the lattice's C order), and their weights."""
+    cells = list(itertools.product(range(-r, r + 1), repeat=dim))
+    flat = lattice.reshape((len(cells),) + lattice.shape[dim:])
+    keep = [n for n in range(len(cells)) if np.any(flat[n] != 0.0)]
+    return np.array([cells[n] for n in keep], dtype=np.intp).reshape(len(keep), dim), flat[keep]
+
+
+def kushner_stencil(a, b, dx: float):
+    """Axis/corner weight rows for (1/2) tr[a D^2] + b.D with upwind drift.
 
     a: (..., dim, dim) symmetric; b: (..., dim).  Leading axes (if any)
-    become per-node weight arrays.  Weights:
+    become the node axes of the weights.  Weights:
 
         C(+-e_i)      = a_ii/(2 dx^2) - sum_{j != i} |a_ij|/(4 dx^2) + b_i^{+-}/dx
         C(+-(e_i+e_j)) = a_ij^+ / (2 dx^2)
@@ -117,7 +100,7 @@ def kushner_stencil(a, b, dx: float) -> SpatialStencil:
     if b.shape[-1] != dim:
         raise ConfigError(f"kushner_stencil: b must end in length {dim}, got {b.shape}")
 
-    st = SpatialStencil(dim=dim, dx=dx)
+    lattice = np.zeros((3,) * dim + np.broadcast_shapes(a.shape[:-2], b.shape[:-1]))
     inv2 = 1.0 / (2.0 * dx * dx)
     inv4 = 1.0 / (4.0 * dx * dx)
     for i in range(dim):
@@ -125,19 +108,18 @@ def kushner_stencil(a, b, dx: float) -> SpatialStencil:
         base = a[..., i, i] * inv2 - (offsum * inv4 if dim > 1 else 0.0)
         bp = np.maximum(b[..., i], 0.0)
         bm = np.maximum(-b[..., i], 0.0)
-        st.add(_unit(dim, i, +1), base + bp / dx)
-        st.add(_unit(dim, i, -1), base + bm / dx)
+        lattice[_cell(_unit(dim, i, +1), 1)] = base + bp / dx
+        lattice[_cell(_unit(dim, i, -1), 1)] = base + bm / dx
     for i, j in itertools.combinations(range(dim), 2):
         ap = np.maximum(a[..., i, j], 0.0) * inv2
         am = np.maximum(-a[..., i, j], 0.0) * inv2
         for s in (+1, -1):
             off = [0] * dim
             off[i], off[j] = s, s
-            st.add(off, ap)
-            off2 = [0] * dim
-            off2[i], off2[j] = s, -s
-            st.add(off2, am)
-    return st.prune()
+            lattice[_cell(off, 1)] = ap
+            off[j] = -s
+            lattice[_cell(off, 1)] = am
+    return _rows(lattice, 1, dim)
 
 
 def check_diag_dominant(a) -> bool:
@@ -302,8 +284,8 @@ def bz_decompose(a, max_order: int = 2) -> BZDecomposition:
     return dec
 
 
-def bz_stencil(dec: BZDecomposition, b, dx: float) -> SpatialStencil:
-    """Stencil for (1/2) tr[a D^2] + b.D from a decomposition of a.
+def bz_stencil(dec: BZDecomposition, b, dx: float):
+    """Weight rows for (1/2) tr[a D^2] + b.D from a decomposition of a.
 
     With a = sum_beta w_beta beta beta^T, (1/2) tr[a D^2] is (1/2) sum_beta
     w_beta (beta.D)^2, and the second difference along beta gives the
@@ -320,32 +302,33 @@ def bz_stencil(dec: BZDecomposition, b, dx: float) -> SpatialStencil:
     b = np.asarray(b, dtype=float)
     if b.ndim == 0:
         b = np.full(dim, float(b))
-    st = SpatialStencil(dim=dim, dx=dx)
+    r = max([1] + [abs(c) for beta in dec.directions for c in beta])
+    lattice = np.zeros((2 * r + 1,) * dim + b.shape[:-1])
     for beta, w in zip(dec.directions, dec.weights):
         coef = w / (2.0 * dx * dx)
-        st.add(beta, coef)
-        st.add(tuple(-c for c in beta), coef)
+        lattice[_cell(beta, r)] += coef
+        lattice[_cell((-c for c in beta), r)] += coef
     for i in range(dim):
-        bp = np.maximum(b[..., i], 0.0)
-        bm = np.maximum(-b[..., i], 0.0)
-        if np.any(bp != 0.0):
-            st.add(_unit(dim, i, +1), bp / dx)
-        if np.any(bm != 0.0):
-            st.add(_unit(dim, i, -1), bm / dx)
-    return st.prune()
+        lattice[_cell(_unit(dim, i, +1), r)] += np.maximum(b[..., i], 0.0) / dx
+        lattice[_cell(_unit(dim, i, -1), r)] += np.maximum(-b[..., i], 0.0) / dx
+    return _rows(lattice, r, dim)
 
 
-def consistency_residual(st: SpatialStencil, a, b, phi, x) -> float:
+def consistency_residual(rows, a, b, phi, x, dx: float) -> float:
     """|L phi(x) - L_h phi(x)| with L = (1/2) tr[a D^2 phi] + b . D phi.
 
+    `rows` are a builder's weight rows (offsets, weights) at spacing dx.
     phi supplies analytic derivatives (a SmoothFunction; evaluated at
-    t=0).  The discrete side samples phi.value at the stencil's offset
-    points directly, so no grid is involved.  Scalar-weight stencils
-    only (constant coefficients at the probed point).
+    t=0).  The discrete side samples phi.value at the rows' offset points
+    directly, so no grid is involved.  Scalar weights only (constant
+    coefficients at the probed point).
     """
+    offsets, weights = rows
+    if weights.ndim != 1:
+        raise ConfigError("consistency_residual needs scalar stencil weights")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    dim = st.dim
+    dim = offsets.shape[1]
     if b.ndim == 0:
         b = np.full(dim, float(b))
     x = np.asarray(x, dtype=float).reshape(dim)
@@ -355,10 +338,5 @@ def consistency_residual(st: SpatialStencil, a, b, phi, x) -> float:
     exact = 0.5 * float(np.trace(a @ hess)) + float(b @ grad)
 
     center = float(np.asarray(phi.value(0.0, Xp), dtype=float)[0])
-    disc = 0.0
-    for off, w in st.entries.items():
-        if np.ndim(w) != 0:
-            raise ConfigError("consistency_residual needs scalar stencil weights")
-        xo = (x + np.asarray(off, dtype=float) * st.dx).reshape(1, dim)
-        disc += float(w) * (float(np.asarray(phi.value(0.0, xo))[0]) - center)
-    return abs(exact - disc)
+    values = np.asarray(phi.value(0.0, x + offsets * dx), dtype=float)
+    return abs(exact - float(weights @ (values - center)))

@@ -274,9 +274,9 @@ def test_10_stencil_consistency_orders():
     x = [0.7]
     dxs = [0.2, 0.1, 0.05, 0.025]
     diff = [consistency_residual(kushner_stencil(np.array([[1.0]]), 0.0, dx),
-                                 np.array([[1.0]]), 0.0, phi, x) for dx in dxs]
+                                 np.array([[1.0]]), 0.0, phi, x, dx) for dx in dxs]
     drift = [consistency_residual(kushner_stencil(np.zeros((1, 1)), 1.0, dx),
-                                  np.zeros((1, 1)), 1.0, phi, x) for dx in dxs]
+                                  np.zeros((1, 1)), 1.0, phi, x, dx) for dx in dxs]
     s_diff = fit_order(dxs, diff).slope
     s_drift = fit_order(dxs, drift).slope
     ok = abs(s_diff - 2.0) <= 0.15 and abs(s_drift - 1.0) <= 0.15

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, outputs, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -375,6 +376,15 @@ def test_probe_heat_passes(tmp_path, capsys):
                  "comparison shifted", "a-priori bound"):
         assert f"probe {name}: pass" in out
     assert "FAIL" not in out
+
+
+def test_probe_stdout_is_pinned(tmp_path, capsys):
+    # the printed worst values of every check, to the last digit
+    assert main(["probe", str(CONFIGS / "twocontrol.json"), "--trials", "1000",
+                 "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "336feabb71fe22a5eb49d8670134b6dff99251c4a3f2dac09edd34ba36a72e20"), out
 
 
 def test_probe_broken_cfl_exits_three(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Theta-method stepping, CFL checks, policy iteration, probes and bounds."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +22,13 @@ from hjbfd import (
     manufacture,
     sup_norm,
 )
+from hjbfd.config import load_json, parse_problem
 from hjbfd.errors import CFLError, ConfigError, SchemeError
 from hjbfd.problem import SpaceOnly, sum_sources
 from hjbfd.scheme import COMPARISON_SLACK, FROZEN_POLICIES, _Ops
 
 L2PI = 2 * np.pi
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def heat_problem(T=1.0):
@@ -188,6 +192,106 @@ def test_stencils_are_built_once_when_only_c_depends_on_t(monkeypatch):
                                         worst_implicit=float.fromhex("-0x1.089559f101d23p-2"),
                                         dt=g.dt, theta=1.0)
     assert built == [0.0]
+
+
+def test_the_levels_are_scanned_once_per_scheme(monkeypatch):
+    # the CFL worsts and lam come from one scan of c over the levels, which the
+    # comparison check's twins inherit; only the steps read c after it
+    pr = make_problem(1, L2PI, 1.0, [{"sigma": 1.0, "c": lambda t, X: 0.1 * t + 0.0 * X[..., 0]}],
+                      u0=lambda X: np.sin(X[..., 0]))
+    g = exact_grid(32, 1.0, 0.01)
+    sch = ThetaScheme(pr, g, theta=1.0)
+    calls = []
+    c_at = ThetaScheme._c_at
+    monkeypatch.setattr(ThetaScheme, "_c_at", lambda self, t: calls.append(t) or c_at(self, t))
+    for shift in ({"df": 1.0}, {"df": -1.0}, {"du0": -0.3}):
+        assert sch.comparison_bound_check(**shift).passed
+    assert len(calls) == (g.n_t + 1) + 3 * 2 * g.n_t == 701
+    del calls[:]
+    assert sch.apriori_bounds_check().passed
+    assert len(calls) == g.n_t == 100
+    assert sch.cfl_check() == CFLReport(ok=True, worst_explicit=0.0,
+                                        worst_implicit=float.fromhex("-0x1.089559f101d23p-2"),
+                                        dt=g.dt, theta=1.0)
+    assert sch._level_scan()[2] == 0.1
+    assert len(calls) == g.n_t
+
+
+# ----- operator bits ---------------------------------------------------------
+
+SIGMA_3D = np.array([[1.0, 0.2, 0.0], [0.3, 0.9, -0.1], [0.0, 0.2, 0.8]])
+
+OPERATOR_CONFIGS = {"heat": "configs/heat.json", "twocontrol": "configs/twocontrol.json",
+                    "rates_2d": "perfbench/inputs/rates_2d_seed0.json"}
+
+
+def cross_sigma(t, X):
+    """A per-node sigma whose sigma sigma^T has a cross term at every node."""
+    s = np.zeros(X.shape[:-1] + (2, 2))
+    s[..., 0, 0] = 1.0 + 0.2 * np.sin(X[..., 0])
+    s[..., 0, 1] = 0.3
+    s[..., 1, 1] = 0.9 + 0.1 * np.cos(X[..., 1])
+    return s
+
+
+# (dim, controls) of the pinned operators that no config file describes
+OPERATOR_PROBLEMS = {
+    # callable sigma and b next to a constant control: per-node weights
+    "1d-varying": (1, [{"sigma": lambda t, X: (0.8 + 0.3 * np.sin(X[..., 0]))[..., None, None],
+                        "b": lambda t, X: 0.5 * np.cos(X)},
+                       {"sigma": 0.6, "b": -0.4}]),
+    "2d-cross": (2, [{"sigma": cross_sigma, "b": [0.4, -0.2]}, {"sigma": 0.7, "b": [-0.5, 0.3]}]),
+    # a callable sigma whose rows are all zero keeps the scalar layout
+    "zero-sigma": (1, [{"sigma": lambda t, X: np.zeros(X.shape[:-1] + (1, 1))},
+                       {"sigma": 1.0, "b": 0.3}]),
+    "3d": (3, [{"sigma": SIGMA_3D, "b": [0.3, -0.2, 0.1]}, {"sigma": 0.5}]),
+    # sigma sigma^T = [[2, 3], [3, 5]] is not diagonally dominant: bz fits it by NNLS
+    "non-dominant": (2, [{"sigma": [[1.0, 1.0], [1.0, 2.0]], "b": [0.2, -0.1]}]),
+}
+
+# sha256 over the shape and the .view(np.int64) bytes of W, csum and nbr at
+# t = 0, per "problem:builder:n_x"; recorded when each builder still returned
+# an offset -> weight map that the scheme copied offset by offset
+OPERATOR_PINS = {
+    "heat:kushner:8": "fd6c71280d3c4a3248048c23f351ac8221d3a6c27585ff45214b20c9f7d44b66",
+    "heat:kushner:16": "5406794b16cc8ed43869a74313d68efe53cf40c863b3df2fd2383d3fae8accb9",
+    "heat:bz:8": "fd6c71280d3c4a3248048c23f351ac8221d3a6c27585ff45214b20c9f7d44b66",
+    "heat:bz:16": "5406794b16cc8ed43869a74313d68efe53cf40c863b3df2fd2383d3fae8accb9",
+    "twocontrol:kushner:8": "1c7a59e5325eade51d54a413cbfeee3dfbcd05e00c35deebaabf0ac8d702e2ea",
+    "twocontrol:kushner:16": "65e9609e9ccd99041f934662e9d05b11fbdf95a128202637f8432fc207860533",
+    "twocontrol:bz:8": "1c7a59e5325eade51d54a413cbfeee3dfbcd05e00c35deebaabf0ac8d702e2ea",
+    "twocontrol:bz:16": "65e9609e9ccd99041f934662e9d05b11fbdf95a128202637f8432fc207860533",
+    "rates_2d:kushner:8": "ae8dcaffb343dfb744043799fdedd072004b8a8fc2ed46866cb16ea5122bdd91",
+    "rates_2d:kushner:16": "dd43b598afb37ade83d8a839d24dc9e36eb7b1b98ff935cca81ef1b2136503e6",
+    "rates_2d:bz:8": "353dbe1dfc0467ecb81f0b7390a2563f3ca31c872703807421d24712afa489f0",
+    "rates_2d:bz:16": "5687de914bd3c354cdcab61b9fb9c9c57b0c29284350ef934d7b2d0a0ef62b3a",
+    "1d-varying:kushner:16": "bf18ef932e89f49ca89f1e44c5ec15c5685d46de9e043049f22428f44049c5de",
+    "2d-cross:kushner:8": "9d1e698e308da89abdae549693d55025a0eb31df871eaa127dafef1b88049774",
+    "zero-sigma:kushner:16": "9fe733687e62e3b8421e4822fd465c4b75ee0fedeaa0b133a75b09588bfed594",
+    "3d:kushner:6": "a3971c4c86050672a683e16534f827076db48142bcbfdd02d6565609725e52ee",
+    "3d:bz:6": "262dfa3778fad97c1bedcbf76298d40f581db89b7230b410065f13507a60589c",
+    "non-dominant:kushner:8": "04753e8302e78bec112c816ece32f4ea8506dfad5e90e54a8e2712e29efea86e",
+    "non-dominant:bz:8": "4696f8c0a55945d060be31896ae8179c217f5a20d075d6089030aa390921e398",
+}
+
+
+@pytest.mark.parametrize("case", list(OPERATOR_PINS))
+def test_operator_bits_are_pinned(case):
+    name, builder, n_x = case.split(":")
+    if name in OPERATOR_CONFIGS:
+        pr = parse_problem(load_json(ROOT / OPERATOR_CONFIGS[name]))
+    else:
+        dim, controls = OPERATOR_PROBLEMS[name]
+        pr = make_problem(dim, L2PI, 1.0, controls, u0=0.0)
+    g = exact_grid(int(n_x), pr.T, pr.T / 4, dim=pr.dim, period=pr.period)
+    packed = ThetaScheme(pr, g, theta=0.0, builder=builder)._weights_at(0.0)
+    if name == "zero-sigma":
+        assert packed[0].shape == (2, 2, 1)
+    h = hashlib.sha256()
+    for a in packed:
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a).view(np.int64).tobytes())
+    assert h.hexdigest() == OPERATOR_PINS[case]
 
 
 def roll_operator(sig, drift, g, u):
@@ -369,11 +473,11 @@ def test_monotonicity_probe_catches_cfl_violation():
 def test_comparison_constants():
     pr = make_problem(1, L2PI, 1.0, [{"c": -3.0}, {"c": 2.0}], u0=0.0)
     sch = ThetaScheme(pr, exact_grid(16, 1.0, 0.1), theta=1.0)
-    assert sch._lam() == 2.0
+    assert sch._level_scan()[2] == 2.0
     # a c that grows in t is read at every level, the last one included
     rising = make_problem(1, L2PI, 1.0, [{"c": lambda t, X: 3.0 * t + 0.0 * X[..., 0]}],
                           u0=0.0)
-    assert ThetaScheme(rising, exact_grid(16, 1.0, 0.1), theta=1.0)._lam() == 3.0
+    assert ThetaScheme(rising, exact_grid(16, 1.0, 0.1), theta=1.0)._level_scan()[2] == 3.0
 
 
 def test_comparison_bound_shifted_data():
@@ -404,7 +508,7 @@ def two_scheme_check(sch_u, sch_v, g1, g2, force):
     u - v <= e^{mu t} max(u(0)-v(0))^+ + 2 t e^{mu t} (g1-g2)^+ at every level.
     Returns (passed, worst as hex, witness, checked)."""
     g = sch_u.grid
-    mu = sch_u._lam() + 1.0
+    mu = sch_u._level_scan()[2] + 1.0
     gplus = float(np.max(np.maximum(np.asarray(g1, dtype=float) - np.asarray(g2, dtype=float),
                                     0.0)))
     worst, witness = -math.inf, ""

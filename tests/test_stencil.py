@@ -1,13 +1,13 @@
 """Stencil weight tables, direction decompositions, consistency orders."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hjbfd import (
     SpaceTimeGrid,
-    SpatialStencil,
     ThetaScheme,
     bz_decompose,
     bz_stencil,
@@ -17,9 +17,12 @@ from hjbfd import (
     kushner_stencil,
     make_problem,
 )
+from hjbfd.config import load_json, parse_problem
 from hjbfd.errors import ConfigError
 from hjbfd.problem import SmoothFunction
 from hjbfd.stencil import BZDecomposition
+
+RATES_2D = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "rates_2d_seed0.json"
 
 
 def quadratic_along(direction, dim):
@@ -40,62 +43,65 @@ def quadratic_along(direction, dim):
                           grad=grad, hess=hess)
 
 
-def test_stencil_add_accumulate_prune():
-    st = SpatialStencil(dim=2, dx=0.1)
-    st.add((1, 0), 2.0)
-    st.add((1, 0), 3.0)
-    assert st.weight((1, 0)) == 5.0
-    st.add((0, 1), 0.0)
-    st.prune()
-    assert (0, 1) not in st.entries
-    assert st.total_weight() == 5.0
-    assert st.is_positive
-    st.add((0, -1), -1.0)
-    assert not st.is_positive
-    with pytest.raises(ConfigError):
-        st.add((0, 0), 1.0)
-    with pytest.raises(ConfigError):
-        st.add((1, 0, 0), 1.0)
+def as_dict(rows):
+    """Weight rows as {offset tuple: weight}, after checking their layout:
+    an (n_o, dim) intp array in strict lexicographic order, one weight row
+    per offset."""
+    offsets, weights = rows
+    assert offsets.dtype == np.intp and offsets.ndim == 2
+    assert len(weights) == len(offsets)
+    keys = [tuple(int(o) for o in off) for off in offsets]
+    assert keys == sorted(set(keys))
+    return dict(zip(keys, weights))
 
 
 def test_kushner_1d_pure_diffusion():
-    st = kushner_stencil(np.array([[1.0]]), 0.0, 0.1)
-    assert set(st.entries) == {(1,), (-1,)}
-    assert st.weight((1,)) == pytest.approx(50.0)
-    assert st.weight((-1,)) == pytest.approx(50.0)
+    got = as_dict(kushner_stencil(np.array([[1.0]]), 0.0, 0.1))
+    assert set(got) == {(1,), (-1,)}
+    assert got[(1,)] == pytest.approx(50.0)
+    assert got[(-1,)] == pytest.approx(50.0)
 
 
 def test_kushner_2d_cross_term():
     a = np.array([[1.0, 0.5], [0.5, 1.0]])
-    st = kushner_stencil(a, 0.0, 0.1)
+    got = as_dict(kushner_stencil(a, 0.0, 0.1))
     # axis weights carry the single-axis correction 0.5/(4 dx^2) = 12.5
     for off in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
-        assert st.weight(off) == pytest.approx(37.5)
-    # positive cross term sits on the diagonal corners
-    assert st.weight((1, 1)) == pytest.approx(25.0)
-    assert st.weight((-1, -1)) == pytest.approx(25.0)
-    assert st.weight((1, -1)) == 0.0
-    assert st.weight((-1, 1)) == 0.0
+        assert got[off] == pytest.approx(37.5)
+    # positive cross term sits on the diagonal corners; the zero
+    # anti-diagonal corners are dropped
+    assert got[(1, 1)] == pytest.approx(25.0)
+    assert got[(-1, -1)] == pytest.approx(25.0)
+    assert (1, -1) not in got and (-1, 1) not in got
 
 
 def test_kushner_pure_drift_upwinds():
-    st = kushner_stencil(np.zeros((2, 2)), np.array([1.0, -2.0]), 0.1)
-    assert set(st.entries) == {(1, 0), (0, -1)}
-    assert st.weight((1, 0)) == pytest.approx(10.0)
-    assert st.weight((0, -1)) == pytest.approx(20.0)
+    offsets, weights = kushner_stencil(np.zeros((2, 2)), np.array([1.0, -2.0]), 0.1)
+    # zero rows are dropped and the rest come in lexicographic order
+    np.testing.assert_array_equal(offsets, [[0, -1], [1, 0]])
+    np.testing.assert_allclose(weights, [20.0, 10.0])
 
 
 def test_kushner_per_node_weights():
-    # leading axes of a and b become per-node weight arrays
+    # leading axes of a and b become the node axes of the weights
     n = 8
     aa = np.zeros((n, 1, 1))
     aa[:, 0, 0] = np.linspace(0.5, 1.5, n)
     bb = np.zeros((n, 1))
-    st = kushner_stencil(aa, bb, 0.1)
-    w = st.weight((1,))
-    assert np.shape(w) == (n,)
+    offsets, weights = kushner_stencil(aa, bb, 0.1)
+    assert weights.shape == (2, n)
+    w = as_dict((offsets, weights))[(1,)]
     assert w[0] == pytest.approx(25.0)
     assert w[-1] == pytest.approx(75.0)
+
+
+def test_zero_rows_are_dropped_but_a_nan_row_stays():
+    offsets, weights = kushner_stencil(np.zeros((1, 1)), 0.0, 0.1)
+    assert offsets.shape == (0, 1) and weights.shape == (0,)
+    offsets, weights = kushner_stencil(np.zeros((3, 1, 1)), np.array([[0.0], [np.nan], [0.0]]),
+                                       0.1)
+    np.testing.assert_array_equal(offsets, [[-1], [1]])
+    assert np.isnan(weights[:, 1]).all() and (weights[:, [0, 2]] == 0.0).all()
 
 
 def test_check_diag_dominant():
@@ -181,9 +187,10 @@ def test_bz_stencil_axis_weights():
     dec = BZDecomposition(dim=2, directions=((1, 0), (0, 1)),
                           weights=np.array([1.0, 1.0]),
                           residual=np.zeros((2, 2)))
-    st = bz_stencil(dec, 0.0, 0.1)
-    for off in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
-        assert st.weight(off) == pytest.approx(50.0)
+    got = as_dict(bz_stencil(dec, 0.0, 0.1))
+    assert set(got) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    for off in got:
+        assert got[off] == pytest.approx(50.0)
 
 
 def test_bz_stencil_diagonal_direction_scaling():
@@ -191,18 +198,30 @@ def test_bz_stencil_diagonal_direction_scaling():
     dec = BZDecomposition(dim=2, directions=((1, 1), (1, -2)),
                           weights=np.array([2.0, 2.0]),
                           residual=np.zeros((2, 2)))
-    st = bz_stencil(dec, 0.0, 0.1)
-    for off in [(1, 1), (-1, -1), (1, -2), (-1, 2)]:
-        assert st.weight(off) == pytest.approx(100.0)
-    assert st.weight((1, 0)) == 0.0
+    got = as_dict(bz_stencil(dec, 0.0, 0.1))
+    assert set(got) == {(1, 1), (-1, -1), (1, -2), (-1, 2)}
+    for off in got:
+        assert got[off] == pytest.approx(100.0)
 
 
 def test_bz_stencil_drift_only():
     dec = BZDecomposition(dim=2, directions=(), weights=np.zeros(0),
                           residual=np.zeros((2, 2)))
-    st = bz_stencil(dec, np.array([1.0, 0.0]), 0.5)
-    assert set(st.entries) == {(1, 0)}
-    assert st.weight((1, 0)) == pytest.approx(2.0)
+    got = as_dict(bz_stencil(dec, np.array([1.0, 0.0]), 0.5))
+    assert set(got) == {(1, 0)}
+    assert got[(1, 0)] == pytest.approx(2.0)
+
+
+def test_bz_stencil_drift_accumulates_onto_a_direction():
+    # the drift's upwind weight lands on e_1, which the decomposition already
+    # holds: C(e_1) = w/(2 dx^2) + b_1/dx, and a zero drift adds no row
+    dx, w, b1 = 0.5, 0.75, 1.5
+    dec = BZDecomposition(dim=2, directions=((1, 0),), weights=np.array([w]),
+                          residual=np.zeros((2, 2)))
+    got = as_dict(bz_stencil(dec, np.array([b1, 0.0]), dx))
+    assert set(got) == {(1, 0), (-1, 0)}
+    assert got[(1, 0)] == w / (2.0 * dx * dx) + b1 / dx
+    assert got[(-1, 0)] == w / (2.0 * dx * dx)
 
 
 def test_bz_stencil_rejects_residual():
@@ -231,9 +250,9 @@ def test_apply_stencil_constants_and_quadratics():
 
 def test_consistency_residual_quadratic_is_exact():
     phi = quadratic_along([1.0], 1)
-    st = kushner_stencil(np.array([[1.0]]), 0.0, 0.1)
+    rows = kushner_stencil(np.array([[1.0]]), 0.0, 0.1)
     # builder matrix is sigma sigma^T, so the exact operator uses a = 1
-    assert consistency_residual(st, np.array([[1.0]]), 0.0, phi, [0.3]) <= 1e-12
+    assert consistency_residual(rows, np.array([[1.0]]), 0.0, phi, [0.3], 0.1) <= 1e-12
 
 
 def test_consistency_residual_orders():
@@ -241,12 +260,12 @@ def test_consistency_residual_orders():
     x = [0.7]
     # pure diffusion: residual O(dx^2), ratio ~ 4 under halving
     r_diff = [consistency_residual(kushner_stencil(np.array([[1.0]]), 0.0, dx),
-                                   np.array([[1.0]]), 0.0, phi, x)
+                                   np.array([[1.0]]), 0.0, phi, x, dx)
               for dx in (0.1, 0.05)]
     assert r_diff[0] / r_diff[1] == pytest.approx(4.0, rel=0.1)
     # upwind drift: residual O(dx), ratio ~ 2
     r_drift = [consistency_residual(kushner_stencil(np.zeros((1, 1)), 1.0, dx),
-                                    np.zeros((1, 1)), 1.0, phi, x)
+                                    np.zeros((1, 1)), 1.0, phi, x, dx)
                for dx in (0.1, 0.05)]
     assert r_drift[0] / r_drift[1] == pytest.approx(2.0, rel=0.1)
 
@@ -258,13 +277,13 @@ def test_consistency_residual_bz_cross_term():
     dec = bz_decompose(m)
     phi = quadratic_along([1.0, -2.0], 2)
     for dx in (0.2, 0.1):
-        st = bz_stencil(dec, 0.0, dx)
-        assert consistency_residual(st, m, 0.0, phi, [0.3, 0.4]) <= 1e-10
+        rows = bz_stencil(dec, 0.0, dx)
+        assert consistency_residual(rows, m, 0.0, phi, [0.3, 0.4], dx) <= 1e-10
         axis = kushner_stencil(m, 0.0, dx)
-        assert consistency_residual(axis, m, 0.0, phi, [0.3, 0.4]) > 0.1
+        assert consistency_residual(axis, m, 0.0, phi, [0.3, 0.4], dx) > 0.1
     # and second order on a smooth wave
     wave = decaying_wave(2, 2 * np.pi, [1, 1], rate=0.0)
-    res = [consistency_residual(bz_stencil(dec, 0.0, dx), m, 0.0, wave, [0.3, 0.4])
+    res = [consistency_residual(bz_stencil(dec, 0.0, dx), m, 0.0, wave, [0.3, 0.4], dx)
            for dx in (0.1, 0.05, 0.025)]
     assert res[0] / res[1] == pytest.approx(4.0, rel=0.1)
     assert res[1] / res[2] == pytest.approx(4.0, rel=0.1)
@@ -272,7 +291,32 @@ def test_consistency_residual_bz_cross_term():
 
 def test_consistency_residual_rejects_array_weights():
     aa = np.broadcast_to(np.eye(1), (4, 1, 1)).copy()
-    st = kushner_stencil(aa, np.zeros((4, 1)), 0.1)
+    rows = kushner_stencil(aa, np.zeros((4, 1)), 0.1)
     phi = decaying_wave(1, 2 * np.pi, [1], rate=0.0)
     with pytest.raises(ConfigError):
-        consistency_residual(st, np.eye(1), 0.0, phi, [0.1])
+        consistency_residual(rows, np.eye(1), 0.0, phi, [0.1], 0.1)
+
+
+# consistency_residual of control 0 of rates_2d_seed0 (drift included, phi =
+# sin(x1 + x2 + 0.3) at (0.7, 1.9)) at dx = 0.2, 0.1, 0.05, 0.025, recorded
+# when the builders returned an offset -> weight map summed in insertion
+# order; the rows are summed in lexicographic order, which moves the last bits
+RATES_2D_RESIDUALS = {
+    "kushner": ["0x1.5fdb5ce7c1fd8p-5", "0x1.3bd5ee08f0458p-5",
+                "0x1.241b3449faf18p-5", "0x1.16d1e8da9d018p-5"],
+    "bz": ["0x1.6096975f73260p-7", "0x1.9bb94524288c0p-8",
+           "0x1.b921dc7a2f980p-9", "0x1.c7c7a7024a300p-10"],
+}
+
+
+@pytest.mark.parametrize("builder", sorted(RATES_2D_RESIDUALS))
+def test_consistency_residual_on_rates_2d_matches_the_recorded_values(builder):
+    pr = parse_problem(load_json(RATES_2D))
+    X = np.zeros((1, 2))
+    a, b = pr.coeffs.ssq(0, 0.0, X)[0], pr.coeffs.b(0, 0.0, X)[0]
+    phi = decaying_wave(2, 2 * np.pi, [1, 1], rate=0.0, phase=0.3)
+    for dx, want in zip((0.2, 0.1, 0.05, 0.025), RATES_2D_RESIDUALS[builder]):
+        rows = (kushner_stencil(a, b, dx) if builder == "kushner"
+                else bz_stencil(bz_decompose(a), b, dx))
+        got = consistency_residual(rows, a, b, phi, [0.7, 1.9], dx)
+        assert got == pytest.approx(float.fromhex(want), rel=1e-11, abs=0.0)
