@@ -8,10 +8,10 @@ A problem is
 
 with a^alpha = (1/2) sigma^alpha (sigma^alpha)^T derived from sigma and
 never stored independently.  Each control's coefficients are stored as
-data: a constant as its value, anything else as a vectorized (t, X)
-evaluator, so whether a coefficient is constant is read off the value
-itself.  The evaluators of `CoefficientField` take a trailing point block
-X of shape (*S, dim) and return
+data: a constant as its value, one of x alone as a `SpaceOnly`, anything
+else as a vectorized (t, X) evaluator, so `CoefficientField.varies_in_t`
+reads t-dependence off the values.  The evaluators of `CoefficientField`
+take a trailing point block X of shape (*S, dim) and return
 
     sigma -> (*S, dim, p)    b -> (*S, dim)    c, f -> (*S,)
 """
@@ -39,10 +39,10 @@ __all__ = [
 ]
 
 class SpaceOnly:
-    """A scalar field g(X) that does not depend on t, as a (t, X) evaluator.
-
-    CoefficientField counts it as time-independent, so a scheme evaluates
-    it once per grid instead of once per step."""
+    """Any coefficient g(X) that does not depend on t, as a (t, X) evaluator:
+    for X of shape (*S, dim), g returns sigma (*S, dim, p), b (*S, dim), or
+    c or f (*S,).  `varies_in_t` counts it as time-independent, so a scheme
+    evaluates it once per grid instead of once per step."""
 
     def __init__(self, g):
         self.g = g
@@ -157,17 +157,12 @@ class CoefficientField:
         """Diffusion matrix a = (1/2) sigma sigma^T."""
         return 0.5 * self.ssq(i, t, X)
 
-    def stencil_static(self, i: int) -> bool:
-        """True when sigma, b and c are constants, so that every time level has
-        the same weights and c: the scheme's level scan then reads one level.
-        (The scheme reuses the weights whenever sigma and b are constants.)"""
-        e = self._entries[i]
-        return not any(callable(v) for v in (e.sigma, e.b, e.c))
-
-    def fully_static(self, i: int) -> bool:
-        """True when no coefficient depends on t (f may still vary in space)."""
-        f = self._entries[i].f
-        return self.stencil_static(i) and (not callable(f) or isinstance(f, SpaceOnly))
+    def varies_in_t(self, *names) -> bool:
+        """True when some control's coefficient among `names` ("sigma", "b",
+        "c", "f"; all four when none is named) is a callable other than a
+        SpaceOnly: the one rule for what a scheme rebuilds per time level."""
+        values = (getattr(e, n) for e in self._entries for n in names or ("sigma", "b", "c", "f"))
+        return any(callable(v) and not isinstance(v, SpaceOnly) for v in values)
 
     def restrict(self, indices) -> "CoefficientField":
         return CoefficientField([self._entries[i] for i in indices])

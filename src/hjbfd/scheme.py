@@ -189,8 +189,6 @@ class ThetaScheme:
         self.builder = builder
         self.tol = float(tol)
         self._nodes = grid.nodes()
-        self._coeffs_static = all(problem.coeffs.fully_static(i)
-                                  for i in range(len(problem.coeffs)))
         self._static_ops = None
         self._static_weights = None
         self._carry = None  # (ops, u, G, P) of the last implicit step, see implicit_step
@@ -215,10 +213,10 @@ class ThetaScheme:
 
     def _weights_at(self, t: float):
         """Stacked stencil weights W, their offset sums csum and the neighbour
-        index nbr at time t (built once when every sigma and b is a constant,
-        which is when every stencil has scalar weights).  The offsets are the
-        union of the controls' rows in lexicographic order; W is per node only
-        when some control has a per-node row."""
+        index nbr at time t, built once when no sigma or b depends on t
+        (`CoefficientField.varies_in_t`).  The offsets are the union of the
+        controls' rows in lexicographic order; W is per node only when some
+        control has a per-node row."""
         if self._static_weights is not None:
             return self._static_weights
         g = self.grid
@@ -226,8 +224,8 @@ class ThetaScheme:
         keys = [[tuple(off) for off in offs.tolist()] for offs, _ in rows]
         offsets = sorted(set().union(*keys))
         position = {off: o for o, off in enumerate(offsets)}
-        varies = any(w.ndim > 1 and len(w) for _, w in rows)
-        W = np.zeros((len(rows), len(offsets)) + (g.shape if varies else (1,) * g.dim))
+        per_node = any(w.ndim > 1 and len(w) for _, w in rows)
+        W = np.zeros((len(rows), len(offsets)) + (g.shape if per_node else (1,) * g.dim))
         for k, ((_, w), ks) in enumerate(zip(rows, keys)):
             if ks:  # scalar rows broadcast over the nodes
                 at = [position[off] for off in ks]
@@ -237,7 +235,7 @@ class ThetaScheme:
         nbr = np.array([np.roll(idx, tuple(-c for c in off), axis=axes) for off in offsets],
                        dtype=np.intp).reshape((len(offsets),) + g.shape)
         packed = (W, W.sum(axis=1), nbr)
-        if not varies:
+        if not self.problem.coeffs.varies_in_t("sigma", "b"):
             self._static_weights = packed
         return packed
 
@@ -255,7 +253,7 @@ class ThetaScheme:
         f = np.stack([np.broadcast_to(pr.coeffs.f(i, t, self._nodes), g.shape)
                       for i in range(len(pr.coeffs))])
         ops = _Ops(W, csum, nbr, self._c_at(t), f)
-        if self._coeffs_static:
+        if not pr.coeffs.varies_in_t():
             self._static_ops = ops
         return ops
 
@@ -335,8 +333,8 @@ class ThetaScheme:
     def implicit_step(self, rhs: np.ndarray, t: float):
         """Solve u + theta dt G(t, u) = rhs by policy iteration.
 
-        The returned u and its report's argmax are read-only.  When the
-        coefficients are static, the scheme keeps the operator, u, G(t, u)
+        The returned u and its report's argmax are read-only.  When no
+        coefficient depends on t, the scheme keeps the operator, u, G(t, u)
         and that argmax; a next call under that operator whose rhs is that
         very array (theta = 1) starts policy iteration from the kept G
         instead of evaluating it again.  Nothing can write into u, so the
@@ -442,15 +440,14 @@ class ThetaScheme:
 
     def _level_scan(self):
         """(worst explicit CFL lhs, worst implicit CFL lhs, lam) over every
-        node, control and time level (a single level when sigma, b and c are
-        constant), with lam = sup (c^alpha)^+.  Only the weights and c are
+        node, control and time level (a single level when no sigma, b or c
+        depends on t), with lam = sup (c^alpha)^+.  Only the weights and c are
         read, never the source, so the scan is made once per scheme and its
         twins inherit it."""
         if self._scan is None:
             pr, g = self.problem, self.grid
             worst_e = worst_i = lam = -math.inf
-            static = all(pr.coeffs.stencil_static(i) for i in range(len(pr.coeffs)))
-            for t in [0.0] if static else g.times():
+            for t in g.times() if pr.coeffs.varies_in_t("sigma", "b", "c") else [0.0]:
                 csum, c = self._weights_at(t)[1], self._c_at(t)
                 lhs_e = g.dt * (1.0 - self.theta) * (-c + csum)
                 lhs_i = g.dt * self.theta * (c - csum)
@@ -527,11 +524,12 @@ class ThetaScheme:
 
     def apriori_bounds_check(self, force: bool = False) -> ProbeResult:
         """March the scheme and check |u(t)|_0 <= e^{lam t} (|u0|_0 + t sup|f|)
-        (1 + APRIORI_SLACK) at every level."""
+        (1 + APRIORI_SLACK) at every level; sup|f| is read at every level
+        only when some f depends on t."""
         pr, g = self.problem, self.grid
         lam = self._level_scan()[2]
         supf = 0.0
-        for n in [0] if self._coeffs_static else range(g.n_t + 1):
+        for n in range(g.n_t + 1) if pr.coeffs.varies_in_t("f") else [0]:
             for i in range(len(pr.coeffs)):
                 supf = max(supf, float(np.max(np.abs(pr.coeffs.f(i, n * g.dt, self._nodes)))))
         worst = -math.inf

@@ -53,16 +53,19 @@ REF_FACTOR = 16     # reference solves step at (finest step) / REF_FACTOR
 
 def _norm_family(entries, dim: int, what: str):
     """Each entry's coefficients as stored by `CoefficientField`: constant
-    sigma (dim x p), b (dim,) and c, and f a float or an evaluator."""
+    sigma (dim x p), b (dim,) and c, and f a float or an evaluator that does
+    not depend on t (a flow's clock restarts at every apply)."""
     if not entries:
         raise ConfigError(f"{what}: family needs at least one control")
     coeffs = CoefficientField.from_specs(entries, dim)
     out = []
     for i in range(len(coeffs)):
-        if not coeffs.stencil_static(i):
-            raise ConfigError(f"{what}[{i}]: semigroup families need constant sigma, b and c")
         e = coeffs[i]
+        if any(callable(v) for v in (e.sigma, e.b, e.c)):
+            raise ConfigError(f"{what}[{i}]: semigroup families need constant sigma, b and c")
         out.append({"sigma": e.sigma, "b": e.b, "c": e.c, "f": e.f})
+    if coeffs.varies_in_t():
+        raise ConfigError(f"{what}: semigroup families must be autonomous; a source depends on t")
     return out
 
 
@@ -71,7 +74,7 @@ class SemigroupFlow:
 
     apply(values, dt, m) advances `values` by time dt using m implicit
     substeps of size dt/m; the family clock restarts at 0 each call
-    (families are treated as autonomous).
+    (`SemigroupProblem` rejects a family that depends on t).
     """
 
     def __init__(self, dim: int, period: float, n_x: int, controls,
@@ -165,9 +168,9 @@ class SplitProblem(SemigroupProblem):
     """Two coefficient families on a shared torus grid and horizon.
 
     Each family entry is a dict {sigma, b, c, f} with constant sigma, b, c
-    (f may be callable(t, X)).  The reference problem takes the sup over
-    the product control set, which is the equation the splitting scheme
-    approximates.
+    (f may vary in x, as a SpaceOnly, but not in t).  The reference problem
+    takes the sup over the product control set, which is the equation the
+    splitting scheme approximates.
     """
 
     family1: list

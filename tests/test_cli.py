@@ -114,7 +114,7 @@ def test_builtin_source_is_evaluated_once_per_solve(monkeypatch):
     from hjbfd import CoefficientField, SpaceTimeGrid, ThetaScheme
 
     problem = parse_problem(load_json(CONFIGS / "twocontrol.json"))
-    assert all(problem.coeffs.fully_static(i) for i in range(len(problem.coeffs)))
+    assert not problem.coeffs.varies_in_t()
     calls = []
     f = CoefficientField.f
     monkeypatch.setattr(CoefficientField, "f",

@@ -110,18 +110,28 @@ def test_coefficient_shapes_and_a():
 
 
 def test_coefficient_static_flags():
+    # t-dependence is read off the stored values: a constant and a SpaceOnly
+    # do not depend on t, any other callable does, whatever its values
+    wave = SpaceOnly(lambda X: (1.0 + 0.5 * np.sin(X[..., 0]))[..., None, None])
     pr = make_problem(1, L2PI, 1.0,
                       [{"sigma": 1.0, "f": 2.0},
                        {"sigma": 1.0, "f": lambda t, X: np.sin(X[..., 0])},
-                       {"sigma": 1.0, "f": SpaceOnly(lambda X: np.sin(X[..., 0]))}],
+                       {"sigma": 1.0, "f": SpaceOnly(lambda X: np.sin(X[..., 0]))},
+                       {"sigma": wave, "c": lambda t, X: 0.0 * X[..., 0]}],
                       u0=0.0)
-    assert pr.coeffs.fully_static(0)
-    assert pr.coeffs.stencil_static(1)
-    assert not pr.coeffs.fully_static(1)
-    # a space-only source does not depend on t, with the same values
-    assert pr.coeffs.fully_static(2)
+
+    def varies(i, *names):
+        return pr.coeffs.restrict([i]).varies_in_t(*names)
+
+    assert not varies(0)
+    assert varies(1) and varies(1, "f") and not varies(1, "sigma", "b", "c")
+    assert not varies(2)
+    assert varies(3) and varies(3, "c") and not varies(3, "sigma", "b", "f")
+    assert pr.coeffs.varies_in_t() and not pr.coeffs.varies_in_t("sigma", "b")
+    # a space-only source has the values of its (t, X) form
     X = np.linspace(0.0, L2PI, 5)[:, None]
     np.testing.assert_array_equal(pr.coeffs.f(2, 0.7, X), pr.coeffs.f(1, 0.7, X))
+    np.testing.assert_array_equal(pr.coeffs.sigma(3, 0.7, X), wave.g(X))
 
 
 def test_restrict_keeps_evaluators():

@@ -171,7 +171,7 @@ def test_weights_are_per_node_only_for_a_callable_sigma_or_b():
     scalar = make_problem(1, L2PI, 0.1, [{"sigma": 1.0, "b": 0.5,
                                            "c": lambda t, X: -t * np.cos(X[..., 0]) ** 2}],
                           u0=0.0)
-    assert not scalar.coeffs.stencil_static(0)
+    assert scalar.coeffs.varies_in_t("c") and not scalar.coeffs.varies_in_t("sigma", "b")
     sch = ThetaScheme(scalar, g, theta=0.0)
     assert sch._weights_at(0.0)[0].shape[2:] == (1,)
     assert sch._ops_at(0.05).Wmat is not None
@@ -215,6 +215,126 @@ def test_the_levels_are_scanned_once_per_scheme(monkeypatch):
                                         dt=g.dt, theta=1.0)
     assert sch._level_scan()[2] == 0.1
     assert len(calls) == g.n_t
+
+
+# ----- what a time level rebuilds ---------------------------------------------
+
+def sin_u0(X):
+    return np.sin(X[..., 0])
+
+
+def sigma_of_t(scale):
+    """sigma = scale * t at every node, a (t, X) evaluator."""
+    return lambda t, X: np.full(X.shape[:-1] + (1, 1), scale * t)
+
+
+def test_a_time_dependent_sigma_is_rebuilt_at_every_level():
+    # sigma = t has no diffusion at t = 0, so weights kept from the first level
+    # would leave sin x undamped; the exact solution is exp(-t^3 / 6) sin x
+    pr = make_problem(1, L2PI, 1.0, [{"sigma": sigma_of_t(1.0)}], u0=sin_u0)
+    sch = ThetaScheme(pr, exact_grid(32, 1.0, 0.01), theta=1.0)
+    assert abs(sup_norm(sch.solve().values) - math.exp(-1.0 / 6.0)) < 2e-3
+    half = make_problem(1, L2PI, 1.0, [{"sigma": 0.5}], u0=sin_u0)
+    want = ThetaScheme(half, sch.grid, theta=1.0)._weights_at(0.5)
+    for got, expected in zip(sch._weights_at(0.5), want):
+        np.testing.assert_array_equal(got, np.broadcast_to(expected, got.shape))
+
+
+def test_a_time_dependent_sigma_fails_the_cfl_check():
+    # sigma = 2t has no weights at t = 0, but its explicit lhs at T is 2.075
+    pr = make_problem(1, L2PI, 1.0, [{"sigma": sigma_of_t(2.0)}], u0=sin_u0)
+    sch = ThetaScheme(pr, exact_grid(32, 1.0, 0.02), theta=0.0)
+    rep = sch.cfl_check()
+    assert not rep.ok
+    assert rep.worst_explicit == pytest.approx(2.0750578409950777, rel=1e-12)
+    with pytest.raises(CFLError):
+        sch.solve()
+
+
+def space_sigma(X):
+    return (0.8 + 0.3 * np.sin(X[..., 0]))[..., None, None]
+
+
+@pytest.mark.parametrize("form, builds", [("SpaceOnly", 1), ("(t, X)", 101 + 100)])
+def test_a_space_only_sigma_builds_its_stencil_once(monkeypatch, form, builds):
+    # a (t, X) lambda declares t-dependence, whatever its values, so the level
+    # scan and every step build its stencil again
+    sigma = SpaceOnly(space_sigma) if form == "SpaceOnly" else lambda t, X: space_sigma(X)
+    pr = make_problem(1, L2PI, 1.0, [{"sigma": sigma}], u0=sin_u0)
+    sch = ThetaScheme(pr, exact_grid(32, 1.0, 0.01), theta=1.0)
+    built = []
+    build = sch._build_stencil
+    monkeypatch.setattr(sch, "_build_stencil", lambda i, t: built.append(t) or build(i, t))
+    sch.solve()
+    assert len(built) == builds
+
+
+def test_a_space_only_c_is_evaluated_once_per_grid(monkeypatch):
+    # once by the level scan, once for the operator the march keeps
+    pr = make_problem(1, L2PI, 1.0, [{"sigma": 1.0, "c": SpaceOnly(lambda X: 0.1 * sin_u0(X))}],
+                      u0=sin_u0)
+    sch = ThetaScheme(pr, exact_grid(32, 1.0, 0.01), theta=1.0)
+    calls = []
+    c_at = ThetaScheme._c_at
+    monkeypatch.setattr(ThetaScheme, "_c_at", lambda self, t: calls.append(t) or c_at(self, t))
+    sch.solve()
+    assert len(calls) == 2
+
+
+def test_the_apriori_check_reads_a_constant_source_at_one_level(monkeypatch):
+    # c(t) rebuilds the operator, and with it f, at each of the 100 steps, but
+    # f = 0.5 does not depend on t, so sup|f| is read at one level
+    pr = make_problem(1, L2PI, 1.0, [{"sigma": 1.0, "c": lambda t, X: 0.1 * t + 0.0 * X[..., 0],
+                                      "f": 0.5}], u0=sin_u0)
+    sch = ThetaScheme(pr, exact_grid(32, 1.0, 0.01), theta=1.0)
+    calls = []
+    f = CoefficientField.f
+    monkeypatch.setattr(CoefficientField, "f",
+                        lambda self, i, t, X: calls.append(t) or f(self, i, t, X))
+    assert sch.apriori_bounds_check().passed
+    assert len(calls) == 100 + 1
+
+
+# per coefficient: its constant and the space-varying function of two amplitudes
+FORMS = {
+    "sigma": (lambda a0, a1: a0 * np.eye(1),
+              lambda a0, a1: lambda X: (a0 + a1 * np.sin(X[..., 0]))[..., None, None]),
+    "b": (lambda a0, a1: a0, lambda a0, a1: lambda X: (a0 + a1 * np.cos(X[..., 0]))[..., None]),
+    "c": (lambda a0, a1: a0, lambda a0, a1: lambda X: a0 + a1 * np.sin(X[..., 0])),
+    "f": (lambda a0, a1: a0, lambda a0, a1: lambda X: a0 + a1 * np.cos(2.0 * X[..., 0])),
+}
+AMPLITUDES = {"sigma": ((0.2, 1.2), (-0.15, 0.15)), "b": ((-0.5, 0.5), (-0.5, 0.5)),
+              "c": ((-0.5, 0.5), (-0.5, 0.5)), "f": ((-1.0, 1.0), (-1.0, 1.0))}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_space_only_and_t_x_forms_march_to_the_same_bits(data):
+    # the SpaceOnly form is evaluated once per grid and the (t, X) form of the
+    # same function at every level; caching repeats the same arithmetic, so
+    # every level and the CFL report agree bit for bit.  On 8 nodes and with
+    # dt <= 0.2 these amplitudes keep both CFL lhs below 1
+    cached, rebuilt = [], []
+    for k in range(data.draw(st.integers(1, 2), label="controls")):
+        one, other = {}, {}
+        for name, (constant, function) in FORMS.items():
+            a0, a1 = (data.draw(st.floats(*span), label=f"{name}{k}") for span in AMPLITUDES[name])
+            if data.draw(st.booleans(), label=f"{name}{k} varies in x"):
+                g = function(a0, a1)
+                one[name], other[name] = SpaceOnly(g), lambda t, X, _g=g: _g(X)
+            else:
+                one[name] = other[name] = constant(a0, a1)
+        cached.append(one)
+        rebuilt.append(other)
+    theta = data.draw(st.floats(0.0, 1.0), label="theta")
+    dt = data.draw(st.floats(0.01, 0.2), label="dt")
+    g = exact_grid(8, 3 * dt, dt)
+    schemes = [ThetaScheme(make_problem(1, L2PI, g.T, controls, u0=sin_u0), g, theta=theta)
+               for controls in (cached, rebuilt)]
+    assert schemes[0].cfl_check().ok
+    assert schemes[0].cfl_check() == schemes[1].cfl_check()
+    for (u, _), (v, _) in zip(*(sch.march() for sch in schemes)):
+        assert u.tobytes() == v.tobytes()
 
 
 # ----- operator bits ---------------------------------------------------------

@@ -17,7 +17,7 @@ from hjbfd import (
 )
 import hjbfd.semigroup as semigroup
 from hjbfd.errors import ConfigError, NumericalError, SchemeError
-from hjbfd.problem import SpaceOnly
+from hjbfd.problem import SpaceOnly, make_problem, sum_sources
 from hjbfd.scheme import probe_monotone
 
 L2PI = 2 * np.pi
@@ -97,6 +97,26 @@ def test_flow_rejects_bad_arguments():
                      family2=[{}], u0=0.0, n_x=8)
 
 
+@pytest.mark.parametrize("kind", ["split", "pcc"])
+def test_semigroup_families_must_be_autonomous(kind):
+    # a flow's clock restarts at every apply, so a source that depends on t
+    # would make the scheme approximate another problem; one of x alone stays
+    def build(f):
+        if kind == "split":
+            return SplitProblem(dim=1, period=L2PI, T=0.2, u0=0.0, n_x=16,
+                                family1=[{"sigma": 0.6, "f": f}], family2=[{"sigma": 0.7}])
+        return PCControlProblem(dim=1, period=L2PI, T=0.2, u0=0.0, n_x=16,
+                                modes=[{"sigma": 0.6}, {"sigma": 0.7, "f": f}])
+
+    with pytest.raises(ConfigError, match="must be autonomous; a source depends on t"):
+        build(lambda t, X: 2.0 * t + 0.0 * X[..., 0])
+    wave = SpaceOnly(lambda X: 0.1 * np.sin(X[..., 0]))
+    pr = build(wave).reference_problem
+    assert not pr.coeffs.varies_in_t()
+    X = np.linspace(0.0, L2PI, 5)[:, None]
+    assert any(np.array_equal(pr.coeffs.f(i, 0.3, X), wave.g(X)) for i in range(len(pr.coeffs)))
+
+
 def split_problem(T=0.2, n_x=16):
     return SplitProblem(
         dim=1, period=L2PI, T=T,
@@ -123,16 +143,22 @@ def test_combined_problem_adds_generators():
 
 def test_combined_source_is_static_when_its_pieces_are():
     # a space-only source in one family keeps every combined control of the
-    # reference static, so its solve builds one operator; a (t, x) source does not
+    # reference static, so its solve builds one operator; a (t, x) source is
+    # not autonomous, so a family rejects it, and its sum depends on t
     wave = SpaceOnly(lambda X: 0.1 * np.sin(X[..., 0]))
     families = dict(family1=[{"sigma": 1.0, "f": wave}], family2=[{"sigma": 0.5}, {"f": 0.2}])
     pr = SplitProblem(dim=1, period=L2PI, T=0.2, u0=0.0, n_x=16, **families).reference_problem
-    assert all(pr.coeffs.fully_static(i) for i in range(len(pr.coeffs)))
+    assert not pr.coeffs.varies_in_t()
     X = np.linspace(0.0, L2PI, 7)[:, None]
     np.testing.assert_array_equal(pr.coeffs.f(1, 0.3, X), wave(0.0, X) + 0.2)
-    families["family1"] = [{"sigma": 1.0, "f": lambda t, X: t * np.sin(X[..., 0])}]
-    pr = SplitProblem(dim=1, period=L2PI, T=0.2, u0=0.0, n_x=16, **families).reference_problem
-    assert not any(pr.coeffs.fully_static(i) for i in range(len(pr.coeffs)))
+    moving = lambda t, X: t * np.sin(X[..., 0])
+    families["family1"] = [{"sigma": 1.0, "f": moving}]
+    with pytest.raises(ConfigError, match="family1: semigroup families must be autonomous"):
+        SplitProblem(dim=1, period=L2PI, T=0.2, u0=0.0, n_x=16, **families)
+    combined = make_problem(1, L2PI, 0.2, [{"f": sum_sources(moving, 0.2)},
+                                            {"f": sum_sources(wave, 0.2)}], u0=0.0).coeffs
+    assert combined.restrict([0]).varies_in_t("f")
+    assert not combined.restrict([1]).varies_in_t("f")
 
 
 def test_splitting_with_zero_family_equals_single_flow():
