@@ -37,7 +37,7 @@ import numpy as np
 from .config import (load_json, parse_matrix, parse_pcc, parse_problem,
                      parse_split, parse_switching)
 from .errors import ConfigError, HJBError, NumericalError, ProbeFailure
-from .grid import GridFunction, SpaceTimeGrid, csv_cell, write_csv
+from .grid import Cells, GridFunction, SpaceTimeGrid, csv_cell, write_csv
 from .harness import (SLOPE_TOLERANCE, ReferenceSolution, compare_bounds,
                       run_refinement, study_levels, write_rate_csv)
 from .scheme import ThetaScheme
@@ -92,7 +92,7 @@ def _write_trajectory(grid, levels, path) -> tuple:
     arrives, one block per level: the time is formatted once per level and
     the coordinates once per run.  Returns the last u and the largest
     policy-iteration count."""
-    coords = [list(map(csv_cell, axis)) for axis in grid.nodes().reshape(-1, grid.dim).T]
+    coords = [Cells(map(csv_cell, axis)) for axis in grid.nodes().reshape(-1, grid.dim).T]
     last = [None, 0]
 
     def blocks():

@@ -143,9 +143,18 @@ def csv_cell(x) -> str:
     return x if isinstance(x, str) else repr(float(x))
 
 
-def _cells(col) -> list:
-    """The cells of one sequence column: a numpy array converted to float as
-    a whole, then each value through repr, else each entry through `csv_cell`."""
+class Cells(tuple):
+    """A column of cells already formatted (str, as `csv_cell` gives them),
+    which `write_csv` writes as they are: a column repeated in every block
+    is then formatted once."""
+
+
+def _cells(col):
+    """The cells of one sequence column: `Cells` as they are, a numpy array
+    converted to float as a whole and each value through repr, else each
+    entry through `csv_cell`."""
+    if isinstance(col, Cells):
+        return col
     if isinstance(col, np.ndarray):
         return list(map(repr, np.asarray(col, dtype=float).tolist()))
     return list(map(csv_cell, col))
@@ -156,13 +165,14 @@ def write_csv(path, header, blocks) -> None:
 
     This is the only place the package opens a CSV file.  A block is a
     sequence of columns that share rows.  A str column is one cell,
-    repeated on every row of the block; a numpy array column is converted
-    to float as a whole and each cell written with repr; any other column
-    is a sequence of cells, each written as `csv_cell` writes it.  Both give
-    a number the same cell.  A block needs at least one
-    sequence column, and its sequence columns have equal lengths.  Blocks
-    are written one at a time, so a generator of blocks streams; a caller
-    that repeats a number across blocks formats it once with `csv_cell`.
+    repeated on every row of the block; a `Cells` column is written as it
+    is; a numpy array column is converted to float as a whole and each cell
+    written with repr; any other column is a sequence of cells, each
+    written as `csv_cell` writes it.  Both give a number the same cell.  A
+    block needs at least one sequence column, and its sequence columns have
+    equal lengths.  Blocks are written one at a time, so a generator of
+    blocks streams; a caller that repeats a number or a column across
+    blocks formats it once with `csv_cell` (a column as `Cells`).
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")

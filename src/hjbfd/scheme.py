@@ -10,8 +10,11 @@ One step from t-dt to t solves, at every node x,
 where L_h^alpha is a positive-type stencil for tr[a^alpha D^2] +
 b^alpha . D built from sigma sigma^T (see stencil module).  At each time
 level the stencils of all controls form one stacked operator (a weight
-array and a neighbour index, see `_Ops`), applied by one gather and one
-contraction wherever the scheme needs L_h.  theta = 0 is
+array over controls, offsets and nodes, see `_Ops`), applied by one gather
+of the neighbour values (`_Ops.gather`) and one contraction wherever the
+scheme needs L_h.  A small state is gathered through a flat neighbour
+index, a large one by copying windows of one wrap-padded copy; both give
+the same values, so the size only picks the faster.  theta = 0 is
 explicit, theta = 1 implicit; the implicit part is solved by policy
 iteration (freeze the per-node argmax, solve the resulting linear system
 by Jacobi sweeps, re-select) with lowest-index tie breaking.  Each
@@ -61,6 +64,16 @@ STUDY_TOL = 1e-11       # policy-iteration tolerance of the semigroup and switch
 MONOTONE_SLACK = 1e-12  # order violation the scheme's monotonicity probe forgives
 COMPARISON_SLACK = 1e-9  # excess over the discrete comparison bound that is forgiven
 APRIORI_SLACK = 0.05    # relative margin on the a-priori sup-norm bound
+# gathered values (offsets x state size) from which _Ops.gather copies windows
+# of a wrap-padded copy instead of indexing every neighbour.  Measured with
+# numpy 2.4 on a 2-core x86-64 Xeon (medians of 9 x 300 calls), the window
+# gather's extra numpy calls cost more than they save below about 4,000
+# values in 1D (2 offsets) and about 8,000 to 10,000 in 2D (6 offsets): index
+# 0.9 us against window 3.4 us at 48 nodes, 190 us against 98 us at 128 x 128.
+# End to end, sending every gather through windows made the 48-node split
+# study about 18% and the 128-node trajectory solve about 22% slower, and a
+# 1D switching study's peak RSS about 0.2 MB larger (BENCH_24.json).
+WINDOW_GATHER = 8192
 
 
 @dataclass
@@ -128,11 +141,12 @@ def probe_monotone(step_fn, shape, trials: int, seed: int, slack: float) -> Prob
 class _Ops:
     """Stacked per-control operator at one time level:
 
-        L_h^alpha u = sum_o W[alpha, o] u.flat[nbr[o]] - csum[alpha] u.
+        L_h^alpha u(x) = sum_o W[alpha, o] u(x + offsets[o] dx) - csum[alpha] u(x).
 
-    The weight arrays end in the grid shape, or in ones when no weight
-    varies in space, so broadcasting serves both cases.  `csum`, `c` and
-    `f` carry a unit axis after the control axis, where a stack of B
+    `gather` is the only place the scheme reads neighbour values.  The
+    weight arrays, `c` and `f` end in the grid shape, or in ones when they
+    do not vary in space, so broadcasting serves both cases.  `csum`, `c`
+    and `f` carry a unit axis after the control axis, where a stack of B
     states puts its member axis.  The Hamiltonian contracts
     space-independent weights as one dense matrix product, whose rounding
     matches a BLAS product over the whole grid.
@@ -141,31 +155,80 @@ class _Ops:
     diagonal, theta dt f_P), most recently used last; an entry is stored
     only once its diagonal has passed the positivity check."""
 
-    __slots__ = ("W", "Wmat", "csum", "nbr", "c", "f", "frozen", "stacks")
+    __slots__ = ("W", "Wmat", "csum", "offsets", "gathers", "c", "f", "frozen")
 
-    def __init__(self, W, csum, nbr, c, f):
+    def __init__(self, W, csum, offsets, gathers, c, f):
         n_c, n_o = W.shape[:2]
         self.W = W            # (n_c, n_o, *grid) or (n_c, n_o, 1, ..., 1)
         # (n_c, n_o) when no weight varies in space, else None
         self.Wmat = W.reshape(n_c, n_o) if math.prod(W.shape[2:]) == 1 else None
         self.csum = csum[:, None]  # W summed over offsets: (n_c, 1, *grid) or (n_c, 1, ..., 1)
-        self.nbr = nbr        # (n_o, *grid) flat index of each node's neighbour per offset
-        self.c = c[:, None]   # (n_c, 1, *grid)
-        self.f = f[:, None]   # (n_c, 1, *grid)
+        self.offsets = offsets  # (n_o, dim) intp, in the order of W's offset axis
+        # state shape -> its gather, chosen on first use; one dict serves
+        # every operator built on the same weights
+        self.gathers = gathers
+        self.c = c[:, None]   # (n_c, 1, *grid) or (n_c, 1, 1, ..., 1)
+        self.f = f[:, None]   # (n_c, 1, *grid) or (n_c, 1, 1, ..., 1)
         self.frozen = {}
-        self.stacks = {}
 
-    def stack_index(self, size: int):
-        """Flat neighbour index (n_o, size) of a stack of size // N states,
-        N the node count; built once per size."""
-        nbr = self.stacks.get(size)
-        if nbr is None:
-            n_o, N = len(self.nbr), self.c[0].size
-            nbr = self.nbr.reshape(n_o, N)  # a view when size == N
-            if size != N:
-                nbr = (nbr[:, None] + np.arange(0, size, N)[:, None]).reshape(n_o, size)
-            self.stacks[size] = nbr
-        return nbr
+    def gather(self, u: np.ndarray) -> np.ndarray:
+        """u(x + offsets[o] dx) at every node x, shape (n_o, *u.shape), for
+        one state of the grid's shape or a stack (*B, *grid) of states, in a
+        new array."""
+        return self.gather_for(u.shape)(u)
+
+    def gather_for(self, shape):
+        """`gather` for states of this shape, chosen on first use: the index
+        gather below WINDOW_GATHER gathered values, the window gather from
+        there on.  Both copy the same values; a loop over many states of one
+        shape looks its gather up once."""
+        gather = self.gathers.get(shape)
+        if gather is None:
+            windows = len(self.offsets) * math.prod(shape) >= WINDOW_GATHER
+            gather = (self._by_windows if windows else self._by_index)(shape)
+            self.gathers[shape] = gather
+        return gather
+
+    def _by_index(self, shape):
+        """Index path: one take through the flat index of each node's
+        neighbour, built with np.roll."""
+        grid_axes = tuple(range(len(shape) - self.offsets.shape[1], len(shape)))
+        idx = np.arange(math.prod(shape)).reshape(shape)
+        index = np.array([np.roll(idx, tuple(-c for c in off), axis=grid_axes)
+                          for off in self.offsets.tolist()],
+                         dtype=np.intp).reshape((len(self.offsets),) + shape)
+        return lambda u: u.take(index)
+
+    def _by_windows(self, shape):
+        """Window path: one take fills a copy of the states padded by r
+        cells of wrap-around on each side of every grid axis (r the largest
+        offset component), then one copy per offset moves its window of
+        that copy into a new (n_o, *shape) array.  The padded copy is kept
+        for the next call.  The result is not, and the Hamiltonian frees it
+        as soon as it is contracted: kept across calls, or freed only when
+        the Hamiltonian returns, it let glibc trim the step's temporaries
+        from the heap and fault them in again at every step, in some heap
+        layouts of the process (45,000 to 178,000 page faults on a
+        rates_2d_explicit run)."""
+        dim = self.offsets.shape[1]
+        members, grid = shape[:len(shape) - dim], shape[len(shape) - dim:]
+        r = int(np.abs(self.offsets).max(initial=0))
+        wrapped = np.ravel_multi_index(np.ix_(*(np.arange(-r, n + r) % n for n in grid)), grid)
+        starts = np.arange(0, math.prod(shape), math.prod(grid)).reshape(members + (1,) * dim)
+        pad_index = starts + wrapped                      # (*B, n_1 + 2r, ..., n_dim + 2r)
+        pad = np.empty(pad_index.shape)
+        windows = [(Ellipsis,) + tuple(slice(r + c, r + c + n) for c, n in zip(off, grid))
+                   for off in self.offsets.tolist()]
+
+        def gather(u):
+            # take writes into `pad` only from an array of its own type
+            u.reshape(-1).astype(float, copy=False).take(pad_index, out=pad, mode="clip")
+            out = np.empty((len(windows),) + shape)
+            for o, window in enumerate(windows):
+                out[o] = pad[window]
+            return out
+
+        return gather
 
 
 class ThetaScheme:
@@ -212,8 +275,9 @@ class ThetaScheme:
         return bz_stencil(bz_decompose(ssq, max_order=BZ_ORDER), b, g.dx)
 
     def _weights_at(self, t: float):
-        """Stacked stencil weights W, their offset sums csum and the neighbour
-        index nbr at time t, built once when no sigma or b depends on t
+        """Stacked stencil weights W, their offset sums csum, the offsets
+        (n_o, dim) and an empty gather cache for them (`_Ops.gathers`) at
+        time t, built once when no sigma or b depends on t
         (`CoefficientField.varies_in_t`).  The offsets are the union of the
         controls' rows in lexicographic order; W is per node only when some
         control has a per-node row."""
@@ -230,30 +294,32 @@ class ThetaScheme:
             if ks:  # scalar rows broadcast over the nodes
                 at = [position[off] for off in ks]
                 W[k, at] = w.reshape(len(w), *w.shape[1:] or (1,) * g.dim)
-        idx = np.arange(g.n_nodes).reshape(g.shape)
-        axes = tuple(range(g.dim))
-        nbr = np.array([np.roll(idx, tuple(-c for c in off), axis=axes) for off in offsets],
-                       dtype=np.intp).reshape((len(offsets),) + g.shape)
-        packed = (W, W.sum(axis=1), nbr)
+        packed = (W, W.sum(axis=1), np.array(offsets, dtype=np.intp).reshape(-1, g.dim), {})
         if not self.problem.coeffs.varies_in_t("sigma", "b"):
             self._static_weights = packed
         return packed
 
-    def _c_at(self, t: float) -> np.ndarray:
-        """Stacked discount rates c^alpha(t, .), shape (n_c, *grid)."""
+    def _stacked(self, name: str, t: float) -> np.ndarray:
+        """Coefficient `name` ("c" or "f") of every control at time t, in W's
+        layout: (n_c, *grid), or (n_c, 1, ..., 1) evaluated at one node when
+        no control's `name` is callable."""
         pr, g = self.problem, self.grid
-        return np.stack([np.broadcast_to(pr.coeffs.c(i, t, self._nodes), g.shape)
-                         for i in range(len(pr.coeffs))])
+        if any(callable(getattr(pr.coeffs[i], name)) for i in range(len(pr.coeffs))):
+            X, shape = self._nodes, g.shape
+        else:
+            X, shape = self._nodes[(slice(1),) * g.dim], (1,) * g.dim
+        evaluate = getattr(pr.coeffs, name)
+        return np.stack([np.broadcast_to(evaluate(i, t, X), shape) for i in range(len(pr.coeffs))])
+
+    def _c_at(self, t: float) -> np.ndarray:
+        """Stacked discount rates c^alpha(t, .), see `_stacked`."""
+        return self._stacked("c", t)
 
     def _ops_at(self, t: float) -> _Ops:
         if self._static_ops is not None:
             return self._static_ops
-        pr, g = self.problem, self.grid
-        W, csum, nbr = self._weights_at(t)
-        f = np.stack([np.broadcast_to(pr.coeffs.f(i, t, self._nodes), g.shape)
-                      for i in range(len(pr.coeffs))])
-        ops = _Ops(W, csum, nbr, self._c_at(t), f)
-        if not pr.coeffs.varies_in_t():
+        ops = _Ops(*self._weights_at(t), self._c_at(t), self._stacked("f", t))
+        if not self.problem.coeffs.varies_in_t():
             self._static_ops = ops
         return ops
 
@@ -265,13 +331,15 @@ class ThetaScheme:
         replaces the best so far where its value is larger or NaN.  A tie,
         -0.0 against +0.0 included, goes to the lowest index, and G holds
         the chosen value's own bits; a NaN is selected, so it reaches the
-        callers' non-finite checks."""
-        nb = u.reshape(-1)[ops.stack_index(u.size)]                          # (n_o, B N)
+        callers' non-finite checks.  The max is written into the first
+        control's values in place, so G is a view of all n_c of them."""
+        nb = ops.gather(u)                                                   # (n_o, *u.shape)
         stack = (-1,) + self.grid.shape                                      # (B, *grid)
         if ops.Wmat is None:
             Lu = np.einsum("co...,ob...->cb...", ops.W, nb.reshape((len(nb),) + stack))
         else:  # space-independent weights: one (n_c, n_o) @ (n_o, B N) matrix product
-            Lu = (ops.Wmat @ nb).reshape((len(ops.Wmat),) + stack)
+            Lu = (ops.Wmat @ nb.reshape(len(nb), u.size)).reshape((len(ops.Wmat),) + stack)
+        del nb  # freed before the other temporaries are made, see _Ops._by_windows
         Lu -= ops.csum * u
         vals = np.negative(Lu, out=Lu)  # -Lu - c u - f, one temporary fewer
         vals -= ops.c * u
@@ -281,8 +349,8 @@ class ThetaScheme:
             v = vals[k]
             better = v > G
             better |= v != v
-            G = np.where(better, v, G)
-            P = np.where(better, k, P)
+            np.copyto(G, v, where=better)
+            np.copyto(P, k, where=better)
         return G.reshape(u.shape), P.reshape(u.shape)
 
     def _frozen_system(self, ops: _Ops, P: np.ndarray):
@@ -313,8 +381,9 @@ class ThetaScheme:
         W_P, diag, th_f = self._frozen_system(ops, P)
         b_rhs = rhs + th_f
         u = rhs.copy()
+        gather = ops.gather_for(u.shape)
         for sweep in range(1, MAX_SWEEPS + 1):
-            off = th_dt * np.einsum("o...,o...->...", W_P, u.reshape(-1)[ops.nbr])
+            off = th_dt * np.einsum("o...,o...->...", W_P, gather(u))
             res = diag * u - off - b_rhs
             worst = np.abs(res).max()
             if worst <= target:
@@ -354,7 +423,9 @@ class ThetaScheme:
             if res <= self.tol:
                 u.flags.writeable = P.flags.writeable = False
                 if ops is self._static_ops:  # a rebuilt operator is never the next one
-                    self._carry = (ops, u, G, P)
+                    # G is a view of the Hamiltonian's (n_c, *grid) values; its
+                    # copy lets those go
+                    self._carry = (ops, u, G.copy(), P)
                 return u, StepReport(t=t, policy_iterations=it, sweeps=sweeps,
                                      max_residual=res, hamiltonians=evals, argmax=P)
             if not math.isfinite(res):  # no further iteration can bring it down

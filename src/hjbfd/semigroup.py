@@ -73,18 +73,17 @@ class SemigroupFlow:
     """Implicit-Euler realization of the flow of one coefficient family.
 
     apply(values, dt, m) advances `values` by time dt using m implicit
-    substeps of size dt/m; the family clock restarts at 0 each call
-    (`SemigroupProblem` rejects a family that depends on t).
+    substeps of size dt/m; the family clock restarts at 0 each call, so the
+    controls pass the check of `SemigroupProblem`'s families (`_norm_family`):
+    constant sigma, b and c, and a source that does not depend on t.
     """
 
     def __init__(self, dim: int, period: float, n_x: int, controls,
                  builder: str = "kushner", label: str = "flow"):
-        if not controls:
-            raise ConfigError("semigroup flow needs at least one control")
         self.dim = dim
         self.period = period
         self.n_x = n_x
-        self.controls = list(controls)
+        self.controls = _norm_family(controls, dim, label)
         self.builder = builder
         self.label = label
         self._cache = {}

@@ -2,9 +2,11 @@
 
 The golden hashes were recorded from the six jobs of acceptance check 11,
 plus two solves: a 2D run, whose x_1,x_2 columns no other job writes, and
-the benchmark's 128-node two-control trajectory, and from a switching
-study with three modes, whose config the test writes, as every bundled
-switching config has two.  Check 11 only compares a rerun against a rerun,
+the benchmark's 128-node two-control trajectory, from a switching study
+with three modes, whose config the test writes, as every bundled
+switching config has two, and from two 2D jobs large enough for the
+scheme's window gather (`WINDOW_GATHER`): a rates study with a 64-node
+reference and a two-mode switching study, whose config the test writes.  Check 11 only compares a rerun against a rerun,
 and the benchmark's drift check compares numbers, so a writer change that
 altered every file the same way, or wrote 1e-05 as 1.0e-05, would pass
 both; these hashes catch that.
@@ -40,6 +42,9 @@ JOBS = {
                  "--nx", "8"],
     "solve_twocontrol": ["solve", str(CONFIGS / "twocontrol.json"), "--nx", "128"],
     "switching_3modes": ["switching", "modes3.json", "--nx", "24", "--k-list", "0.2,0.1"],
+    "rates_2d": ["rates", str(ROOT / "perfbench" / "inputs" / "rates_2d_seed0.json"),
+                 "--levels", "16,32", "--ref-nx", "64"],
+    "switching_2d": ["switching", "modes2d.json", "--nx", "32", "--k-list", "0.2,0.1"],
 }
 
 # configs a job names by file name only: the test writes them into its output directory
@@ -49,6 +54,17 @@ WRITTEN_CONFIGS = {
         "controls": [{"sigma": 0.8, "b": 0.7}, {"sigma": 0.8, "b": -0.7},
                      {"sigma": 1.1, "f": 0.3}],
         "u0": {"name": "sin_sum"}, "modes": [[0], [1], [2]], "label": "three-mode",
+    },
+    # cross diffusion of both signs: each mode steps its (2, 32, 32) stack of
+    # costs through 6 offsets, 12,288 gathered values
+    "modes2d.json": {
+        "dim": 2, "period": 6.283185307179586, "horizon": 0.2,
+        "controls": [{"sigma": [[1.0, 0.3], [0.0, 0.9]], "b": [0.4, -0.2]},
+                     {"sigma": [[1.0, -0.3], [0.0, 0.9]], "b": [-0.5, 0.3], "f": 0.2}],
+        # off the grid's symmetry points: a gather that mirrored every offset
+        # would give these sup-norm errors unchanged from a symmetric bump
+        "u0": {"name": "gauss_bump", "params": {"center": [2.0, 3.5], "width": 0.8}},
+        "modes": [[0], [1]], "label": "two-mode-2d",
     },
 }
 
@@ -83,6 +99,12 @@ GOLDEN = {
     },
     "switching_3modes": {
         "switching.csv": "38537672c9f48173e5497b8b719a6028add1f391988c11c1edf5d9101bc5a865",
+    },
+    "rates_2d": {
+        "rates.csv": "107fb63a1d8619b5617a78bfd0a213d0585170d64d52c6f6071bb6aaa8b9d2a0",
+    },
+    "switching_2d": {
+        "switching.csv": "cd48850cbd16971286d11c1aa4703fa53a02567dfc3ef3cbb16b43ad859e457c",
     },
 }
 

@@ -163,6 +163,17 @@ def test_solve_heat_outputs(tmp_path, capsys):
     assert "solve ok:" in capsys.readouterr().out
 
 
+def test_trajectory_coordinates_are_formatted_once(tmp_path, monkeypatch):
+    # the coordinates reach write_csv as Cells, so its per-cell formatting
+    # runs for none of the 16 x 101 coordinate cells of a heat solve
+    import hjbfd.grid as grid
+    calls = []
+    monkeypatch.setattr(grid, "csv_cell", lambda x: calls.append(x) or str(x))
+    assert main(["solve", str(CONFIGS / "heat.json"), "--nx", "16",
+                 "--out", str(tmp_path)]) == 0
+    assert calls == []
+
+
 def test_rates_quick_study(tmp_path, capsys):
     files = run_twice_identical(
         lambda out: ["rates", str(CONFIGS / "heat.json"), "--levels", "8,16",

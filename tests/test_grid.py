@@ -9,6 +9,7 @@ import pytest
 
 from hjbfd import GridFunction, SpaceTimeGrid, sup_norm, write_csv
 from hjbfd.errors import ConfigError
+from hjbfd.grid import Cells
 
 
 def test_build_basic_relations():
@@ -149,6 +150,7 @@ def test_write_csv_matches_a_cell_by_cell_reference(tmp_path):
         ("0.5", edge[::-1], [str(i) for i in range(len(edge))]),
         ([f'"{i} 0"' for i in range(3)], [1.5, -2.0, 1e-300], np.array([7.0, 8.0, 9.0])),
         ("label", [], []),                                   # a block of no rows
+        (Cells(["-0.0", "1e-05", '"1 0"']), [1.0, 2.0, 3.0], "cells"),  # written as they are
         # numpy columns are formatted as a whole: an int array, and a float
         # array of the cells whose repr is easiest to get wrong
         ("arrays", np.arange(-2, 4),

@@ -236,7 +236,7 @@ def test_a_time_dependent_sigma_is_rebuilt_at_every_level():
     assert abs(sup_norm(sch.solve().values) - math.exp(-1.0 / 6.0)) < 2e-3
     half = make_problem(1, L2PI, 1.0, [{"sigma": 0.5}], u0=sin_u0)
     want = ThetaScheme(half, sch.grid, theta=1.0)._weights_at(0.5)
-    for got, expected in zip(sch._weights_at(0.5), want):
+    for got, expected in zip(sch._weights_at(0.5)[:3], want[:3]):
         np.testing.assert_array_equal(got, np.broadcast_to(expected, got.shape))
 
 
@@ -371,7 +371,9 @@ OPERATOR_PROBLEMS = {
 
 # sha256 over the shape and the .view(np.int64) bytes of W, csum and nbr at
 # t = 0, per "problem:builder:n_x"; recorded when each builder still returned
-# an offset -> weight map that the scheme copied offset by offset
+# an offset -> weight map that the scheme copied offset by offset, and when
+# the scheme still stored nbr, the flat index of each node's neighbour per
+# offset, which the gather now reproduces as the node numbers it gathers
 OPERATOR_PINS = {
     "heat:kushner:8": "fd6c71280d3c4a3248048c23f351ac8221d3a6c27585ff45214b20c9f7d44b66",
     "heat:kushner:16": "5406794b16cc8ed43869a74313d68efe53cf40c863b3df2fd2383d3fae8accb9",
@@ -404,14 +406,18 @@ def test_operator_bits_are_pinned(case):
         dim, controls = OPERATOR_PROBLEMS[name]
         pr = make_problem(dim, L2PI, 1.0, controls, u0=0.0)
     g = exact_grid(int(n_x), pr.T, pr.T / 4, dim=pr.dim, period=pr.period)
-    packed = ThetaScheme(pr, g, theta=0.0, builder=builder)._weights_at(0.0)
+    sch = ThetaScheme(pr, g, theta=0.0, builder=builder)
+    W, csum = sch._weights_at(0.0)[:2]
     if name == "zero-sigma":
-        assert packed[0].shape == (2, 2, 1)
-    h = hashlib.sha256()
-    for a in packed:
-        h.update(repr(a.shape).encode())
-        h.update(np.ascontiguousarray(a).view(np.int64).tobytes())
-    assert h.hexdigest() == OPERATOR_PINS[case]
+        assert W.shape == (2, 2, 1)
+    ops = sch._ops_at(0.0)
+    nodes = np.arange(g.n_nodes, dtype=float).reshape(g.shape)
+    for path in (ops._by_index, ops._by_windows):  # the gather takes both, by size
+        h = hashlib.sha256()
+        for a in (W, csum, path(g.shape)(nodes).astype(np.intp)):
+            h.update(repr(a.shape).encode())
+            h.update(np.ascontiguousarray(a).view(np.int64).tobytes())
+        assert h.hexdigest() == OPERATOR_PINS[case]
 
 
 def roll_operator(sig, drift, g, u):
@@ -901,20 +907,35 @@ def test_nonpositive_diagonal_raises_on_every_use():
     assert not sch._ops_at(0.1).frozen
 
 
+def rolled_neighbours(offsets, u):
+    """u(x + offset) for each offset, (n_o, *u.shape), by np.roll over the
+    grid axes (the last len(offset) axes of u)."""
+    axes = tuple(range(u.ndim - offsets.shape[1], u.ndim))
+    return np.array([np.roll(u, tuple(-k for k in off), axis=axes)
+                     for off in offsets.tolist()]).reshape((len(offsets),) + u.shape)
+
+
 def reference_hamiltonian(ops, u):
-    """G and its argmax as built with an out-of-place sum and take_along_axis
-    (csum, c and f drop the operator's unit member axis)."""
-    csum, c, f = (a[:, 0] for a in (ops.csum, ops.c, ops.f))
-    nb = u.reshape(-1)[ops.nbr]
-    if ops.W.shape[2:] == u.shape:
-        Lu = np.einsum("co...,o...->c...", ops.W, nb)
+    """G and its argmax for one state or a stack (B, *grid) of states, with
+    np.roll neighbours, an out-of-place sum, argmax and take_along_axis.  A
+    NaN is selected: the last control whose value is NaN.  A stack is
+    contracted whole, as the scheme does: a BLAS product over B N columns
+    can round differently from one over N."""
+    grid = u.shape[u.ndim - ops.offsets.shape[1]:]
+    stack = u.reshape((-1,) + grid)
+    nb = rolled_neighbours(ops.offsets, stack)
+    if ops.Wmat is None:
+        Lu = np.einsum("co...,ob...->cb...", ops.W, nb)
     else:
-        Lu = (ops.W.reshape(ops.W.shape[:2]) @ nb.reshape(len(nb), u.size)).reshape(
-            (-1,) + u.shape)
-    Lu -= csum * u
-    vals = -Lu - c * u - f
-    P = np.argmax(vals, axis=0)
-    return np.take_along_axis(vals, P[None], axis=0)[0], P
+        Lu = (ops.W.reshape(ops.W.shape[:2]) @ nb.reshape(len(nb), stack.size)).reshape(
+            (-1,) + stack.shape)
+    Lu -= ops.csum * stack
+    vals = -Lu - ops.c * stack - ops.f
+    nan = np.isnan(vals)
+    P = np.where(nan.any(axis=0), len(vals) - 1 - np.argmax(nan[::-1], axis=0),
+                 np.argmax(vals, axis=0))
+    G = np.take_along_axis(vals, P[None], axis=0)[0]
+    return G.reshape(u.shape), P.reshape(u.shape)
 
 
 def assert_same_selection(result, expected):
@@ -980,12 +1001,56 @@ def test_hamiltonian_selection_bits_match_argmax_property(data):
     c, f = (data.draw(arrays(float, (n_c, 4), elements=values), label=name) for name in "cf")
     u = data.draw(arrays(float, (B, 4), elements=values), label="u")
     sch = ThetaScheme(heat_problem(), exact_grid(4, 1.0, 0.01), theta=1.0)
-    idx = np.arange(4)
-    ops = _Ops(W, W.sum(axis=1), np.stack([np.roll(idx, -1), np.roll(idx, 1)]), c, f)
+    ops = _Ops(W, W.sum(axis=1), np.array([[1], [-1]]), {}, c, f)
     G, P = sch._hamiltonian(ops, u if B > 1 else u[0])
     for b in range(B):
         assert_same_selection((G.reshape(B, 4)[b], P.reshape(B, 4)[b]),
                               reference_hamiltonian(ops, u[b]))
+
+
+# per dim: a constant sigma, one whose sigma sigma^T is not diagonally dominant
+# in 2D and 3D, so that bz reaches offsets of BZ_ORDER, and one that varies in
+# space (kushner only)
+GATHER_SIGMAS = {
+    1: [0.7, np.array([[1.0, 0.5]]), varying_sigma(1)],
+    2: [np.array([[1.0, 0.3], [0.0, 0.9]]), np.array([[1.0, 1.0], [1.0, 2.0]]), varying_sigma(2)],
+    3: [SIGMA_3D, np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]]),
+        varying_sigma(3)],
+}
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_window_and_index_gathers_agree_bit_for_bit(data):
+    # both gathers of a state or a stack of states copy the np.roll
+    # neighbours bit for bit, NaN, infinities and signed zeros included, and
+    # the Hamiltonian through either selects like np.argmax and take_along_axis
+    # (it takes a stack with one member axis, so (2, 3) members go in as 6)
+    dim = data.draw(st.integers(1, 3), label="dim")
+    n = data.draw(st.integers(3, 24), label="n")
+    sigma = data.draw(st.sampled_from(GATHER_SIGMAS[dim]), label="sigma")
+    builder = "kushner" if callable(sigma) else data.draw(st.sampled_from(["kushner", "bz"]),
+                                                          label="builder")
+    members = data.draw(st.sampled_from([(), (2,), (2, 3)]), label="stack")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    controls = [{"sigma": sigma, "b": [0.4, -0.3, 0.2][:dim], "c": 0.1},
+                {"sigma": 0.6, "b": -0.2, "f": 0.05}]
+    pr = make_problem(dim, L2PI, 1.0, controls, u0=0.0)
+    sch = ThetaScheme(pr, exact_grid(n, 1.0, 0.01, dim=dim), theta=0.0, builder=builder)
+    ops = sch._ops_at(0.0)
+    shape = members + sch.grid.shape
+    u = rng.standard_normal(shape)
+    spots = rng.integers(0, u.size, size=rng.integers(0, 8))
+    u.flat[spots] = rng.choice(SPECIAL_VALUES, size=len(spots))
+    expected = rolled_neighbours(ops.offsets, u).view(np.int64)
+    stack = u.reshape((-1,) + sch.grid.shape) if members else u
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = reference_hamiltonian(ops, stack)
+        for path in (ops._by_index, ops._by_windows):
+            np.testing.assert_array_equal(path(shape)(u).view(np.int64), expected)
+            ops.gathers[stack.shape] = path(stack.shape)
+            assert_same_selection(sch._hamiltonian(ops, stack), want)
 
 
 def counted_take_along_axis(monkeypatch):
@@ -1040,7 +1105,7 @@ def test_stacked_step_matches_single_steps_bit_for_bit(case, theta):
     pr = make_problem(dim, L2PI, 0.2, controls, u0=wavy_u0)
     sch = ThetaScheme(pr, exact_grid(16 if dim == 1 else 8, 0.2, 0.02, dim=dim), theta=theta)
     ops = sch._ops_at(0.0)
-    assert len(ops.nbr) == (2 if dim == 1 else 8)
+    assert len(ops.offsets) == (2 if dim == 1 else 8)
     assert (ops.Wmat is None) == case.endswith("varying")
     states = np.random.default_rng(11).standard_normal((4,) + sch.grid.shape)
     for B in range(1, 5):

@@ -97,6 +97,16 @@ def test_flow_rejects_bad_arguments():
                      family2=[{}], u0=0.0, n_x=8)
 
 
+def test_flow_rejects_a_source_that_depends_on_t():
+    # the clock restarts at every apply, so f = 2t would make two applies of
+    # dt 0.1 (m 4) give 0.025 and one apply of dt 0.2 (m 8) give 0.045
+    with pytest.raises(ConfigError, match="a source depends on t"):
+        SemigroupFlow(1, L2PI, 16, [{"f": lambda t, X: 2.0 * t + 0.0 * X[..., 0]}])
+    flow = SemigroupFlow(1, L2PI, 16, [{"f": SpaceOnly(lambda X: 2.0 + 0.0 * X[..., 0])}])
+    np.testing.assert_array_equal(flow.apply(flow.apply(np.zeros(16), 0.1, 4), 0.1, 4),
+                                  flow.apply(np.zeros(16), 0.2, 8))
+
+
 @pytest.mark.parametrize("kind", ["split", "pcc"])
 def test_semigroup_families_must_be_autonomous(kind):
     # a flow's clock restarts at every apply, so a source that depends on t
