@@ -326,6 +326,10 @@ class ThetaScheme:
     def _hamiltonian(self, ops: _Ops, u: np.ndarray):
         """G(s, u) = max_alpha(-L_h u - c u - f) and its argmax field, for
         one state of the grid's shape or a stack of B states (B, *grid).
+        Space-independent weights contract a stack as one (n_c, n_o) @
+        (n_o, B N) product, whose rounding may depend on B N: a member's G
+        can then differ from its G alone in the last bits (a 3D bz stencil
+        with 10 offsets does).
 
         The max is one running selection over the controls: control k
         replaces the best so far where its value is larger or NaN.  A tie,
@@ -446,12 +450,11 @@ class ThetaScheme:
         """Advance one level from t_prev.  Returns (values, report).
 
         u_prev is one state of the grid's shape or a stack (B, *grid) of
-        states, each advanced bit for bit as if alone: the explicit part
-        takes the whole stack in one gather, one contraction and one running
-        max over the controls (ties to the lowest index, NaN selected; see
-        _hamiltonian), the implicit part solves member by member.  A stack's
-        report holds the largest iteration count and residual, the summed
-        sweeps and the stacked argmax."""
+        states: the explicit part takes the whole stack in one Hamiltonian,
+        which may round a member otherwise than alone (see _hamiltonian),
+        the implicit part solves member by member.  A stack's report holds
+        the largest iteration count and residual, the summed sweeps and the
+        stacked argmax."""
         dt = self.grid.dt
         if self.theta < 1.0:
             ops = self._ops_at(t_prev)

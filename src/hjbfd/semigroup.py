@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 REF_FACTOR = 16     # reference solves step at (finest step) / REF_FACTOR
+HALVING_TOL = 0.05  # |ratio - 1/2| of two estimates that calibration reads as first order
 
 
 def _norm_family(entries, dim: int, what: str):
@@ -228,38 +229,66 @@ def _inner_estimate(u_m: np.ndarray, u_2m: np.ndarray) -> float:
 def calibrate_inner_steps(sp: SplitProblem, dt: float, reference: np.ndarray,
                           m0: int = 2, cap: int = 256, fraction: float = 0.01,
                           notes: list | None = None, solution: list | None = None) -> int:
-    """Double m until the inner-stepping error estimate is at most `fraction`
-    of the splitting error against `reference`, or until the doubling
-    reaches the cap (an m0 at or above the cap is returned as it is).  The
-    finer run of each Richardson pair seeds the next iteration, and no run
-    finer than the cap is made.
+    """Double m from m0 until the Richardson estimate of the pair (m, 2m)
+    is at most `fraction` of the splitting error of the 2m run against
+    `reference` (its target), or until the pair (L, 2L) has missed, L the
+    largest m0 2^k with 2L <= cap.  No run finer than the cap is made, an m0
+    whose double passes the cap is returned as it is, and an m0 below 1
+    raises ConfigError.
 
-    When the cap stops the doubling before the target is met, a line
-    saying so, with the last estimate (m = cap/2 against cap) and its
-    target, is appended to `notes`.  The final-time values of the run at
-    the returned m, when one was made, are appended to `solution`, so a
-    caller need not solve it again.
+    The estimate of a first-order inner method halves as m doubles.  When
+    two consecutive pairs miss their targets and the second estimate is
+    half the first within HALVING_TOL, the model predicts the last pair's
+    estimate as est m / L.  If that misses the current target too, the
+    pair (L, 2L) is run at once: when it misses, the pairs between are
+    skipped; when it meets its target, the doubling goes on where it
+    jumped, reusing every run made, so no m is solved twice.  The chosen m
+    and `solution` are what plain doubling gives, except when the estimate
+    over the target is not monotone in m: a skipped pair that would have
+    met its target while (L, 2L) misses is not found, and 2L is returned.
+
+    When the pair (L, 2L) misses, a line saying so, with its estimate and
+    target, is appended to `notes` and 2L is returned.  The final-time
+    values of the run at the returned m, when one was made, are appended to
+    `solution`, so a caller need not solve it again.
     """
     m = int(m0)
-    if m >= cap:
+    if m < 1:
+        raise ConfigError(f"calibrate_inner_steps needs m0 >= 1, got {m0}")
+    if 2 * m > cap:
         return m
-    u_m = splitting_solve(sp, dt, m)
+    top = m  # L
+    while 4 * top <= cap:
+        top *= 2
+    runs = {}
+
+    def pair(k):
+        for j in (k, 2 * k):
+            if j not in runs:
+                runs[j] = splitting_solve(sp, dt, j)
+        return (_inner_estimate(runs[k], runs[2 * k]),
+                fraction * signed_errors(reference, runs[2 * k])[2])
+
+    last = math.inf  # the previous pair's estimate
     while True:
-        u_2m = splitting_solve(sp, dt, 2 * m)
-        est = _inner_estimate(u_m, u_2m)
-        target = fraction * signed_errors(reference, u_2m)[2]
+        est, target = pair(m)
         if est <= target:
             break
-        m *= 2
-        u_m = u_2m
-        if m >= cap:
+        if abs(est / last - 0.5) <= HALVING_TOL and est * m / top > target:
+            top_est, top_target = pair(top)
+            if top_est > top_target:
+                m, est, target = top, top_est, top_target
+        if m == top:
+            m *= 2
             if notes is not None:
                 notes.append(f"inner substeps capped at m={m}: inner error estimate "
                              f"{est:.3e} misses the target {target:.3e} "
                              f"({100 * fraction:g}% of the splitting error)")
             break
+        last = est
+        m *= 2
     if solution is not None:
-        solution.append(u_m)
+        solution.append(runs[m])
     return m
 
 

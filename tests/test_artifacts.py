@@ -6,7 +6,10 @@ the benchmark's 128-node two-control trajectory, from a switching study
 with three modes, whose config the test writes, as every bundled
 switching config has two, and from two 2D jobs large enough for the
 scheme's window gather (`WINDOW_GATHER`): a rates study with a 64-node
-reference and a two-mode switching study, whose config the test writes.  Check 11 only compares a rerun against a rerun,
+reference and a two-mode switching study, whose config the test writes,
+and from a split study that calibrates its inner substeps (the other split
+job passes --inner), whose stdout is pinned too, since only stdout carries
+the calibration's notes.  Check 11 only compares a rerun against a rerun,
 and the benchmark's drift check compares numbers, so a writer change that
 altered every file the same way, or wrote 1e-05 as 1.0e-05, would pass
 both; these hashes catch that.
@@ -23,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import hjbfd
+import hjbfd.semigroup as semigroup
 from hjbfd.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +39,8 @@ JOBS = {
                   "--k-list", "0.2,0.1"],
     "split": ["split", str(CONFIGS / "split.json"), "--nx", "12",
               "--dt-list", "0.1,0.05", "--inner", "2"],
+    "split_calibrated": ["split", str(CONFIGS / "split.json"), "--nx", "12",
+                         "--dt-list", "0.1,0.05"],
     "pcc": ["pcc", str(CONFIGS / "pcc.json"), "--nx", "12",
             "--dt-list", "0.1,0.05", "--min-inner", "4"],
     "decompose": ["decompose", str(CONFIGS / "matrix.json")],
@@ -82,6 +88,9 @@ GOLDEN = {
     "split": {
         "split.csv": "6abf008c874578206ae4c00ad666cdc98266e09710ea2089cce9ca17306afcca",
     },
+    "split_calibrated": {
+        "split.csv": "a8e95b128df5e898ae5f71644005bb982431debc4e474914701d61ccbe2242df",
+    },
     "pcc": {
         "pcc.csv": "ca717e30f8c8956dd893f30a51b0954377388526112df03c743d62eb63d8ec2e",
     },
@@ -120,6 +129,23 @@ def test_csv_bytes_match_golden_hashes(name, tmp_path):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(tmp_path.glob("*.csv"))}
     assert got == GOLDEN[name]
+
+
+# stdout of the split_calibrated job: its notes say the calibration reached its cap
+CALIBRATED_STDOUT = "463c8cec734cf2849b03816e062a0aaa5066477ba68733250b75528ef8b95d81"
+
+
+def test_calibrated_split_prints_the_same_line_from_six_solves(tmp_path, capsys, monkeypatch):
+    # the (2, 4) and (4, 8) estimates halve and predict that (128, 256) misses:
+    # calibration runs that pair at once and skips m = 16, 32 and 64
+    solved = []
+    solve = semigroup.splitting_solve
+    monkeypatch.setattr(semigroup, "splitting_solve",
+                        lambda sp, dt, m: solved.append((dt, m)) or solve(sp, dt, m))
+    assert main(JOBS["split_calibrated"] + ["--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CALIBRATED_STDOUT, out
+    assert solved == [(0.05, m) for m in (2, 4, 8, 128, 256)] + [(0.1, 256)]
 
 
 def load_spans():

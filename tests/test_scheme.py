@@ -1124,6 +1124,23 @@ def test_stacked_step_matches_single_steps_bit_for_bit(case, theta):
                                                       for _, s in singles)
 
 
+def test_a_stacked_product_over_many_offsets_rounds_within_a_few_ulp():
+    # space-independent weights contract a stack as one BLAS product, whose
+    # summation order may depend on the column count: on a 3D bz stencil with
+    # 10 offsets one value of this stack's first member differs from its
+    # single-state G by 2 ulp, so a stack is not always bit for bit its members
+    sigma = np.array([[1.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
+    pr = make_problem(3, L2PI, 0.1, [{"sigma": sigma}], u0=0.0)
+    sch = ThetaScheme(pr, exact_grid(3, 0.1, 0.01, dim=3), theta=0.0, builder="bz")
+    ops = sch._ops_at(0.0)
+    assert len(ops.offsets) == 10 and ops.Wmat is not None
+    states = np.random.default_rng(11).standard_normal((2,) + sch.grid.shape)
+    G = sch._hamiltonian(ops, states)[0]
+    for b in range(2):
+        alone = sch._hamiltonian(ops, states[b])[0]
+        np.testing.assert_array_max_ulp(G[b], alone, maxulp=4)
+
+
 # ----- the Hamiltonian an implicit step hands to the next one ---------------------
 
 @pytest.mark.parametrize("case", sorted(FROZEN_CASES))

@@ -270,6 +270,109 @@ def test_calibrate_inner_steps_hands_back_the_chosen_run(cap, fraction):
     assert none == []
 
 
+def test_calibration_makes_no_run_above_a_cap_doubling_does_not_hit(monkeypatch):
+    # from m0 = 2 the doubling meets 8, then 16 > 12: the (4, 8) pair is the last
+    solved = []
+    solve = semigroup.splitting_solve
+    monkeypatch.setattr(semigroup, "splitting_solve",
+                        lambda sp, dt, m: solved.append(m) or solve(sp, dt, m))
+    sp = split_problem(T=0.1, n_x=8)
+    ref = solve(sp, 0.05, 128)
+    notes, solution = [], []
+    m = calibrate_inner_steps(sp, 0.05, ref, m0=2, cap=12, fraction=1e-6, notes=notes,
+                              solution=solution)
+    assert m == 8 and solved == [2, 4, 8]
+    assert len(notes) == 1 and notes[0].startswith("inner substeps capped at m=8:")
+    np.testing.assert_array_equal(solution[0], solve(sp, 0.05, 8))
+    # an m0 whose double passes the cap makes no run, nor does an m0 below 1
+    assert calibrate_inner_steps(sp, 0.05, ref, m0=8, cap=12) == 8 and solved == [2, 4, 8]
+    with pytest.raises(ConfigError, match="m0 >= 1"):
+        calibrate_inner_steps(sp, 0.05, ref, m0=0)
+    assert solved == [2, 4, 8]
+
+
+def plain_doubling(solve, reference, m0, cap, fraction):
+    """The reference calibration: (m, solution, notes) of doubling m from m0
+    one Richardson pair at a time, the last pair (L, 2L) with 2L <= cap."""
+    m = m0
+    u_m = solve(m)
+    while True:
+        u_2m = solve(2 * m)
+        est = semigroup._inner_estimate(u_m, u_2m)
+        target = fraction * semigroup.signed_errors(reference, u_2m)[2]
+        if est <= target:
+            return m, [u_m], []
+        m, u_m = 2 * m, u_2m
+        if 2 * m > cap:
+            return m, [u_m], [f"inner substeps capped at m={m}: inner error estimate "
+                              f"{est:.3e} misses the target {target:.3e} "
+                              f"({100 * fraction:g}% of the splitting error)"]
+
+
+def first_order(c):
+    return lambda m: c / m
+
+
+def with_values(g, values):
+    return lambda m: values.get(m, g(m))
+
+
+# inner errors g(m) of stub runs u_m = 1 + g(m) against a zero reference: the
+# estimate of the pair (m, 2m) is 2 |g(m) - g(2m)|, the target about 0.01
+INNER_ERRORS = {
+    # halves from the first pair and misses at (128, 256): the skip is taken
+    "first-order-capped": first_order(10.0),
+    # halves, and the model predicts a pair below the cap meets: no skip
+    "first-order-met": first_order(0.5),
+    # the estimate falls by 1/sqrt(2) per doubling: no skip
+    "not-first-order": lambda m: m ** -0.5,
+    # halves, but only (128, 256) meets: the skip's pair meets, the doubling resumes
+    "met-at-the-cap-only": with_values(first_order(10.0), {128: 0.0, 256: 0.0}),
+}
+
+
+def stub_solves(monkeypatch, g):
+    solved = []
+
+    def solve(sp, dt, m):
+        solved.append((dt, m))
+        return np.array([1.0 + g(m)])
+
+    monkeypatch.setattr(semigroup, "splitting_solve", solve)
+    return solved
+
+
+@pytest.mark.parametrize("case", sorted(INNER_ERRORS))
+def test_calibration_chooses_what_plain_doubling_chooses(case, monkeypatch):
+    g, ref = INNER_ERRORS[case], np.zeros(1)
+    want_m, want_solution, want_notes = plain_doubling(
+        lambda m: np.array([1.0 + g(m)]), ref, 2, 256, 0.01)
+    solved = stub_solves(monkeypatch, g)
+    notes, solution = [], []
+    m = calibrate_inner_steps(None, 0.05, ref, m0=2, cap=256, notes=notes,
+                              solution=solution)
+    assert (m, notes) == (want_m, want_notes)
+    np.testing.assert_array_equal(solution, want_solution)
+    order = [k for _, k in solved]
+    assert len(order) == len(set(order))
+    # the model's jump: (128, 256) right after the two halving pairs
+    jumped = order[:5] == [2, 4, 8, 128, 256]
+    assert jumped == (case in ("first-order-capped", "met-at-the-cap-only"))
+    assert (len(order) == 5) == (case == "first-order-capped")
+
+
+def test_calibration_misses_a_skipped_pair_that_would_meet(monkeypatch):
+    # not monotone in m: the (16, 32) pair meets, (128, 256) misses again, and
+    # the first two pairs halve, so the skip passes over the pair that meets
+    g, ref = with_values(first_order(10.0), {16: 0.0, 32: 0.0}), np.zeros(1)
+    assert plain_doubling(lambda m: np.array([1.0 + g(m)]), ref, 2, 256, 0.01)[0] == 16
+    solved = stub_solves(monkeypatch, g)
+    notes = []
+    assert calibrate_inner_steps(None, 0.05, ref, m0=2, cap=256, notes=notes) == 256
+    assert [k for _, k in solved] == [2, 4, 8, 128, 256]
+    assert len(notes) == 1 and notes[0].startswith("inner substeps capped at m=256:")
+
+
 def test_split_study_solves_each_macro_step_and_m_once(monkeypatch):
     # calibration's run at the finest macro step and the chosen m is the
     # study's finest level: the same split.csv rows, one solve fewer
