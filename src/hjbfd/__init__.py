@@ -15,9 +15,9 @@ from .semigroup import (PCControlProblem, SemigroupFlow, SemigroupProblem, Split
                         SplitProblem, calibrate_inner_steps, pcc_rate_experiment,
                         semigroup_rate_experiment, splitting_rate_experiment,
                         splitting_solve, splitting_vs_inner_check)
-from .harness import (FitResult, RateReport, ReferenceSolution, Verdict,
-                      compare_bounds, fit_order, rate_report, run_refinement,
-                      signed_errors, write_plot_script, write_rate_csv)
+from .harness import (FitResult, RateReport, Verdict, compare_bounds, fit_order,
+                      rate_report, run_refinement, signed_errors, write_plot_script,
+                      write_rate_csv)
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "PCControlProblem", "SemigroupFlow", "SemigroupProblem", "SplitCheck", "SplitProblem",
     "calibrate_inner_steps", "pcc_rate_experiment", "semigroup_rate_experiment",
     "splitting_rate_experiment", "splitting_solve", "splitting_vs_inner_check",
-    "FitResult", "RateReport", "ReferenceSolution", "Verdict", "compare_bounds",
+    "FitResult", "RateReport", "Verdict", "compare_bounds",
     "fit_order", "rate_report", "run_refinement", "signed_errors", "write_plot_script",
     "write_rate_csv",
     "__version__",

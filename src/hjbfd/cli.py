@@ -38,8 +38,8 @@ from .config import (load_json, parse_matrix, parse_pcc, parse_problem,
                      parse_split, parse_switching)
 from .errors import ConfigError, HJBError, NumericalError, ProbeFailure
 from .grid import Cells, GridFunction, SpaceTimeGrid, csv_cell, write_csv
-from .harness import (SLOPE_TOLERANCE, ReferenceSolution, compare_bounds,
-                      run_refinement, study_levels, write_rate_csv)
+from .harness import (SLOPE_TOLERANCE, compare_bounds, run_refinement, study_levels,
+                      write_rate_csv)
 from .scheme import ThetaScheme
 from .semigroup import (PCControlProblem, SplitProblem, pcc_rate_experiment,
                         splitting_rate_experiment)
@@ -175,16 +175,11 @@ def cmd_rates(args) -> int:
     if min(levels[-1], ref_nx) < 3:
         raise ConfigError(f"every level and the reference need n_x >= 3, got --levels "
                           f"{args.levels} and reference n_x={ref_nx}")
-    for nx in levels:
-        if ref_nx % nx != 0 or ((ref_nx // nx) & (ref_nx // nx - 1)):
-            raise ConfigError(
-                f"reference n_x={ref_nx} must be a power-of-2 multiple of level n_x={nx}")
-    ref_grid = _grid_for(problem, ref_nx, None, args.cfl_factor)
-    ref_scheme = ThetaScheme(problem, ref_grid, theta=args.theta, builder=args.builder)
-    reference = ReferenceSolution("fine", fine=ref_scheme.solve())
     dx_levels = [(nx, args.cfl_factor * (problem.period / nx) ** 2) for nx in levels]
+    ref_dx = problem.period / ref_nx
     report = run_refinement(problem, {"theta": args.theta, "builder": args.builder},
-                            dx_levels, reference, exponent=args.exponent)
+                            dx_levels, (ref_nx, args.cfl_factor * ref_dx * ref_dx),
+                            exponent=args.exponent)
     return _finish_study(args, "rates", report)
 
 

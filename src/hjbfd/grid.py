@@ -72,6 +72,8 @@ class SpaceTimeGrid:
         overflows, and a step too small to count to T, are rejected before
         any stencil divides by them.
         """
+        if n_x < 3:
+            raise ConfigError(f"grid: n_x must be >= 3, got {n_x}")
         dx = period / n_x
         if not (sys.float_info.min <= dx * dx < math.inf):
             raise ConfigError(f"grid: period {period!r} over n_x={n_x} gives dx^2 = "

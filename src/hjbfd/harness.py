@@ -25,13 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .grid import GridFunction, SpaceTimeGrid, first_non_finite, write_csv
+from .grid import SpaceTimeGrid, first_non_finite, write_csv
 
 __all__ = [
     "FitResult",
     "RateReport",
     "Verdict",
-    "ReferenceSolution",
     "fit_order",
     "study_levels",
     "signed_errors",
@@ -104,6 +103,7 @@ class RateReport:
     r2: float
     exponent: float
     degenerate: bool = False
+    fit_plus: bool = False  # the fit was taken on err_plus, not on err_total
     dxs: list = field(default_factory=list)
     dts: list = field(default_factory=list)
     notes: list = field(default_factory=list)
@@ -171,7 +171,7 @@ def rate_report(param_name: str, rows, exponent: float, notes=(),
     return RateReport(param_name=param_name, params=params, err_plus=err_plus,
                       err_minus=err_minus, err_total=err_total, slope=fit.slope,
                       r2=fit.r2, exponent=exponent, degenerate=fit.degenerate,
-                      dxs=dxs, dts=dts, notes=notes)
+                      fit_plus=fit_plus, dxs=dxs, dts=dts, notes=notes)
 
 
 @dataclass
@@ -182,10 +182,17 @@ class Verdict:
 
 def compare_bounds(report: RateReport, exponent_lower: float) -> Verdict:
     """Pass iff fitted slope >= exponent_lower - SLOPE_TOLERANCE and total
-    errors are monotone nonincreasing across levels.  Degenerate (all-zero
-    error) reports pass vacuously."""
+    errors are monotone nonincreasing across levels.  A degenerate report
+    (fewer than two nonzero fitted errors) passes vacuously only when every
+    fitted error is zero; one nonzero level leaves no slope, so it fails."""
     if report.degenerate:
-        return Verdict(True, "degenerate: zero error at every level; bound holds trivially")
+        fitted = report.err_plus if report.fit_plus else report.err_total
+        zero = [i for i, e in enumerate(fitted) if e == 0.0]
+        if len(zero) == len(fitted):
+            return Verdict(True, "degenerate: zero error at every level; bound holds trivially")
+        return Verdict(False, f"degenerate: zero error only at level(s) {zero} "
+                              f"({report.param_name}={[report.params[i] for i in zero]}), "
+                              "too few nonzero errors to fit a slope")
     if not report.monotone_nonincreasing():
         return Verdict(False, f"errors not monotone nonincreasing: {report.err_total}")
     floor = exponent_lower - SLOPE_TOLERANCE
@@ -194,59 +201,45 @@ def compare_bounds(report: RateReport, exponent_lower: float) -> Verdict:
     return Verdict(True, f"slope {report.slope:.4f} >= {floor:.4f} and errors monotone")
 
 
-class ReferenceSolution:
-    """Reference values at the final time: exact evaluator or fine-grid numeric."""
-
-    def __init__(self, kind: str, exact=None, fine: GridFunction = None):
-        if kind == "exact":
-            if exact is None:
-                raise ConfigError("exact reference needs an evaluator (t, X) -> values")
-            self.exact = exact
-        elif kind == "fine":
-            if fine is None:
-                raise ConfigError("fine reference needs a GridFunction")
-            self.fine = fine
-        else:
-            raise ConfigError(f"unknown reference kind {kind!r}")
-        self.kind = kind
-
-    def values_on(self, grid: SpaceTimeGrid) -> np.ndarray:
-        """Reference values on the nodes of `grid` at its final time grid.T."""
-        if self.kind == "exact":
-            return np.asarray(self.exact(grid.T, grid.nodes()), dtype=float)
-        fg = self.fine.grid
-        if fg.dim != grid.dim or abs(fg.period - grid.period) > 1e-12 * grid.period:
-            raise ConfigError("fine reference grid does not match the coarse grid domain")
-        if fg.n_x % grid.n_x != 0:
-            raise ConfigError(
-                f"fine reference n_x={fg.n_x} is not a multiple of coarse n_x={grid.n_x}")
-        ratio = fg.n_x // grid.n_x
-        if ratio & (ratio - 1):
-            raise ConfigError(f"fine/coarse n_x ratio {ratio} is not a power of 2")
-        sl = tuple(slice(None, None, ratio) for _ in range(grid.dim))
-        return self.fine.values[sl].copy()
-
-
-def run_refinement(problem, scheme_options: dict, levels, reference: ReferenceSolution,
+def run_refinement(problem, scheme_options: dict, levels, reference,
                    exponent: float = 0.0) -> RateReport:
     """Solve `problem` at each (n_x, dt_target) level and fit the errors at
     the final time T against h.
 
-    Every level's grid is built first and the grids go through
-    `study_levels` on h, so a study with fewer than two levels or a
-    repeated h fails before any solve.  The levels are then solved by
-    decreasing h; a CFL violation or any other NumericalError ends the
+    `reference` is either an evaluator exact(t, X), read at each level's
+    final time on its nodes, or the (n_x, dt_target) of a fine solve of the
+    same scheme, which each level reads through a stride slice.  Every grid
+    is built first: the levels go through `study_levels` on h, and the fine
+    n_x must be a power of 2, at least 2, times each level's, so a study
+    with fewer than two levels, a repeated h or a bad reference fails
+    before any solve.  The fine reference is solved first, then the levels
+    by decreasing h; a CFL violation or any other NumericalError ends the
     study.
     """
     from .scheme import ThetaScheme  # local import to avoid a cycle
 
-    grids = study_levels([SpaceTimeGrid.build(problem.dim, problem.period, int(n_x), problem.T,
-                                              float(dt_target)) for n_x, dt_target in levels],
-                         "run_refinement", key=SpaceTimeGrid.h)
+    def grid_of(n_x, dt_target):
+        return SpaceTimeGrid.build(problem.dim, problem.period, int(n_x), problem.T,
+                                   float(dt_target))
+
+    def solve(grid):
+        return ThetaScheme(problem, grid, **scheme_options).solve().values
+
+    grids = study_levels([grid_of(*level) for level in levels], "run_refinement",
+                         key=SpaceTimeGrid.h)
+    if not callable(reference):
+        fine = grid_of(*reference)
+        for grid in grids:
+            ratio, rest = divmod(fine.n_x, grid.n_x)
+            if rest or ratio < 2 or ratio & (ratio - 1):
+                raise ConfigError(f"reference n_x={fine.n_x} must be a power-of-2 multiple, "
+                                  f"at least 2, of level n_x={grid.n_x}")
+        u_fine = solve(fine)
     rows = []
     for grid in grids:
-        u = ThetaScheme(problem, grid, **scheme_options).solve().values
-        rows.append((grid.h(), grid.dx, grid.dt, *signed_errors(reference.values_on(grid), u)))
+        ref = (reference(grid.T, grid.nodes()) if callable(reference)
+               else u_fine[(slice(None, None, fine.n_x // grid.n_x),) * grid.dim])
+        rows.append((grid.h(), grid.dx, grid.dt, *signed_errors(ref, solve(grid))))
     return rate_report("h", rows, exponent)
 
 

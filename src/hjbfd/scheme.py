@@ -18,12 +18,12 @@ the same values, so the size only picks the faster.  theta = 0 is
 explicit, theta = 1 implicit; the implicit part is solved by policy
 iteration (freeze the per-node argmax, solve the resulting linear system
 by Jacobi sweeps, re-select) with lowest-index tie breaking.  Each
-operator keeps the frozen-policy systems of its last FROZEN_POLICIES
-distinct policies (least recently used out), so a policy seen again
-reuses its weights, diagonal and scaled source; reuse repeats the same
-arithmetic, so results are bit-identical to rebuilding them.  Likewise an
-implicit step returns its level read-only and keeps the Hamiltonian it last
-evaluated there, which the next theta = 1 step from that level reuses.
+operator keeps the frozen-policy system of the last policy it solved, so
+the same policy solved again reuses its weights, diagonal and scaled
+source; reuse repeats the same arithmetic, so results are bit-identical to
+rebuilding them.  Likewise an implicit step returns its level read-only
+and keeps the Hamiltonian it last evaluated there, which the next
+theta = 1 step from that level reuses.
 
 `ThetaScheme.march` is the only time loop: it yields each level as it is
 computed and keeps none.  `solve` returns its last level, so memory does
@@ -58,7 +58,6 @@ __all__ = [
 
 MAX_SWEEPS = 1_000_000  # Jacobi sweeps allowed per frozen-policy solve
 MAX_POLICY_ITERS = 100  # policy iterations allowed per implicit step
-FROZEN_POLICIES = 4     # frozen-policy systems an operator keeps, least recently used out
 BZ_ORDER = 2            # largest direction component the 'bz' builder tries
 STUDY_TOL = 1e-11       # policy-iteration tolerance of the semigroup and switching studies
 MONOTONE_SLACK = 1e-12  # order violation the scheme's monotonicity probe forgives
@@ -151,9 +150,9 @@ class _Ops:
     space-independent weights as one dense matrix product, whose rounding
     matches a BLAS product over the whole grid.
 
-    `frozen` maps a policy's bytes to its frozen-policy system (W_P, the
-    diagonal, theta dt f_P), most recently used last; an entry is stored
-    only once its diagonal has passed the positivity check."""
+    `frozen` is None or the (policy bytes, system) of the last frozen
+    policy, the system being (W_P, the diagonal, theta dt f_P); it is
+    stored only once its diagonal has passed the positivity check."""
 
     __slots__ = ("W", "Wmat", "csum", "offsets", "gathers", "c", "f", "frozen")
 
@@ -169,7 +168,7 @@ class _Ops:
         self.gathers = gathers
         self.c = c[:, None]   # (n_c, 1, *grid) or (n_c, 1, 1, ..., 1)
         self.f = f[:, None]   # (n_c, 1, *grid) or (n_c, 1, 1, ..., 1)
-        self.frozen = {}
+        self.frozen = None
 
     def gather(self, u: np.ndarray) -> np.ndarray:
         """u(x + offsets[o] dx) at every node x, shape (n_o, *u.shape), for
@@ -358,22 +357,20 @@ class ThetaScheme:
         return G.reshape(u.shape), P.reshape(u.shape)
 
     def _frozen_system(self, ops: _Ops, P: np.ndarray):
-        """(W_P, diag, theta dt f_P) of the frozen policy P, from the operator's
-        cache when P was seen among its last FROZEN_POLICIES policies."""
+        """(W_P, diag, theta dt f_P) of the frozen policy P, kept by the
+        operator when P is the policy it froze last."""
         key = P.tobytes()
-        system = ops.frozen.pop(key, None)
-        if system is None:
-            th_dt = self.theta * self.grid.dt
-            W_P = np.take_along_axis(ops.W, P[None, None], axis=0)[0]          # (n_o, *grid)
-            csum_P, c_P, f_P = (np.take_along_axis(a, P[None, None], axis=0)[0, 0]
-                                for a in (ops.csum, ops.c, ops.f))
-            diag = 1.0 + th_dt * (csum_P - c_P)
-            if np.any(diag <= 0.0):
-                raise SchemeError("implicit step: nonpositive diagonal (step too large for c)")
-            system = (W_P, diag, th_dt * f_P)
-            if len(ops.frozen) >= FROZEN_POLICIES:
-                del ops.frozen[next(iter(ops.frozen))]
-        ops.frozen[key] = system
+        if ops.frozen is not None and ops.frozen[0] == key:
+            return ops.frozen[1]
+        th_dt = self.theta * self.grid.dt
+        W_P = np.take_along_axis(ops.W, P[None, None], axis=0)[0]          # (n_o, *grid)
+        csum_P, c_P, f_P = (np.take_along_axis(a, P[None, None], axis=0)[0, 0]
+                            for a in (ops.csum, ops.c, ops.f))
+        diag = 1.0 + th_dt * (csum_P - c_P)
+        if np.any(diag <= 0.0):
+            raise SchemeError("implicit step: nonpositive diagonal (step too large for c)")
+        system = (W_P, diag, th_dt * f_P)
+        ops.frozen = (key, system)
         return system
 
     def _policy_solve(self, ops: _Ops, P: np.ndarray, rhs: np.ndarray, t):

@@ -198,7 +198,8 @@ class SplitProblem(SemigroupProblem):
 
 
 def _macro_count(T: float, dt: float, what: str) -> int:
-    n = int(round(T / dt))
+    # no count of steps reaches T when dt <= 0 or T / dt overflows
+    n = int(round(T / dt)) if dt > 0.0 and T / dt < math.inf else 0
     if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
         raise ConfigError(f"{what}: dt={dt!r} does not divide the horizon T={T!r}")
     return n

@@ -12,9 +12,11 @@ restricted to A_i and (b) projecting the stacked candidates onto the
 constraint in closed form (`obstacle_projection`).
 
 k may also be a 1-D sequence of K costs; the state is then (M, K, *grid)
-and each mode's step advances all K costs as one stack (B = K), bit for
-bit as K separate solves would.  The mode axis stays a loop: stacking
-the modes too would change the rounding of the per-mode products.
+and each mode's step advances all K costs as one stack (B = K).  A stacked
+product may round differently from a single state's by a few ulp, so bit
+identity with K separate solves is not promised in general; it holds on the
+bundled switching studies, which tests pin.  The mode axis stays a loop:
+stacking the modes too would change the rounding of the per-mode products.
 
 As k shrinks, every component approaches (from above) the solution of
 the scalar problem with the union control set; `k_rate_experiment`

@@ -15,7 +15,6 @@ import numpy as np
 
 from hjbfd import (
     PCControlProblem,
-    ReferenceSolution,
     SpaceTimeGrid,
     SplitProblem,
     SwitchingProblem,
@@ -55,11 +54,10 @@ def heat_problem(T):
 
 def test_01_heat_benchmark_rate_and_runtime():
     pr = heat_problem(T=1.0)
-    ref = ReferenceSolution(
-        "exact", exact=lambda t, X: math.exp(-0.5 * t) * np.sin(X[..., 0]))
     levels = [(n, L2PI / n) for n in (32, 64, 128, 256)]  # dt target = dx
     start = time.perf_counter()
-    rep = run_refinement(pr, {"theta": 1.0}, levels, ref)
+    rep = run_refinement(pr, {"theta": 1.0}, levels,
+                         lambda t, X: math.exp(-0.5 * t) * np.sin(X[..., 0]))
     elapsed = time.perf_counter() - start
     decreasing = all(a > b for a, b in zip(rep.err_total, rep.err_total[1:]))
     ok = decreasing and rep.slope >= 0.9 and elapsed < 10.0
@@ -77,9 +75,8 @@ def test_02_manufactured_two_control_rate_floor():
                      [{"sigma": 1.0},
                       {"sigma": 0.8, "b": 0.4, "c": 0.2, "g": 0.5}],
                      exact)
-    ref = ReferenceSolution("exact", exact=mp.exact_values)
     levels = [(n, 0.45 * (L2PI / n) ** 2) for n in (16, 32, 64, 128)]
-    rep = run_refinement(mp.problem, {"theta": 0.0}, levels, ref, exponent=0.2)
+    rep = run_refinement(mp.problem, {"theta": 0.0}, levels, mp.exact_values, exponent=0.2)
     verdict = compare_bounds(rep, 1.0 / 5.0)
     both_sides = (len(rep.err_plus) == 4 and len(rep.err_minus) == 4
                   and np.allclose(rep.err_total,

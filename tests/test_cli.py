@@ -1,6 +1,8 @@
 """Command line interface: exit codes, outputs, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hjbfd.cli as cli
 from hjbfd.cli import main
@@ -513,6 +517,16 @@ def _heat_with(tmp_path, name, text):
       "--inner", "0"], "needs m >= 1, got 0"),
     (["solve", "{heat}", "--dt", "1e-300", "--nx", "8"],
      "grid: time step 1e-300 is too small for horizon 1.0"),
+    (["split", str(CONFIGS / "split.json"), "--nx", "0"], "grid: n_x must be >= 3, got 0"),
+    (["pcc", str(CONFIGS / "pcc.json"), "--nx", "0"], "grid: n_x must be >= 3, got 0"),
+    (["split", str(CONFIGS / "split.json"), "--dt-list", "0.1,0"],
+     "dt=0.0 does not divide the horizon"),
+    (["pcc", str(CONFIGS / "pcc.json"), "--dt-list", "0.1,0"],
+     "dt=0.0 does not divide the horizon"),
+    (["rates", "{heat}", "--levels", "8,16", "--ref-nx", "16"],
+     "reference n_x=16 must be a power-of-2 multiple, at least 2, of level n_x=16"),
+    (["pcc", str(CONFIGS / "pcc.json"), "--dt-list", "0.1,5e-324"],
+     "dt=5e-324 does not divide the horizon"),
 ])
 def test_bad_input_exits_one_before_any_solve(argv, reason, tmp_path, capsys, no_scheme_step):
     files = {"heat": str(CONFIGS / "heat.json"),
@@ -606,3 +620,61 @@ def test_overflow_prints_one_error_line_and_no_warnings(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("error: numerical: implicit step: non-finite residual")
+
+
+# ----- the exit-code contract as a property, over drawn flags ---------------
+
+# Caps that keep every drawn run short: split never calibrates, pcc and probe
+# do the least work their flags allow.  They are not part of the contract.
+RUN_CAPS = {"split": ["--inner", "2"], "pcc": ["--min-inner", "1"], "probe": ["--trials", "3"]}
+
+# zero, negative, tiny (T / dt overflows or counts past sys.maxsize levels),
+# huge, and steps that divide the bundled horizons
+STEPS = st.sampled_from([0.0, -0.05, -1e300, 5e-324, 1e-300, 1e300, 0.1, 0.05])
+NX = st.integers(-2, 6)
+
+
+def _flag(name, values):
+    """No flag, or `name` with a value drawn from `values`."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+def _number_list(values):
+    return st.lists(values, min_size=1, max_size=3).map(lambda vs: ",".join(map(repr, vs)))
+
+
+def _argv(command, config, *flags):
+    """argv of `command` on a bundled config with the drawn flags appended."""
+    return st.tuples(*flags).map(
+        lambda drawn: [command, str(CONFIGS / config), *sum(drawn, []), *RUN_CAPS.get(command, [])])
+
+
+GRID_FLAGS = (NX.map(lambda n: ["--nx", str(n)]), _flag("--dt", STEPS),
+              _flag("--cfl-factor", STEPS))
+
+
+CLI_ARGVS = st.one_of(
+    _argv("solve", "heat.json", *GRID_FLAGS),
+    _argv("probe", "twocontrol.json", *GRID_FLAGS),
+    _argv("switching", "modes2.json", *GRID_FLAGS, _flag("--k-list", _number_list(STEPS))),
+    _argv("rates", "heat.json", _number_list(NX).map(lambda v: ["--levels", v]),
+          _flag("--ref-nx", st.integers(-2, 24)), _flag("--cfl-factor", STEPS)),
+    _argv("split", "split.json", NX.map(lambda n: ["--nx", str(n)]),
+          _flag("--dt-list", _number_list(STEPS))),
+    _argv("pcc", "pcc.json", NX.map(lambda n: ["--nx", str(n)]),
+          _flag("--dt-list", _number_list(STEPS))),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(argv=CLI_ARGVS)
+def test_drawn_flags_keep_the_exit_code_contract(argv, tmp_path_factory):
+    # whatever the flags, main() returns 0-3 without letting an exception
+    # out, and a nonzero exit prints exactly one stderr line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(tmp_path_factory.mktemp("drawn"))])
+    assert code in (0, 1, 2, 3), argv
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), \
+            (argv, err.getvalue())

@@ -8,8 +8,6 @@ import pytest
 from hjbfd import (
     GridFunction,
     RateReport,
-    ReferenceSolution,
-    SpaceTimeGrid,
     compare_bounds,
     decaying_wave,
     fit_order,
@@ -120,38 +118,70 @@ def test_compare_bounds_verdicts():
     # non-monotone errors fail regardless of slope
     rep = make_report([0.4, 0.5, 0.01])
     assert not compare_bounds(rep, 0.1).passed
-    # degenerate reports pass vacuously
+    # a degenerate report passes vacuously only when every fitted error is 0
     rep = make_report([0.0, 0.0, 0.0], slope=0.0, degenerate=True)
     assert compare_bounds(rep, 5.0).passed
+    # one nonzero level leaves no slope: it fails and names the zero-error level
+    rows = [(0.4, 0.4, 0.16, 0.002, 0.0, 0.002), (0.2, 0.2, 0.04, 0.0, 0.0, 0.0)]
+    v = compare_bounds(rate_report("h", rows, 0.5), 0.5)
+    assert not v.passed
+    assert v.reason.startswith("degenerate: zero error only at level(s) [1] (h=[0.2])")
+    # the fitted column decides: err_plus is zero at every level here, while
+    # err_total is not, so a fit on err_plus passes vacuously
+    rows = [(0.4, 0.4, 0.16, 0.0, 0.002, 0.002), (0.2, 0.2, 0.04, 0.0, 0.0, 0.0)]
+    assert not compare_bounds(rate_report("k", rows, 0.5), 0.5).passed
+    assert compare_bounds(rate_report("k", rows, 0.5, fit_plus=True), 0.5).passed
 
 
 def test_reference_solution_exact():
-    ref = ReferenceSolution("exact", exact=lambda t, X: t + X[..., 0])
-    g = SpaceTimeGrid.build(dim=1, period=1.0, n_x=4, T=1.0, dt=0.5)
-    vals = ref.values_on(g)
-    np.testing.assert_allclose(vals, 1.0 + np.arange(4) * 0.25)
+    # an evaluator is read at each level's final time T on its nodes
+    pr = make_problem(1, 1.0, 1.0, [{"sigma": 0.0}], u0=0.0)
+    seen = []
+
+    def exact(t, X):
+        seen.append((t, X.copy()))
+        return t + X[..., 0]
+
+    rep = run_refinement(pr, {"theta": 1.0}, [(4, 0.5), (8, 0.5)], exact)
+    assert [t for t, _ in seen] == [1.0, 1.0]
+    np.testing.assert_array_equal(seen[0][1][..., 0], np.arange(4) * 0.25)
+    np.testing.assert_array_equal(seen[1][1][..., 0], np.arange(8) * 0.125)
+    # u stays 0, so the error is the largest of 1 + x on each level's nodes
+    assert rep.err_total == [1.75, 1.875]
 
 
-def test_reference_solution_fine_restriction():
-    gf = SpaceTimeGrid.build(dim=1, period=1.0, n_x=16, T=1.0, dt=0.5)
-    fine = GridFunction(gf, np.arange(16.0))
-    ref = ReferenceSolution("fine", fine=fine)
-    gc = SpaceTimeGrid.build(dim=1, period=1.0, n_x=4, T=1.0, dt=0.5)
-    np.testing.assert_array_equal(ref.values_on(gc), [0.0, 4.0, 8.0, 12.0])
-    g6 = SpaceTimeGrid.build(dim=1, period=1.0, n_x=6, T=1.0, dt=0.5)
-    with pytest.raises(ConfigError):
-        ref.values_on(g6)  # 16/6 is not an integer
-    g12 = SpaceTimeGrid.build(dim=1, period=1.0, n_x=12, T=1.0, dt=0.5)
-    with pytest.raises(ConfigError):
-        # create a 12-point fine reference over a 4-point coarse grid:
-        # ratio 3 is not a power of two
-        ReferenceSolution("fine", fine=GridFunction(g12, np.zeros(12))).values_on(gc)
-    with pytest.raises(ConfigError):
-        ReferenceSolution("exact")
-    with pytest.raises(ConfigError):
-        ReferenceSolution("fine")
-    with pytest.raises(ConfigError):
-        ReferenceSolution("table")
+def test_reference_solution_fine_restriction(monkeypatch):
+    # a fine reference is solved once, before the levels, and each level
+    # reads it through a stride slice
+    pr = make_problem(1, 1.0, 1.0, [{"sigma": 0.0}], u0=0.0)
+    solved = []
+    solve = ThetaScheme.solve
+
+    def recorded(self, *args, **kwargs):
+        solved.append(self.grid.n_x)
+        out = solve(self, *args, **kwargs)
+        return GridFunction(self.grid, np.arange(16.0)) if self.grid.n_x == 16 else out
+
+    monkeypatch.setattr(ThetaScheme, "solve", recorded)
+    rep = run_refinement(pr, {"theta": 1.0}, [(4, 0.5), (8, 0.5)], (16, 0.5))
+    assert solved == [16, 4, 8]  # the fine grid, then decreasing h
+    assert rep.err_plus == [12.0, 14.0]  # the largest of 0, 4, 8, 12 and of 0, 2, ..., 14
+
+
+def test_fine_reference_ratio_is_checked_before_any_solve(monkeypatch):
+    # the fine n_x must be a power of 2, at least 2, times every level's:
+    # 24/8 is 3, 16/6 is not an integer, and 16/16 makes the finest level
+    # its own reference
+    pr, _ = heat_study()
+    monkeypatch.setattr(ThetaScheme, "solve", lambda self, *a, **k: pytest.fail("solved"))
+    for levels, ref_nx in (([8, 16], 24), ([6, 12], 16), ([8, 16], 16), ([8, 16], 8)):
+        with pytest.raises(ConfigError, match=f"reference n_x={ref_nx} must be a power-of-2"):
+            run_refinement(pr, {"theta": 0.0}, heat_levels(levels),
+                           (ref_nx, 0.4 * (L2PI / ref_nx) ** 2))
+
+
+def heat_exact(t, X):
+    return math.exp(-0.5 * t) * np.sin(X[..., 0])
 
 
 def heat_levels(n_list, factor=0.4):
@@ -161,9 +191,7 @@ def heat_levels(n_list, factor=0.4):
 def test_run_refinement_heat_rate():
     pr = make_problem(1, L2PI, 0.5, [{"sigma": 1.0}],
                       u0=lambda X: np.sin(X[..., 0]))
-    ref = ReferenceSolution(
-        "exact", exact=lambda t, X: math.exp(-0.5 * t) * np.sin(X[..., 0]))
-    rep = run_refinement(pr, {"theta": 0.0}, heat_levels([16, 32, 64]), ref,
+    rep = run_refinement(pr, {"theta": 0.0}, heat_levels([16, 32, 64]), heat_exact,
                          exponent=0.5)
     assert rep.param_name == "h"
     assert rep.slope > 0.9
@@ -175,18 +203,16 @@ def test_run_refinement_heat_rate():
 def test_run_refinement_constant_data_degenerate():
     # stationary balance: errors vanish at machine precision on every level
     pr = make_problem(1, L2PI, 0.5, [{"c": 1.0, "f": -2.0}], u0=2.0)
-    ref = ReferenceSolution("exact", exact=lambda t, X: np.full(np.shape(X)[:-1], 2.0))
-    rep = run_refinement(pr, {"theta": 0.0}, [(8, 0.05), (16, 0.025)], ref)
+    rep = run_refinement(pr, {"theta": 0.0}, [(8, 0.05), (16, 0.025)],
+                         lambda t, X: np.full(np.shape(X)[:-1], 2.0))
     assert max(rep.err_total) <= 1e-12
 
 
 def test_run_refinement_cfl_violation_aborts():
     pr = make_problem(1, L2PI, 0.5, [{"sigma": 1.0}],
                       u0=lambda X: np.sin(X[..., 0]))
-    ref = ReferenceSolution(
-        "exact", exact=lambda t, X: math.exp(-0.5 * t) * np.sin(X[..., 0]))
     with pytest.raises(CFLError):
-        run_refinement(pr, {"theta": 0.0}, heat_levels([16, 32], factor=4.0), ref)
+        run_refinement(pr, {"theta": 0.0}, heat_levels([16, 32], factor=4.0), heat_exact)
 
 
 def test_run_refinement_checks_its_levels_before_any_solve(monkeypatch):
@@ -214,9 +240,7 @@ def fail_at_level(monkeypatch, n_x, exc):
 def heat_study():
     pr = make_problem(1, L2PI, 0.5, [{"sigma": 1.0}],
                       u0=lambda X: np.sin(X[..., 0]))
-    ref = ReferenceSolution(
-        "exact", exact=lambda t, X: math.exp(-0.5 * t) * np.sin(X[..., 0]))
-    return pr, ref
+    return pr, heat_exact
 
 
 def test_run_refinement_a_numerically_failed_level_ends_the_study(monkeypatch):
@@ -255,10 +279,9 @@ def test_run_refinement_a_non_finite_error_ends_the_study():
     # the reference is nan on the 16-node grid only: that level has no error,
     # and the study raises instead of fitting the other two
     pr, ref = heat_study()
-    nan_ref = ReferenceSolution(
-        "exact", exact=lambda t, X: ref.exact(t, X) + (np.nan if len(X) == 16 else 0.0))
     with pytest.raises(NumericalError, match="non-finite error"):
-        run_refinement(pr, {"theta": 0.0}, heat_levels([8, 16, 32]), nan_ref)
+        run_refinement(pr, {"theta": 0.0}, heat_levels([8, 16, 32]),
+                       lambda t, X: ref(t, X) + (np.nan if len(X) == 16 else 0.0))
 
 
 def test_rate_report_sorts_rows_and_fits():

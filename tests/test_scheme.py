@@ -25,7 +25,7 @@ from hjbfd import (
 from hjbfd.config import load_json, parse_problem
 from hjbfd.errors import CFLError, ConfigError, SchemeError
 from hjbfd.problem import SpaceOnly, sum_sources
-from hjbfd.scheme import COMPARISON_SLACK, FROZEN_POLICIES, _Ops
+from hjbfd.scheme import COMPARISON_SLACK, _Ops
 
 L2PI = 2 * np.pi
 ROOT = Path(__file__).resolve().parent.parent
@@ -858,7 +858,7 @@ def record_policy_solves(monkeypatch, forget=False):
     def wrapped(self, ops, P, *args):
         keys.append(P.tobytes())
         if forget:
-            ops.frozen.clear()
+            ops.frozen = None
         return solve(self, ops, P, *args)
 
     monkeypatch.setattr(ThetaScheme, "_policy_solve", wrapped)
@@ -883,17 +883,19 @@ def test_frozen_policy_reuse_is_bit_identical_to_rebuilding(monkeypatch, case, t
 
 
 def test_frozen_policy_cache_keeps_the_most_recent_policies(monkeypatch):
+    # one slot: an operator keeps the system of the policy it froze last, and
+    # rebuilds it exactly when the policy differs from the one solved before
     pr = make_problem(1, L2PI, 1.0, [{"sigma": 0.3, "c": 0.5}, {"sigma": 0.8, "f": 0.1}],
                       u0=wavy_u0)
     sch = ThetaScheme(pr, exact_grid(32, 1.0, 0.02), theta=1.0)
     keys = record_policy_solves(monkeypatch)
+    calls = counted_take_along_axis(monkeypatch)
     sch.solve()
-    assert len(set(keys)) > FROZEN_POLICIES
-    frozen = sch._ops_at(1.0).frozen
-    assert len(frozen) <= FROZEN_POLICIES
-    # least recently used out: the cache holds the last distinct policies, oldest first
-    recent = list(dict.fromkeys(reversed(keys)))[:FROZEN_POLICIES]
-    assert list(frozen) == recent[::-1]
+    assert len(set(keys)) > 1
+    assert sch._ops_at(1.0).frozen[0] == keys[-1]
+    changes = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+    assert changes < len(keys)
+    assert calls[0] == 4 * changes  # W, csum, c and f of each rebuilt system
 
 
 def test_nonpositive_diagonal_raises_on_every_use():
@@ -1067,8 +1069,8 @@ def counted_take_along_axis(monkeypatch):
 
 def test_steps_build_no_index_arrays(monkeypatch):
     # an explicit step selects its argmax without take_along_axis, and an
-    # implicit march gathers each distinct frozen policy once: 4 arrays per
-    # policy, however many steps reuse it
+    # implicit march gathers a frozen policy only when it differs from the
+    # one solved before: 4 arrays per change, however many solves repeat it
     controls = [{"sigma": 1.0, "b": 1.0}, {"sigma": 1.0, "b": -1.0}]
     pr = make_problem(1, L2PI, 1.0, controls, u0=lambda X: np.sin(X[..., 0]))
     calls = counted_take_along_axis(monkeypatch)
@@ -1076,9 +1078,9 @@ def test_steps_build_no_index_arrays(monkeypatch):
     assert calls[0] == 0
     keys = record_policy_solves(monkeypatch)
     ThetaScheme(pr, exact_grid(32, 1.0, 0.02), theta=1.0).solve()
-    k = len(set(keys))
-    assert len(keys) > k
-    assert calls[0] <= 4 * k
+    changes = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+    assert len(keys) > changes
+    assert calls[0] <= 4 * changes
 
 
 # (dim, controls) for the stacked step: 1D with two offsets and no centre, and
