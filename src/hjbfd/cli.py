@@ -37,7 +37,7 @@ import numpy as np
 from .config import (load_json, parse_matrix, parse_pcc, parse_problem,
                      parse_split, parse_switching)
 from .errors import ConfigError, HJBError, NumericalError, ProbeFailure
-from .grid import Cells, GridFunction, SpaceTimeGrid, csv_cell, write_csv
+from .grid import Cells, GridFunction, SpaceTimeGrid, csv_cell, write_csv, write_plot
 from .harness import (SLOPE_TOLERANCE, compare_bounds, run_refinement, study_levels,
                       write_rate_csv)
 from .scheme import ThetaScheme
@@ -109,7 +109,6 @@ def _write_trajectory(grid, levels, path) -> tuple:
 def _write_solution_plot(csv_path, dim: int) -> None:
     if dim > 2:
         return
-    gp_path = str(csv_path)[:-4] + ".gp"
     name = str(csv_path).rsplit("/", 1)[-1]
     lines = ['set datafile separator ","', "set key autotitle columnhead"]
     if dim == 1:
@@ -117,8 +116,7 @@ def _write_solution_plot(csv_path, dim: int) -> None:
     else:
         lines.append(f'splot "{name}" using 1:2:3 with points')
     lines.append("pause -1")
-    with open(gp_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_plot(csv_path, lines)
 
 
 def cmd_solve(args) -> int:
@@ -146,7 +144,7 @@ def _finish_study(args, name: str, report, extra=(), guards=()) -> int:
     write <name>.csv and <name>.gp, print the one summary line (the `extra`
     (key, value) pairs go between errors and verdict), then raise the first
     failed (failed, message) guard, else a failed verdict."""
-    verdict = compare_bounds(report, report.exponent)
+    verdict = compare_bounds(report)
     write_rate_csv(report, os.path.join(_outdir(args), f"{name}.csv"), verdict)
     print(f"{name}: slope={csv_cell(report.slope)} r2={csv_cell(report.r2)} "
           f"floor={csv_cell(report.exponent - SLOPE_TOLERANCE)} "

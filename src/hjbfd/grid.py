@@ -25,6 +25,8 @@ from .errors import ConfigError
 __all__ = [
     "SpaceTimeGrid",
     "GridFunction",
+    "check_level_count",
+    "write_plot",
     "sup_norm",
     "first_non_finite",
     "csv_cell",
@@ -34,14 +36,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpaceTimeGrid:
-    """Uniform periodic grid: nodes x_j = j*dx (j in Z^dim mod n_x), t_n = n*dt."""
+    """Uniform periodic grid: nodes x_j = j*dx (j in Z^dim mod n_x), t_n = n*dt,
+    where dx = period/n_x and dt = T/n_t are worked out on construction."""
 
     dim: int
     period: float
     n_x: int
-    dx: float
     n_t: int
-    dt: float
     T: float
 
     def __post_init__(self):
@@ -51,16 +52,10 @@ class SpaceTimeGrid:
             raise ConfigError(f"grid: n_x must be >= 3, got {self.n_x}")
         if self.n_t < 1:
             raise ConfigError(f"grid: n_t must be >= 1, got {self.n_t}")
-        if not (self.dx > 0.0 and self.dt > 0.0 and self.period > 0.0 and self.T > 0.0):
-            raise ConfigError("grid: dx, dt, period and T must all be positive")
-        if abs(self.n_x * self.dx - self.period) > 1e-12 * self.period:
-            raise ConfigError(
-                f"grid: n_x*dx = {self.n_x * self.dx!r} does not match period {self.period!r}"
-            )
-        if abs(self.n_t * self.dt - self.T) > 1e-12 * self.T:
-            raise ConfigError(
-                f"grid: n_t*dt = {self.n_t * self.dt!r} does not match horizon {self.T!r}"
-            )
+        if not (self.period > 0.0 and self.T > 0.0):
+            raise ConfigError("grid: period and T must be positive")
+        object.__setattr__(self, "dx", self.period / self.n_x)
+        object.__setattr__(self, "dt", self.T / self.n_t)
 
     @classmethod
     def build(cls, dim: int, period: float, n_x: int, T: float, dt: float) -> "SpaceTimeGrid":
@@ -80,11 +75,9 @@ class SpaceTimeGrid:
                               f"{dx * dx!r}, not a positive normal float")
         if dt <= 0.0 or T <= 0.0:
             raise ConfigError("grid: dt and T must be positive")
-        if not T / dt <= sys.maxsize:  # also catches an infinite T/dt
-            raise ConfigError(f"grid: time step {dt!r} is too small for horizon {T!r}: "
-                              f"more than {sys.maxsize} levels")
+        check_level_count(T, dt, "grid")
         n_t = max(1, math.ceil(T / dt - 1e-12))
-        return cls(dim=dim, period=period, n_x=n_x, dx=dx, n_t=n_t, dt=T / n_t, T=T)
+        return cls(dim=dim, period=period, n_x=n_x, n_t=n_t, T=T)
 
     @property
     def shape(self) -> tuple:
@@ -106,6 +99,20 @@ class SpaceTimeGrid:
     def h(self) -> float:
         """Combined refinement parameter sqrt(dx^2 + dt)."""
         return math.sqrt(self.dx ** 2 + self.dt)
+
+
+def check_level_count(T: float, dt: float, what: str) -> None:
+    """Reject a step dt > 0 that needs more than sys.maxsize levels to reach T."""
+    if not T / dt <= sys.maxsize:  # also catches an infinite T/dt
+        raise ConfigError(f"{what}: time step {dt!r} is too small for horizon {T!r}: "
+                          f"more than {sys.maxsize} levels")
+
+
+def write_plot(csv_path, lines) -> None:
+    """Write a gnuplot script of `lines` next to the CSV at `csv_path`: the
+    same name with the .gp extension."""
+    with open(str(csv_path)[:-4] + ".gp", "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def first_non_finite(a: np.ndarray):

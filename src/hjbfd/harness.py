@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .grid import SpaceTimeGrid, first_non_finite, write_csv
+from .grid import SpaceTimeGrid, first_non_finite, write_csv, write_plot
 
 __all__ = [
     "FitResult",
@@ -180,8 +180,8 @@ class Verdict:
     reason: str
 
 
-def compare_bounds(report: RateReport, exponent_lower: float) -> Verdict:
-    """Pass iff fitted slope >= exponent_lower - SLOPE_TOLERANCE and total
+def compare_bounds(report: RateReport) -> Verdict:
+    """Pass iff fitted slope >= report.exponent - SLOPE_TOLERANCE and total
     errors are monotone nonincreasing across levels.  A degenerate report
     (fewer than two nonzero fitted errors) passes vacuously only when every
     fitted error is zero; one nonzero level leaves no slope, so it fails."""
@@ -195,7 +195,7 @@ def compare_bounds(report: RateReport, exponent_lower: float) -> Verdict:
                               "too few nonzero errors to fit a slope")
     if not report.monotone_nonincreasing():
         return Verdict(False, f"errors not monotone nonincreasing: {report.err_total}")
-    floor = exponent_lower - SLOPE_TOLERANCE
+    floor = report.exponent - SLOPE_TOLERANCE
     if report.slope < floor:
         return Verdict(False, f"slope {report.slope:.4f} below floor {floor:.4f}")
     return Verdict(True, f"slope {report.slope:.4f} >= {floor:.4f} and errors monotone")
@@ -243,29 +243,26 @@ def run_refinement(problem, scheme_options: dict, levels, reference,
     return rate_report("h", rows, exponent)
 
 
-def write_rate_csv(report: RateReport, path, verdict: Verdict | None = None) -> None:
+def write_rate_csv(report: RateReport, path, verdict: Verdict) -> None:
     """CSV rows: level, dx, dt, h, err_plus, err_minus, err_total, slope, verdict.
 
     The slope and verdict cells are filled on the last row only.  The
     h column carries the report's refinement parameter (h, dt, or k).
     """
     n = len(report.params)
-    nan, blank = [float("nan")] * n, [""] * (n - 1)
-    verdict_cell = "" if verdict is None else ("pass" if verdict.passed else "fail")
-    block = ([str(i) for i in range(n)], report.dxs or nan, report.dts or nan, report.params,
+    blank = [""] * (n - 1)
+    block = ([str(i) for i in range(n)], report.dxs, report.dts, report.params,
              report.err_plus, report.err_minus, report.err_total,
-             blank + [report.slope], blank + [verdict_cell])
+             blank + [report.slope], blank + ["pass" if verdict.passed else "fail"])
     write_csv(path, ["level", "dx", "dt", "h", "err_plus", "err_minus", "err_total",
                      "slope", "verdict"], [block])
     write_plot_script(path, report.param_name)
 
 
-def write_plot_script(csv_path, param_name: str = "h") -> None:
-    """Emit a gnuplot script next to the CSV (same name, .gp extension)."""
-    csv_path = str(csv_path)
-    gp_path = csv_path[:-4] + ".gp" if csv_path.endswith(".csv") else csv_path + ".gp"
-    name = csv_path.rsplit("/", 1)[-1]
-    lines = [
+def write_plot_script(csv_path, param_name: str) -> None:
+    """Emit the convergence plot of a rate CSV through `grid.write_plot`."""
+    name = str(csv_path).rsplit("/", 1)[-1]
+    write_plot(csv_path, [
         f"# convergence plot for {name}",
         'set datafile separator ","',
         "set key autotitle columnhead left top",
@@ -276,6 +273,4 @@ def write_plot_script(csv_path, param_name: str = "h") -> None:
         f'     "{name}" using 4:5 with linespoints, \\',
         f'     "{name}" using 4:6 with linespoints',
         "pause -1",
-    ]
-    with open(gp_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    ])

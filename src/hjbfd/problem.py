@@ -210,13 +210,13 @@ class HJBProblem:
             return np.broadcast_to(np.asarray(self.u0(X), dtype=float), np.shape(X)[:-1]).copy()
         return np.full(np.shape(X)[:-1], float(self.u0))
 
-    def restrict(self, indices, label: str | None = None) -> "HJBProblem":
+    def restrict(self, indices) -> "HJBProblem":
         """Sub-problem over a subset of controls (shared coefficients),
-        labelled `label|a2,a0` by default."""
+        labelled `label|a2,a0`."""
         indices = list(indices)
         return dataclasses.replace(
             self, coeffs=self.coeffs.restrict(indices),
-            label=label or f"{self.label}|{','.join(f'a{i}' for i in indices)}")
+            label=f"{self.label}|{','.join(f'a{i}' for i in indices)}")
 
 
 def make_problem(dim, period, T, controls, u0, label="problem") -> HJBProblem:

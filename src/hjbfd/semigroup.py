@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError
-from .grid import SpaceTimeGrid, sup_norm
+from .grid import SpaceTimeGrid, check_level_count, sup_norm
 from .harness import RateReport, rate_report, signed_errors, study_levels
 from .problem import CoefficientField, make_problem, sum_sources
 from .scheme import STUDY_TOL, ThetaScheme
@@ -48,8 +49,11 @@ __all__ = [
     "pcc_rate_experiment",
 ]
 
-REF_FACTOR = 16     # reference solves step at (finest step) / REF_FACTOR
-HALVING_TOL = 0.05  # |ratio - 1/2| of two estimates that calibration reads as first order
+REF_FACTOR = 16        # reference solves step at (finest step) / REF_FACTOR
+HALVING_TOL = 0.05     # |ratio - 1/2| of two estimates that calibration reads as first order
+INNER_M0 = 2           # calibration's first substep count
+INNER_CAP = 256        # calibration makes no run with more substeps
+INNER_FRACTION = 0.01  # calibration's target: this share of the splitting error
 
 
 def _norm_family(entries, dim: int, what: str):
@@ -129,7 +133,7 @@ class SemigroupProblem:
     u0: object
     n_x: int
     builder: str = "kushner"
-    label: str = "semigroup"
+    label: ClassVar[str] = "semigroup"
 
     def __post_init__(self):
         self.grid = SpaceTimeGrid.build(self.dim, self.period, self.n_x, self.T, self.T)
@@ -175,7 +179,7 @@ class SplitProblem(SemigroupProblem):
 
     family1: list
     family2: list
-    label: str = "split"
+    label: ClassVar[str] = "split"
 
     def _controls(self):
         fam1 = _norm_family(self.family1, self.dim, f"{self.label} family1")
@@ -202,6 +206,7 @@ def _macro_count(T: float, dt: float, what: str) -> int:
     n = int(round(T / dt)) if dt > 0.0 and T / dt < math.inf else 0
     if n < 1 or abs(n * dt - T) > 1e-9 * max(T, 1.0):
         raise ConfigError(f"{what}: dt={dt!r} does not divide the horizon T={T!r}")
+    check_level_count(T, dt, what)
     return n
 
 
@@ -228,14 +233,12 @@ def _inner_estimate(u_m: np.ndarray, u_2m: np.ndarray) -> float:
 
 
 def calibrate_inner_steps(sp: SplitProblem, dt: float, reference: np.ndarray,
-                          m0: int = 2, cap: int = 256, fraction: float = 0.01,
-                          notes: list | None = None, solution: list | None = None) -> int:
-    """Double m from m0 until the Richardson estimate of the pair (m, 2m)
-    is at most `fraction` of the splitting error of the 2m run against
-    `reference` (its target), or until the pair (L, 2L) has missed, L the
-    largest m0 2^k with 2L <= cap.  No run finer than the cap is made, an m0
-    whose double passes the cap is returned as it is, and an m0 below 1
-    raises ConfigError.
+                          notes: list, solution: list) -> int:
+    """Double m from INNER_M0 until the Richardson estimate of the pair
+    (m, 2m) is at most INNER_FRACTION of the splitting error of the 2m run
+    against `reference` (its target), or until the pair (L, 2L) has missed,
+    L the largest INNER_M0 2^k with 2L <= INNER_CAP.  No run finer than the
+    cap is made.
 
     The estimate of a first-order inner method halves as m doubles.  When
     two consecutive pairs miss their targets and the second estimate is
@@ -250,16 +253,11 @@ def calibrate_inner_steps(sp: SplitProblem, dt: float, reference: np.ndarray,
 
     When the pair (L, 2L) misses, a line saying so, with its estimate and
     target, is appended to `notes` and 2L is returned.  The final-time
-    values of the run at the returned m, when one was made, are appended to
-    `solution`, so a caller need not solve it again.
+    values of the run at the returned m are appended to `solution`, so a
+    caller need not solve it again.
     """
-    m = int(m0)
-    if m < 1:
-        raise ConfigError(f"calibrate_inner_steps needs m0 >= 1, got {m0}")
-    if 2 * m > cap:
-        return m
-    top = m  # L
-    while 4 * top <= cap:
+    m = top = INNER_M0  # top is L
+    while 4 * top <= INNER_CAP:
         top *= 2
     runs = {}
 
@@ -268,7 +266,7 @@ def calibrate_inner_steps(sp: SplitProblem, dt: float, reference: np.ndarray,
             if j not in runs:
                 runs[j] = splitting_solve(sp, dt, j)
         return (_inner_estimate(runs[k], runs[2 * k]),
-                fraction * signed_errors(reference, runs[2 * k])[2])
+                INNER_FRACTION * signed_errors(reference, runs[2 * k])[2])
 
     last = math.inf  # the previous pair's estimate
     while True:
@@ -281,15 +279,13 @@ def calibrate_inner_steps(sp: SplitProblem, dt: float, reference: np.ndarray,
                 m, est, target = top, top_est, top_target
         if m == top:
             m *= 2
-            if notes is not None:
-                notes.append(f"inner substeps capped at m={m}: inner error estimate "
-                             f"{est:.3e} misses the target {target:.3e} "
-                             f"({100 * fraction:g}% of the splitting error)")
+            notes.append(f"inner substeps capped at m={m}: inner error estimate "
+                         f"{est:.3e} misses the target {target:.3e} "
+                         f"({100 * INNER_FRACTION:g}% of the splitting error)")
             break
         last = est
         m *= 2
-    if solution is not None:
-        solution.append(runs[m])
+    solution.append(runs[m])
     return m
 
 
@@ -371,7 +367,7 @@ class PCControlProblem(SemigroupProblem):
     """
 
     modes: list
-    label: str = "pcc"
+    label: ClassVar[str] = "pcc"
 
     def _controls(self):
         norm = _norm_family(self.modes, self.dim, f"{self.label} modes")

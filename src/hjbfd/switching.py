@@ -202,9 +202,10 @@ def k_rate_experiment(base: HJBProblem, mode_controls: list, grid: SpaceTimeGrid
     that solution without solving it again.
     """
     ks = study_levels([float(k) for k in k_list], "k rate experiment")
+    sp = SwitchingProblem(base=base, mode_controls=mode_controls, k=ks, grid=grid,
+                          theta=theta, builder=builder)  # checks costs and modes before any solve
     u_ref = ThetaScheme(base, grid, theta, builder=builder, tol=STUDY_TOL).solve().values
-    sol = switching_solve(SwitchingProblem(base=base, mode_controls=mode_controls, k=ks,
-                                           grid=grid, theta=theta, builder=builder))
+    sol = switching_solve(sp)
     rows = [(k, grid.dx, grid.dt, *signed_errors(sol.final[:, j], u_ref))
             for j, k in enumerate(ks)]
     return rate_report("k", rows, 1.0 / 3.0, fit_plus=True), sol.cost(len(ks) - 1)

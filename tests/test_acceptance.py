@@ -77,7 +77,7 @@ def test_02_manufactured_two_control_rate_floor():
                      exact)
     levels = [(n, 0.45 * (L2PI / n) ** 2) for n in (16, 32, 64, 128)]
     rep = run_refinement(mp.problem, {"theta": 0.0}, levels, mp.exact_values, exponent=0.2)
-    verdict = compare_bounds(rep, 1.0 / 5.0)
+    verdict = compare_bounds(rep)
     both_sides = (len(rep.err_plus) == 4 and len(rep.err_minus) == 4
                   and np.allclose(rep.err_total,
                                   np.maximum(rep.err_plus, rep.err_minus)))
@@ -199,7 +199,7 @@ def test_07_operator_splitting_rate_and_commuting_case():
         family2=[{"sigma": math.sqrt(0.7)}, {"sigma": math.sqrt(1.4), "f": 0.2}],
         u0=sin_u0, n_x=16)
     rep = splitting_rate_experiment(sp, [0.1, 0.05, 0.025, 0.0125])
-    verdict = compare_bounds(rep, 1.0 / 13.0)
+    verdict = compare_bounds(rep)
     # one linear generator per family: the flows commute and splitting
     # introduces no extra defect beyond the inner stepping error
     commuting = SplitProblem(dim=1, period=L2PI, T=0.1,
@@ -222,7 +222,7 @@ def test_08_piecewise_constant_control_rate_one_sided():
         modes=[{"sigma": 0.6, "b": 0.5}, {"sigma": 0.6, "b": -0.5, "f": 0.6}],
         u0=sin_u0, n_x=48)
     rep = pcc_rate_experiment(pp, [0.1, 0.05, 0.025, 0.0125], min_inner=16)
-    verdict = compare_bounds(rep, 0.1)
+    verdict = compare_bounds(rep)
     one_sided = max(rep.err_plus) <= 1e-6  # solution values are order one
     ok = verdict.passed and rep.slope >= 0.1 and one_sided
     report_line(8, "piecewise-constant controls", ok,

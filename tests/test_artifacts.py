@@ -1,4 +1,5 @@
-"""Pinned CSV bytes of the command line, and the tracer's view of the package.
+"""Pinned bytes of the command line's CSV files and their gnuplot
+companions (.gp), and the tracer's view of the package.
 
 The golden hashes were recorded from the six jobs of acceptance check 11,
 plus two solves: a 2D run, whose x_1,x_2 columns no other job writes, and
@@ -12,7 +13,8 @@ job passes --inner), whose stdout is pinned too, since only stdout carries
 the calibration's notes.  Check 11 only compares a rerun against a rerun,
 and the benchmark's drift check compares numbers, so a writer change that
 altered every file the same way, or wrote 1e-05 as 1.0e-05, would pass
-both; these hashes catch that.
+both; these hashes catch that.  The .gp hashes pin where each script
+goes and what it says, for the solution and every rate study.
 If an output change is intended, record the new hashes and name the change.
 """
 
@@ -78,21 +80,27 @@ GOLDEN = {
     "solve": {
         "solution.csv": "822cdafb0d95c515ea97ed95cf68e12276155cbb1df05dc84cadafd48ffa3514",
         "trajectory.csv": "b93995c2f97d8788e92a60d4eb2090607d80766a39b0d18e49912eef4c609e69",
+        "solution.gp": "b97f3bb63d6f120dec9a2a0a963e2698722c850586bdfca0a480bde2826f8c83",
     },
     "rates": {
         "rates.csv": "7bc3ceed44b8965e6c6f653b376c27047dc11c716a57dcc76b329d885ed72f69",
+        "rates.gp": "4816175b0b6eb28929b6ce2ee19b1a1b9d397b85a43e02e89153cce9bdf9196c",
     },
     "switching": {
         "switching.csv": "f3909bebb4e5b2a0c463a76d0ea5bdc27ed87e7ee5a7550914fb0f2467d637f3",
+        "switching.gp": "77b3a1d6d62009707126384a9405af907bb2e8e4d440e0537d776b8e3b30e6f0",
     },
     "split": {
         "split.csv": "6abf008c874578206ae4c00ad666cdc98266e09710ea2089cce9ca17306afcca",
+        "split.gp": "9a220c146569b2a7675c6972aab3a6f66bd268a66dffef009e3609b48efddbbe",
     },
     "split_calibrated": {
         "split.csv": "a8e95b128df5e898ae5f71644005bb982431debc4e474914701d61ccbe2242df",
+        "split.gp": "9a220c146569b2a7675c6972aab3a6f66bd268a66dffef009e3609b48efddbbe",
     },
     "pcc": {
         "pcc.csv": "ca717e30f8c8956dd893f30a51b0954377388526112df03c743d62eb63d8ec2e",
+        "pcc.gp": "a1a9a423ee67c6dc29e696d22a5e34f90201448ee5b81e7b24d1f5645d7be31e",
     },
     "decompose": {
         "decomposition.csv":
@@ -101,19 +109,24 @@ GOLDEN = {
     "solve_2d": {
         "solution.csv": "ff8c003a5ff9ddbba7e01c3374c0a7c59f8dbcaf70c7a90fe8404028fa30e113",
         "trajectory.csv": "222c0a90ea1d94336ccf6d8d5de89a2b6b1a19fbb62dc5b82fadf24f998a25bb",
+        "solution.gp": "9a2f35e99a676584dd7a6730a420ae7ee7098d23fccce97d98fe2c8bdbfd25fe",
     },
     "solve_twocontrol": {
         "solution.csv": "c44e20fb6b10d470fc671506767f43d565a1716c5cc7e1d9e3e7f1979e89c60f",
         "trajectory.csv": "9dcef7f648e9d7c8582573fa433dab0020cf5b3ab901d7f5dcd004fdf11a9f8f",
+        "solution.gp": "b97f3bb63d6f120dec9a2a0a963e2698722c850586bdfca0a480bde2826f8c83",
     },
     "switching_3modes": {
         "switching.csv": "38537672c9f48173e5497b8b719a6028add1f391988c11c1edf5d9101bc5a865",
+        "switching.gp": "77b3a1d6d62009707126384a9405af907bb2e8e4d440e0537d776b8e3b30e6f0",
     },
     "rates_2d": {
         "rates.csv": "107fb63a1d8619b5617a78bfd0a213d0585170d64d52c6f6071bb6aaa8b9d2a0",
+        "rates.gp": "4816175b0b6eb28929b6ce2ee19b1a1b9d397b85a43e02e89153cce9bdf9196c",
     },
     "switching_2d": {
         "switching.csv": "cd48850cbd16971286d11c1aa4703fa53a02567dfc3ef3cbb16b43ad859e457c",
+        "switching.gp": "77b3a1d6d62009707126384a9405af907bb2e8e4d440e0537d776b8e3b30e6f0",
     },
 }
 
@@ -127,7 +140,7 @@ def test_csv_bytes_match_golden_hashes(name, tmp_path):
         argv[1] = str(config)
     assert main(argv + ["--out", str(tmp_path)]) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(tmp_path.glob("*.csv"))}
+           for p in sorted(tmp_path.iterdir()) if p.suffix in (".csv", ".gp")}
     assert got == GOLDEN[name]
 
 

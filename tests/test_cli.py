@@ -527,6 +527,17 @@ def _heat_with(tmp_path, name, text):
      "reference n_x=16 must be a power-of-2 multiple, at least 2, of level n_x=16"),
     (["pcc", str(CONFIGS / "pcc.json"), "--dt-list", "0.1,5e-324"],
      "dt=5e-324 does not divide the horizon"),
+    # a finite macro step too small to count to T is named, not the reference's step
+    (["split", str(CONFIGS / "split.json"), "--nx", "4", "--inner", "1",
+      "--dt-list", "0.1,1e-300"], "time step 1e-300 is too small for horizon 0.2"),
+    (["pcc", str(CONFIGS / "pcc.json"), "--dt-list", "0.1,1e-300"],
+     "time step 1e-300 is too small for horizon 0.5"),
+    # the switching problem is checked before the union-control reference solve
+    (["switching", str(CONFIGS / "modes2.json"), "--k-list", "0.2,-0.1"],
+     "switching cost k must be positive"),
+    (["switching", str(CONFIGS / "modes2.json"), "--k-list", "0.2,0"],
+     "switching cost k must be positive"),
+    (["switching", "{uncovered}"], "mode control subsets must cover the full control set"),
 ])
 def test_bad_input_exits_one_before_any_solve(argv, reason, tmp_path, capsys, no_scheme_step):
     files = {"heat": str(CONFIGS / "heat.json"),
@@ -535,7 +546,10 @@ def test_bad_input_exits_one_before_any_solve(argv, reason, tmp_path, capsys, no
              "overflow": _heat_with(tmp_path, "overflow", '"sigma": 1e999'),
              "null": _heat_with(tmp_path, "null", '"sigma": null'),
              "text": _heat_with(tmp_path, "text", '"sigma": "1.0"'),
-             "ragged": _heat_with(tmp_path, "ragged", '"sigma": [[1.0, 0.0], [1.0]]')}
+             "ragged": _heat_with(tmp_path, "ragged", '"sigma": [[1.0, 0.0], [1.0]]'),
+             "uncovered": str(tmp_path / "uncovered.json")}
+    (tmp_path / "uncovered.json").write_text(
+        (CONFIGS / "modes2.json").read_text().replace("[[0], [1]]", "[[0], [0]]"))
     argv = [a.format(**files) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err

@@ -81,11 +81,12 @@ def test_build_counts_levels_up_to_sys_maxsize():
         SpaceTimeGrid.build(dim=1, period=1.0, n_x=8, T=1.0, dt=2.0 ** -63)
 
 
-def test_direct_constructor_checks_products():
-    with pytest.raises(ConfigError):
-        SpaceTimeGrid(dim=1, period=1.0, n_x=8, dx=0.2, n_t=10, dt=0.1, T=1.0)
-    with pytest.raises(ConfigError):
-        SpaceTimeGrid(dim=1, period=1.0, n_x=8, dx=0.125, n_t=9, dt=0.1, T=1.0)
+def test_direct_constructor_works_out_dx_and_dt():
+    g = SpaceTimeGrid(dim=1, period=1.0, n_x=8, n_t=10, T=1.0)
+    assert (g.dx, g.dt) == (1.0 / 8, 1.0 / 10)
+    assert g == SpaceTimeGrid.build(dim=1, period=1.0, n_x=8, T=1.0, dt=0.1)
+    with pytest.raises(ConfigError, match="period and T must be positive"):
+        SpaceTimeGrid(dim=1, period=1.0, n_x=8, n_t=10, T=0.0)
 
 
 def test_grid_function_shape_and_finiteness():

@@ -19,7 +19,6 @@ from hjbfd import (
 )
 from hjbfd.errors import CFLError, ConfigError, NumericalError, SchemeError
 from hjbfd.scheme import ThetaScheme
-from hjbfd.harness import write_plot_script
 
 L2PI = 2 * np.pi
 
@@ -105,32 +104,32 @@ def test_monotone_nonincreasing():
 def test_compare_bounds_verdicts():
     # slope 0.5 against floor 0.5 - 0.05 passes
     rep = make_report([p ** 0.5 for p in (0.4, 0.2, 0.1)])
-    assert compare_bounds(rep, 0.5).passed
+    assert compare_bounds(rep).passed
     # slope 0.18 against exponent 0.2 passes inside the default tolerance
     rep = make_report([p ** 0.18 for p in (0.4, 0.2, 0.1)], exponent=0.2)
-    v = compare_bounds(rep, 0.2)
+    v = compare_bounds(rep)
     assert v.passed
     # slope 0.1 against exponent 0.2 fails
     rep = make_report([p ** 0.1 for p in (0.4, 0.2, 0.1)], exponent=0.2)
-    v = compare_bounds(rep, 0.2)
+    v = compare_bounds(rep)
     assert not v.passed
     assert "below floor" in v.reason
     # non-monotone errors fail regardless of slope
-    rep = make_report([0.4, 0.5, 0.01])
-    assert not compare_bounds(rep, 0.1).passed
+    rep = make_report([0.4, 0.5, 0.01], exponent=0.1)
+    assert not compare_bounds(rep).passed
     # a degenerate report passes vacuously only when every fitted error is 0
-    rep = make_report([0.0, 0.0, 0.0], slope=0.0, degenerate=True)
-    assert compare_bounds(rep, 5.0).passed
+    rep = make_report([0.0, 0.0, 0.0], slope=0.0, exponent=5.0, degenerate=True)
+    assert compare_bounds(rep).passed
     # one nonzero level leaves no slope: it fails and names the zero-error level
     rows = [(0.4, 0.4, 0.16, 0.002, 0.0, 0.002), (0.2, 0.2, 0.04, 0.0, 0.0, 0.0)]
-    v = compare_bounds(rate_report("h", rows, 0.5), 0.5)
+    v = compare_bounds(rate_report("h", rows, 0.5))
     assert not v.passed
     assert v.reason.startswith("degenerate: zero error only at level(s) [1] (h=[0.2])")
     # the fitted column decides: err_plus is zero at every level here, while
     # err_total is not, so a fit on err_plus passes vacuously
     rows = [(0.4, 0.4, 0.16, 0.0, 0.002, 0.002), (0.2, 0.2, 0.04, 0.0, 0.0, 0.0)]
-    assert not compare_bounds(rate_report("k", rows, 0.5), 0.5).passed
-    assert compare_bounds(rate_report("k", rows, 0.5, fit_plus=True), 0.5).passed
+    assert not compare_bounds(rate_report("k", rows, 0.5)).passed
+    assert compare_bounds(rate_report("k", rows, 0.5, fit_plus=True)).passed
 
 
 def test_reference_solution_exact():
@@ -196,7 +195,7 @@ def test_run_refinement_heat_rate():
     assert rep.param_name == "h"
     assert rep.slope > 0.9
     assert rep.monotone_nonincreasing()
-    assert compare_bounds(rep, 0.5).passed
+    assert compare_bounds(rep).passed
     assert len(rep.dxs) == 3 and len(rep.dts) == 3
 
 
@@ -300,7 +299,7 @@ def test_rate_report_sorts_rows_and_fits():
 def test_write_rate_csv_layout_and_determinism(tmp_path):
     exact = decaying_wave(1, L2PI, [1], rate=0.5)
     rep = make_report([0.5, 0.25, 0.125])
-    v = compare_bounds(rep, 0.5)
+    v = compare_bounds(rep)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_rate_csv(rep, p1, v)
     write_rate_csv(rep, p2, v)
@@ -318,10 +317,3 @@ def test_write_rate_csv_layout_and_determinism(tmp_path):
     gp = (tmp_path / "a.gp").read_text()
     assert '"a.csv"' in gp
     assert "logscale xy" in gp
-
-
-def test_write_plot_script_extension_handling(tmp_path):
-    target = tmp_path / "report.dat"
-    write_plot_script(target, "k")
-    gp = (tmp_path / "report.dat.gp").read_text()
-    assert 'set xlabel "k"' in gp

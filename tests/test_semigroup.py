@@ -231,43 +231,46 @@ def test_commuting_families_leave_no_splitting_defect():
     assert check.ratio <= 2.0
 
 
-def test_calibrate_inner_steps_doubles_until_quiet():
+def test_calibrate_inner_steps_doubles_until_quiet(monkeypatch):
     sp = split_problem(T=0.1, n_x=8)
     ref = splitting_solve(sp, 0.05, 128)
-    m = calibrate_inner_steps(sp, 0.05, ref, m0=2, cap=64)
+    monkeypatch.setattr(semigroup, "INNER_CAP", 64)
+    m = calibrate_inner_steps(sp, 0.05, ref, [], [])
     assert m in (2, 4, 8, 16, 32, 64)
     # a tighter fraction can only need more substeps
-    m_tight = calibrate_inner_steps(sp, 0.05, ref, m0=2, cap=64, fraction=1e-4)
+    monkeypatch.setattr(semigroup, "INNER_FRACTION", 1e-4)
+    m_tight = calibrate_inner_steps(sp, 0.05, ref, [], [])
     assert m_tight >= m
 
 
-def test_calibrate_inner_steps_reports_the_cap():
+def test_calibrate_inner_steps_reports_the_cap(monkeypatch):
     sp = split_problem(T=0.1, n_x=8)
     ref = splitting_solve(sp, 0.05, 128)
+    monkeypatch.setattr(semigroup, "INNER_CAP", 4)
+    monkeypatch.setattr(semigroup, "INNER_FRACTION", 1e-6)
     notes = []
-    m = calibrate_inner_steps(sp, 0.05, ref, m0=2, cap=4, fraction=1e-6, notes=notes)
+    m = calibrate_inner_steps(sp, 0.05, ref, notes, [])
     assert type(m) is int and m == 4
     assert len(notes) == 1
     assert notes[0].startswith("inner substeps capped at m=4")
     assert "misses the target" in notes[0]
     # a target that is met leaves no note
+    monkeypatch.setattr(semigroup, "INNER_FRACTION", 1e6)
     quiet = []
-    calibrate_inner_steps(sp, 0.05, ref, m0=2, cap=4, fraction=1e6, notes=quiet)
+    calibrate_inner_steps(sp, 0.05, ref, quiet, [])
     assert quiet == []
 
 
 @pytest.mark.parametrize("cap, fraction", [(4, 1e-6), (64, 1e6)])  # capped, target met
-def test_calibrate_inner_steps_hands_back_the_chosen_run(cap, fraction):
+def test_calibrate_inner_steps_hands_back_the_chosen_run(cap, fraction, monkeypatch):
     sp = split_problem(T=0.1, n_x=8)
     ref = splitting_solve(sp, 0.05, 128)
+    monkeypatch.setattr(semigroup, "INNER_CAP", cap)
+    monkeypatch.setattr(semigroup, "INNER_FRACTION", fraction)
     solution = []
-    m = calibrate_inner_steps(sp, 0.05, ref, m0=2, cap=cap, fraction=fraction,
-                              solution=solution)
+    m = calibrate_inner_steps(sp, 0.05, ref, [], solution)
     assert len(solution) == 1
     np.testing.assert_array_equal(solution[0], splitting_solve(sp, 0.05, m))
-    # an m0 at the cap makes no run, so there is none to hand back
-    calibrate_inner_steps(sp, 0.05, ref, m0=4, cap=4, solution=(none := []))
-    assert none == []
 
 
 def test_calibration_makes_no_run_above_a_cap_doubling_does_not_hit(monkeypatch):
@@ -278,17 +281,13 @@ def test_calibration_makes_no_run_above_a_cap_doubling_does_not_hit(monkeypatch)
                         lambda sp, dt, m: solved.append(m) or solve(sp, dt, m))
     sp = split_problem(T=0.1, n_x=8)
     ref = solve(sp, 0.05, 128)
+    monkeypatch.setattr(semigroup, "INNER_CAP", 12)
+    monkeypatch.setattr(semigroup, "INNER_FRACTION", 1e-6)
     notes, solution = [], []
-    m = calibrate_inner_steps(sp, 0.05, ref, m0=2, cap=12, fraction=1e-6, notes=notes,
-                              solution=solution)
+    m = calibrate_inner_steps(sp, 0.05, ref, notes, solution)
     assert m == 8 and solved == [2, 4, 8]
     assert len(notes) == 1 and notes[0].startswith("inner substeps capped at m=8:")
     np.testing.assert_array_equal(solution[0], solve(sp, 0.05, 8))
-    # an m0 whose double passes the cap makes no run, nor does an m0 below 1
-    assert calibrate_inner_steps(sp, 0.05, ref, m0=8, cap=12) == 8 and solved == [2, 4, 8]
-    with pytest.raises(ConfigError, match="m0 >= 1"):
-        calibrate_inner_steps(sp, 0.05, ref, m0=0)
-    assert solved == [2, 4, 8]
 
 
 def plain_doubling(solve, reference, m0, cap, fraction):
@@ -349,8 +348,7 @@ def test_calibration_chooses_what_plain_doubling_chooses(case, monkeypatch):
         lambda m: np.array([1.0 + g(m)]), ref, 2, 256, 0.01)
     solved = stub_solves(monkeypatch, g)
     notes, solution = [], []
-    m = calibrate_inner_steps(None, 0.05, ref, m0=2, cap=256, notes=notes,
-                              solution=solution)
+    m = calibrate_inner_steps(None, 0.05, ref, notes, solution)
     assert (m, notes) == (want_m, want_notes)
     np.testing.assert_array_equal(solution, want_solution)
     order = [k for _, k in solved]
@@ -368,7 +366,7 @@ def test_calibration_misses_a_skipped_pair_that_would_meet(monkeypatch):
     assert plain_doubling(lambda m: np.array([1.0 + g(m)]), ref, 2, 256, 0.01)[0] == 16
     solved = stub_solves(monkeypatch, g)
     notes = []
-    assert calibrate_inner_steps(None, 0.05, ref, m0=2, cap=256, notes=notes) == 256
+    assert calibrate_inner_steps(None, 0.05, ref, notes, []) == 256
     assert [k for _, k in solved] == [2, 4, 8, 128, 256]
     assert len(notes) == 1 and notes[0].startswith("inner substeps capped at m=256:")
 
